@@ -70,6 +70,18 @@ scripts/check_tree_report.py "$PERF_BUILD_DIR/bench-results/BENCH_tree.json"
 # newest sample (docs/GATEWAY.md contract).
 scripts/check_gateway_report.py "$PERF_BUILD_DIR/bench-results/BENCH_gateway.json"
 
+# Repository benchmark gate: the harness arithmetic tests, then a short
+# untraced run of every perfbench workload. Each run exits non-zero when
+# an output check fails (same delivery digest every repetition,
+# conservation after drain, exactly-once per consumer/stream/seq,
+# byte-exact gateway deliveries), so CI catches a change that breaks one.
+# The timing figures of a 3 s run are not gated here.
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-build-ci-bench}"
+python3 perfbench/run.py --self-test
+for workload in field fanout gw_socket; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0
+done
+
 # Leg 3 — data races: TSan over the two places real threads exist.
 # The gateway suite crosses kernel sockets (PosixTransport) and the
 # loopback seam in one process and must stay single-threaded around

@@ -348,9 +348,9 @@ void MessageBus::arrive(Envelope envelope) {
 }
 
 void MessageBus::deliver_after(util::Duration delay, Envelope envelope) {
-  scheduler_.schedule_after(delay, [this, envelope = std::move(envelope)]() mutable {
-    arrive(std::move(envelope));
-  });
+  auto arrival = [this, envelope = std::move(envelope)]() mutable { arrive(std::move(envelope)); };
+  static_assert(sim::EventFn::fits_inline<decltype(arrival)>, "one bus hop, no allocation");
+  scheduler_.schedule_after(delay, std::move(arrival));
 }
 
 void MessageBus::post(Address from, Address to, MessageType type, util::SharedBytes payload) {

@@ -50,6 +50,14 @@ void Histogram::observe(double v) noexcept {
   double expected = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + v, std::memory_order_relaxed)) {
   }
+  // Load, compare, and CAS only when `v` extends the range: the common
+  // observation adds two relaxed loads.
+  double low = min_.load(std::memory_order_relaxed);
+  while (v < low && !min_.compare_exchange_weak(low, v, std::memory_order_relaxed)) {
+  }
+  double high = max_.load(std::memory_order_relaxed);
+  while (v > high && !max_.compare_exchange_weak(high, v, std::memory_order_relaxed)) {
+  }
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -61,11 +69,23 @@ HistogramSnapshot Histogram::snapshot() const {
   }
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.count = count_.load(std::memory_order_relaxed);
+  // A concurrent first observation may have published its count but not
+  // yet its range; then the snapshot keeps the unclamped defaults.
+  const double low = min_.load(std::memory_order_relaxed);
+  const double high = max_.load(std::memory_order_relaxed);
+  if (low <= high) {
+    snap.min = low;
+    snap.max = high;
+  }
   return snap;
 }
 
 double HistogramSnapshot::quantile(double q) const {
   if (count == 0) return 0.0;
+  return std::max(min, std::min(max, interpolated_quantile(q)));
+}
+
+double HistogramSnapshot::interpolated_quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const double rank = q * static_cast<double>(count);
   std::uint64_t cumulative = 0;

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,22 +73,30 @@ class Gauge {
 /// (counts has one extra trailing slot for overflow beyond the last
 /// bound). Quantiles are estimated by linear interpolation inside the
 /// bucket the rank falls into, so the error is bounded by the bucket's
-/// relative width.
+/// relative width, then clamped to the observed [min, max] — a histogram
+/// of zeros reads 0 at every quantile, not half the first bucket.
 struct HistogramSnapshot {
   std::vector<double> bounds;         ///< Ascending upper bounds.
   std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 entries.
   double sum = 0.0;
   std::uint64_t count = 0;
+  /// Smallest and largest observation; the defaults (unknown) clamp nothing.
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
 
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
+ private:
+  [[nodiscard]] double interpolated_quantile(double q) const;
 };
 
 /// Fixed-bucket log-scale histogram. Bucket i covers
 /// (bound[i-1], bound[i]] with bound[i] = first_bound * growth^i; values
 /// above the last bound land in a final overflow bucket, values at or
 /// below first_bound in bucket 0. observe() is a bounded binary search
-/// plus one relaxed atomic increment — no locks, no allocation.
+/// plus relaxed atomic increments — no locks, no allocation; the min/max
+/// it tracks cost a CAS only when an observation extends them.
 class Histogram {
  public:
   struct Layout {
@@ -119,6 +128,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size() + 1.
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// One instrument's value at snapshot time.

@@ -4,24 +4,30 @@
 // message latency, sensor sampling timers, service timeouts — runs as
 // events on one virtual clock. Ties are broken by insertion order, so a
 // given seed always replays identically.
+//
+// Events live in a slab of slots with stable addresses; a binary heap of
+// plain {at, seq, slot} entries orders them. Scheduling reuses a free slot
+// and stores the closure inline (EventFn), so the steady state allocates
+// nothing; cancel() is one slot compare.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/event_fn.hpp"
 #include "util/time.hpp"
 
 namespace garnet::sim {
 
-using EventFn = std::function<void()>;
-
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: the event's insertion
+/// sequence number plus the slot it occupies. A handle whose slot has
+/// since been reused by a later event no longer matches and cancels
+/// nothing.
 struct EventId {
-  std::uint64_t value = 0;
+  std::uint64_t value = 0;  ///< Insertion sequence; 0 = no event.
+  std::uint32_t slot = 0;
   [[nodiscard]] bool valid() const noexcept { return value != 0; }
 };
 
@@ -58,8 +64,8 @@ class Scheduler {
   /// time never jumps over pending work. Returns the events executed.
   std::size_t advance_to(util::SimTime at) { return run_until(at); }
 
-  [[nodiscard]] bool idle() const noexcept { return pending_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
+  [[nodiscard]] bool idle() const noexcept { return live_ == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Time of the next live event, if any (real-time drivers sleep until
@@ -67,24 +73,40 @@ class Scheduler {
   [[nodiscard]] std::optional<util::SimTime> next_event_time();
 
  private:
-  struct Entry {
+  /// A pending event's closure. `seq` is 0 while the slot is free (or its
+  /// event is running), so a cancelled or executed event's heap entry and
+  /// handle stop matching.
+  struct Slot {
+    EventFn fn;
+    std::uint64_t seq = 0;
+  };
+
+  struct HeapEntry {
     util::SimTime at;
     std::uint64_t seq;  // insertion order breaks ties
-    EventFn fn;
-
-    bool operator>(const Entry& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
+    std::uint32_t slot;
   };
+
+  /// Slots come in fixed chunks so a running event's closure never moves
+  /// when the event schedules more.
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+  [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+  std::uint32_t acquire_slot();
 
   /// Discards cancelled entries at the head; returns whether a live event
   /// remains on top.
   bool settle_head();
   void pop_and_run();
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<std::uint64_t> pending_;  // seq of live (not-yet-run, not-cancelled) events
+  std::vector<HeapEntry> heap_;  // min-heap on (at, seq)
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t slot_count_ = 0;
+  std::size_t live_ = 0;
   util::SimTime now_ = util::SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -54,6 +54,9 @@ class Rng {
   /// service its own stream without cross-coupling draw order.
   [[nodiscard]] Rng fork();
 
+  /// Same state: both generators produce the same draws from here on.
+  [[nodiscard]] bool operator==(const Rng&) const = default;
+
  private:
   std::array<std::uint64_t, 4> s_{};
   bool has_cached_normal_ = false;

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -140,12 +142,78 @@ class RadioMedium {
   [[nodiscard]] const std::vector<Receiver>& receivers() const noexcept { return receivers_; }
   [[nodiscard]] const std::vector<Transmitter>& transmitters() const noexcept { return transmitters_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
+  /// The loss/RSSI/jitter generator; same-seed runs must leave it in the
+  /// same state.
+  [[nodiscard]] const util::Rng& rng() const noexcept { return rng_; }
 
   ~RadioMedium();
   RadioMedium(const RadioMedium&) = delete;
   RadioMedium& operator=(const RadioMedium&) = delete;
 
  private:
+  /// Endpoints in registration order behind an O(1) key index. Removal
+  /// leaves a tombstone that iteration skips, and the table compacts once
+  /// tombstones are the majority, so teardown is linear while iteration —
+  /// and with it the RNG draw order — stays registration order. A key
+  /// registered twice resolves to its first registration; removing it
+  /// removes every registration.
+  template <typename Endpoint>
+  class EndpointTable {
+   public:
+    void add(Endpoint endpoint);
+    void remove(std::uint32_t key);
+
+    /// Visits the live endpoints in registration order.
+    template <typename Fn>
+    void for_each(Fn&& fn) {
+      for (Slot& slot : slots_) {
+        if (slot.live) fn(slot.endpoint);
+      }
+    }
+
+    /// Calls `fn` on the endpoint registered under `key`, if any. Slots do
+    /// not move while `fn` runs, even if it removes endpoints.
+    template <typename Fn>
+    void with(std::uint32_t key, Fn&& fn) {
+      const auto it = first_.find(key);
+      if (it == first_.end()) return;
+      ++calling_;
+      fn(slots_[it->second].endpoint);
+      --calling_;
+    }
+
+   private:
+    struct Slot {
+      Endpoint endpoint;
+      bool live = true;
+    };
+    void compact();
+
+    std::vector<Slot> slots_;
+    std::unordered_map<std::uint32_t, std::size_t> first_;  ///< key -> first live slot
+    std::size_t dead_ = 0;
+    bool duplicate_keys_ = false;
+    int calling_ = 0;
+  };
+
+  /// Uniform grid over the receivers with cells at least as wide as the
+  /// largest range, so a receiver in range of a sender lies in the
+  /// sender's cell or one of its eight neighbours. Each cell stores that
+  /// 3x3 neighbourhood's receivers in insertion order (CSR layout).
+  struct ReceiverGrid {
+    sim::Vec2 origin;
+    double cell = 0.0;  ///< 0: no grid, every receiver is a candidate.
+    std::size_t columns = 0;
+    std::size_t rows = 0;
+    std::vector<std::uint32_t> offsets;     ///< Cell i: [offsets[i], offsets[i + 1]).
+    std::vector<std::uint32_t> candidates;
+    std::vector<std::uint32_t> everyone;  ///< 0..n-1, for senders the grid cannot place.
+    bool stale = true;
+  };
+  void rebuild_grid();
+  /// Receiver indices that may be in range of `from`, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> candidates_near(sim::Vec2 from);
+
   [[nodiscard]] bool copy_survives(double dist, double range);
   [[nodiscard]] double rssi_for(double dist);
   [[nodiscard]] util::Duration delivery_delay();
@@ -154,9 +222,10 @@ class RadioMedium {
   Config config_;
   util::Rng rng_;
   std::vector<Receiver> receivers_;
+  ReceiverGrid grid_;
   std::vector<Transmitter> transmitters_;
-  std::vector<DownlinkEndpoint> endpoints_;
-  std::vector<OverhearEndpoint> overhearers_;
+  EndpointTable<DownlinkEndpoint> endpoints_;
+  EndpointTable<OverhearEndpoint> overhearers_;
   std::function<void(const ReceptionReport&)> uplink_sink_;
   RadioStats stats_;
   obs::Histogram* hop_delay_histogram_ = nullptr;

@@ -99,8 +99,9 @@ void SensorNode::schedule_sample(std::size_t stream_index) {
   const auto base = util::Duration::millis(spec.interval_ms);
   const auto jitter = util::Duration::nanos(
       static_cast<std::int64_t>(rng_.uniform() * 0.05 * static_cast<double>(base.ns)));
-  timers_[stream_index] =
-      scheduler_.schedule_after(base + jitter, [this, stream_index] { emit_sample(stream_index); });
+  auto timer = [this, stream_index] { emit_sample(stream_index); };
+  static_assert(sim::EventFn::fits_inline<decltype(timer)>, "one sample, no allocation");
+  timers_[stream_index] = scheduler_.schedule_after(base + jitter, std::move(timer));
 }
 
 void SensorNode::emit_sample(std::size_t stream_index) {

@@ -131,6 +131,39 @@ TEST(Histogram, QuantileEdgeCases) {
   EXPECT_LE(snap.quantile(1.0), 100.0);
 }
 
+TEST(Histogram, ZeroDurationStageReadsZero) {
+  // Virtual-time stage spans are often exactly 0 ns; interpolating inside
+  // the first 1 us bucket used to report them as p50 = 500 ns.
+  Histogram h(Histogram::Layout::latency_ns());
+  for (int i = 0; i < 1000; ++i) h.observe(0.0);
+  const HistogramSnapshot snap = h.snapshot();
+  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 0.0);
+  EXPECT_DOUBLE_EQ(snap.min, 0.0);
+  EXPECT_DOUBLE_EQ(snap.max, 0.0);
+}
+
+TEST(Histogram, QuantilesClampToObservedRange) {
+  Histogram h(Histogram::Layout{10.0, 10.0, 3});
+  h.observe(50.0);
+  h.observe(60.0);
+  const HistogramSnapshot snap = h.snapshot();
+  EXPECT_DOUBLE_EQ(snap.min, 50.0);
+  EXPECT_DOUBLE_EQ(snap.max, 60.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 50.0);  // interpolation alone says 10
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 60.0);  // ... and 100
+  const double mid = snap.quantile(0.5);
+  EXPECT_GE(mid, 50.0);
+  EXPECT_LE(mid, 60.0);
+
+  // A hand-built snapshot without a range keeps plain interpolation.
+  HistogramSnapshot bare;
+  bare.bounds = {10.0, 100.0};
+  bare.counts = {0, 2, 0};
+  bare.count = 2;
+  EXPECT_DOUBLE_EQ(bare.quantile(1.0), 100.0);
+}
+
 TEST(Snapshot, CollectorsAppendSamples) {
   MetricsRegistry registry;
   registry.counter("native").inc(5);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -149,6 +151,106 @@ TEST(Scheduler, CancelInsideEventOfLaterEvent) {
   s.schedule_after(Duration::millis(10), [&] { EXPECT_TRUE(s.cancel(second)); });
   s.run();
   EXPECT_FALSE(second_ran);
+}
+
+TEST(Scheduler, StaleIdAfterSlotReuseCancelsNothing) {
+  Scheduler s;
+  const EventId ran = s.schedule_after(Duration::millis(1), [] {});
+  const EventId cancelled = s.schedule_after(Duration::millis(1), [] {});
+  EXPECT_TRUE(s.cancel(cancelled));
+  s.run();
+
+  // Both handles' slots get reused; neither may touch the new occupant.
+  int fired = 0;
+  const EventId a = s.schedule_after(Duration::millis(1), [&] { ++fired; });
+  const EventId b = s.schedule_after(Duration::millis(1), [&] { ++fired; });
+  EXPECT_TRUE(a.slot == ran.slot || a.slot == cancelled.slot);
+  EXPECT_TRUE(b.slot == ran.slot || b.slot == cancelled.slot);
+  EXPECT_FALSE(s.cancel(ran));
+  EXPECT_FALSE(s.cancel(cancelled));
+  EXPECT_EQ(s.pending(), 2u);
+  s.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Scheduler, LargeCaptureFallsBackToHeap) {
+  struct Big {
+    std::array<std::uint64_t, 16> words{};  // 128 B: twice the inline buffer
+  };
+  static_assert(!EventFn::fits_inline<Big>);
+  Big big;
+  for (std::size_t i = 0; i < big.words.size(); ++i) big.words[i] = i + 1;
+  const auto token = std::make_shared<int>(0);
+  std::uint64_t total = 0;
+  EventFn fn = [big, token, &total] {
+    for (const std::uint64_t w : big.words) total += w;
+  };
+  EXPECT_TRUE(fn.heap_allocated());
+  EXPECT_EQ(token.use_count(), 2);
+
+  Scheduler s;
+  s.schedule_after(Duration::millis(1), std::move(fn));
+  const EventId dropped = s.schedule_after(Duration::millis(2), [big, token] { FAIL(); });
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_TRUE(s.cancel(dropped));
+  EXPECT_EQ(token.use_count(), 2) << "cancel releases the closure at once";
+  s.run();
+  EXPECT_EQ(total, 16u * 17u / 2u);
+  EXPECT_EQ(token.use_count(), 1) << "an executed closure is destroyed";
+}
+
+TEST(Scheduler, InlineBufferBoundary) {
+  struct Fits {
+    std::array<std::byte, EventFn::kInlineBytes> bytes{};
+    void operator()() const {}
+  };
+  struct TooBig {
+    std::array<std::byte, EventFn::kInlineBytes + 1> bytes{};
+    void operator()() const {}
+  };
+  static_assert(EventFn::fits_inline<Fits>);
+  static_assert(!EventFn::fits_inline<TooBig>);
+  EXPECT_FALSE(EventFn(Fits{}).heap_allocated());
+  EXPECT_TRUE(EventFn(TooBig{}).heap_allocated());
+  EXPECT_FALSE(EventFn{});
+}
+
+TEST(Scheduler, MoveOnlyCapture) {
+  Scheduler s;
+  auto owned = std::make_unique<int>(41);
+  int seen = 0;
+  s.schedule_after(Duration::millis(1), [p = std::move(owned), &seen] { seen = *p + 1; });
+  s.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Scheduler, CancelHeadInsideRunningEvent) {
+  // The event tied at the same instant sits at the heap head while the
+  // first one runs; cancelling it from there must stick.
+  Scheduler s;
+  std::vector<int> order;
+  EventId head{};
+  s.schedule_after(Duration::millis(10), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(s.cancel(head));
+    EXPECT_FALSE(s.cancel(head));
+    EXPECT_EQ(s.next_event_time()->ns, Duration::millis(20).ns);
+  });
+  head = s.schedule_after(Duration::millis(10), [&] { order.push_back(2); });
+  s.schedule_after(Duration::millis(20), [&] { order.push_back(3); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.executed(), 2u);
+}
+
+TEST(Scheduler, RunningEventCannotCancelItself) {
+  Scheduler s;
+  EventId self{};
+  bool cancelled = true;
+  self = s.schedule_after(Duration::millis(1), [&] { cancelled = s.cancel(self); });
+  s.run();
+  EXPECT_FALSE(cancelled);
 }
 
 // Stress property: random interleavings of schedule/cancel/run never

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+#include <vector>
+
 #include "obs/metrics.hpp"
 
 namespace garnet::wireless {
@@ -227,6 +232,180 @@ TEST_F(RadioFixture, JitterVariesDeliveryTimes) {
   scheduler.run();
 
   EXPECT_GT(arrival_times.size(), 10u);  // distinct arrival instants
+}
+
+TEST_F(RadioFixture, DownlinkVisitsEndpointsInRegistrationOrderAcrossRemovals) {
+  // Equal delays (no jitter): deliveries fire in scheduling order, which
+  // is the endpoint table's iteration order.
+  RadioMedium medium(scheduler, perfect_radio(), util::Rng(1));
+  medium.add_transmitter({1, {0, 0}, 200});
+  std::vector<std::uint32_t> heard;
+  const auto add = [&](std::uint32_t key) {
+    medium.add_downlink_endpoint(
+        {key, [] { return sim::Vec2{10, 0}; }, [&heard, key](util::BytesView) { heard.push_back(key); }});
+  };
+  for (std::uint32_t key = 1; key <= 10; ++key) add(key);
+  for (const std::uint32_t key : {2u, 4u, 6u, 8u, 9u, 10u}) medium.remove_downlink_endpoint(key);
+  add(4);   // re-registration goes last
+  add(11);
+  medium.remove_downlink_endpoint(99);  // unknown key: no-op
+
+  EXPECT_EQ(medium.downlink(1, util::Bytes(1)), 6u);
+  scheduler.run();
+  EXPECT_EQ(heard, (std::vector<std::uint32_t>{1, 3, 5, 7, 4, 11}));
+}
+
+TEST_F(RadioFixture, DuplicateKeyResolvesToFirstRegistration) {
+  RadioMedium medium(scheduler, perfect_radio(), util::Rng(1));
+  medium.add_transmitter({1, {0, 0}, 200});
+  int first = 0;
+  int second = 0;
+  medium.add_downlink_endpoint({5, [] { return sim::Vec2{0, 0}; }, [&](util::BytesView) { ++first; }});
+  medium.add_downlink_endpoint({5, [] { return sim::Vec2{0, 0}; }, [&](util::BytesView) { ++second; }});
+  // Both registrations hear the broadcast; each copy is delivered by key,
+  // and the key resolves to the first registration.
+  EXPECT_EQ(medium.downlink(1, util::Bytes(1)), 2u);
+  scheduler.run();
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 0);
+  medium.remove_downlink_endpoint(5);  // removes both
+  EXPECT_EQ(medium.downlink(1, util::Bytes(1)), 0u);
+}
+
+TEST_F(RadioFixture, EndpointMayDeregisterWhileBeingDelivered) {
+  RadioMedium medium(scheduler, perfect_radio(), util::Rng(1));
+  medium.add_transmitter({1, {0, 0}, 200});
+  std::vector<std::uint32_t> heard;
+  for (std::uint32_t key = 1; key <= 8; ++key) {
+    medium.add_downlink_endpoint({key, [] { return sim::Vec2{0, 0}; },
+                                  [&, key](util::BytesView) {
+                                    heard.push_back(key);
+                                    // Leaving mid-delivery tombstones most of the table.
+                                    for (std::uint32_t k = 1; k <= 8; ++k) {
+                                      if (k != 8) medium.remove_downlink_endpoint(k);
+                                    }
+                                  }});
+  }
+  medium.downlink(1, util::Bytes(1));
+  scheduler.run();
+  EXPECT_EQ(heard, (std::vector<std::uint32_t>{1, 8}));
+  EXPECT_EQ(medium.downlink(1, util::Bytes(1)), 1u);  // only key 8 is left
+}
+
+// --- receiver grid equivalence ----------------------------------------------
+
+/// One surviving uplink copy: (receiver, rssi, delay ns).
+using Copy = std::tuple<ReceiverId, double, std::int64_t>;
+
+/// The receiver scan the grid replaces: every receiver in insertion order,
+/// the same loss/RSSI/jitter draws in the same order. Returns the copies
+/// in the order the scheduler delivers them (by delay, ties in emission
+/// order).
+std::vector<Copy> reference_uplink(const std::vector<Receiver>& receivers,
+                                   const RadioMedium::Config& config, util::Rng& rng,
+                                   sim::Vec2 from) {
+  std::vector<Copy> copies;
+  for (const Receiver& rx : receivers) {
+    const double dist = sim::distance(from, rx.position);
+    if (dist > rx.range_m) continue;
+    const double frac = rx.range_m > 0 ? std::min(dist / rx.range_m, 1.0) : 1.0;
+    if (rng.chance(config.base_loss + config.edge_loss * frac * frac)) continue;
+    const double rssi = config.tx_power_dbm -
+                        10.0 * config.path_loss_exponent * std::log10(std::max(dist, 1.0)) +
+                        rng.normal(0.0, config.rssi_noise_stddev);
+    const auto jitter_ns = static_cast<std::int64_t>(
+        rng.uniform() * static_cast<double>(config.max_jitter.ns));
+    copies.emplace_back(rx.id, rssi, (config.hop_latency + Duration::nanos(jitter_ns)).ns);
+  }
+  std::stable_sort(copies.begin(), copies.end(),
+                   [](const Copy& a, const Copy& b) { return std::get<2>(a) < std::get<2>(b); });
+  return copies;
+}
+
+class RadioGridEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RadioGridEquivalence, GridMatchesFullScan) {
+  util::Rng layout(GetParam());
+  RadioMedium::Config config;
+  config.base_loss = 0.1;
+  config.edge_loss = 0.3;
+  sim::Scheduler scheduler;
+  RadioMedium medium(scheduler, config, util::Rng(GetParam() * 7919));
+  util::Rng reference_rng(GetParam() * 7919);
+  std::vector<Receiver> receivers;
+  std::vector<Copy> heard;
+  util::SimTime sent;
+  medium.set_uplink_sink([&](const ReceptionReport& r) {
+    heard.emplace_back(r.receiver, r.rssi_dbm, (r.received_at - sent).ns);
+  });
+
+  // Sparse to dense: up to ~40 cells of the widest range per side.
+  const double side = layout.uniform(500.0, 20000.0);
+  const auto add_receivers = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      // Mixed ranges: mostly modest, a few wide, some tiny (and a zero).
+      const auto kind = layout.below(10);
+      const double range = kind == 0   ? 0.0
+                           : kind < 3  ? layout.uniform(1.0, 20.0)
+                           : kind < 9  ? layout.uniform(50.0, 250.0)
+                                       : layout.uniform(400.0, 500.0);
+      const Receiver rx{static_cast<ReceiverId>(receivers.size() + 1),
+                        {layout.uniform(0.0, side), layout.uniform(0.0, side)}, range};
+      receivers.push_back(rx);
+      medium.add_receiver(rx);
+    }
+  };
+  const auto check_uplink = [&](sim::Vec2 from) {
+    heard.clear();
+    sent = scheduler.now();
+    medium.uplink(from, util::Bytes(3));
+    scheduler.run();
+    const std::vector<Copy> expected = reference_uplink(receivers, config, reference_rng, from);
+    ASSERT_EQ(heard, expected) << "sender at (" << from.x << ", " << from.y << ")";
+  };
+  const auto random_sender = [&] {
+    if (layout.chance(0.5)) {
+      // Anywhere, including well outside the receivers' bounding box.
+      return sim::Vec2{layout.uniform(-side, 2 * side), layout.uniform(-side, 2 * side)};
+    }
+    // Near a receiver, straddling its range.
+    const Receiver& rx = receivers[layout.below(receivers.size())];
+    const double reach = 1.2 * rx.range_m + 1.0;
+    return rx.position + sim::Vec2{layout.uniform(-reach, reach), layout.uniform(-reach, reach)};
+  };
+
+  add_receivers(1 + layout.below(60));
+  for (int i = 0; i < 300; ++i) check_uplink(random_sender());
+  add_receivers(1 + layout.below(60));  // after the first uplink: grid rebuilds
+  for (int i = 0; i < 300; ++i) check_uplink(random_sender());
+  // Senders exactly at range along both axes, and at the receiver itself.
+  for (const Receiver& rx : receivers) {
+    const double r = rx.range_m;
+    for (const sim::Vec2 offset : {sim::Vec2{r, 0}, sim::Vec2{-r, 0}, sim::Vec2{0, r},
+                                   sim::Vec2{0, -r}, sim::Vec2{0, 0}}) {
+      check_uplink(rx.position + offset);
+    }
+  }
+  EXPECT_TRUE(medium.rng() == reference_rng) << "the grid changed the RNG draw sequence";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RadioGridEquivalence, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+TEST_F(RadioFixture, GridHandlesDegenerateLayouts) {
+  // All receivers on one point, and a lone receiver: one-cell grids.
+  for (const std::size_t count : {std::size_t{1}, std::size_t{5}}) {
+    RadioMedium medium(scheduler, perfect_radio(), util::Rng(1));
+    for (std::size_t i = 0; i < count; ++i) {
+      medium.add_receiver({static_cast<ReceiverId>(i + 1), {42, 42}, 10});
+    }
+    int heard = 0;
+    medium.set_uplink_sink([&](const ReceptionReport&) { ++heard; });
+    medium.uplink({52, 42}, util::Bytes(1));      // exactly at range
+    medium.uplink({52.001, 42}, util::Bytes(1));  // just beyond
+    medium.uplink({-1e9, 1e9}, util::Bytes(1));   // far off the grid
+    scheduler.run();
+    EXPECT_EQ(heard, static_cast<int>(count));
+  }
 }
 
 }  // namespace
