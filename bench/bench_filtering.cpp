@@ -8,7 +8,8 @@
 // per-copy loss rate; reports filter throughput (wall-clock) plus the
 // duplication ratio in and out. The expected shape: dup ratio in grows
 // linearly with overlap, dup ratio out stays 0, and throughput degrades
-// only mildly with overlap.
+// only mildly with overlap. BM_FilterStreamAge checks that the per-copy
+// cost does not grow with how long a stream has been running.
 #include <algorithm>
 
 #include "bench/common.hpp"
@@ -128,6 +129,56 @@ void BM_FilterReorderDepth(benchmark::State& state) {
   state.counters["in_order_fraction"] = in_order_fraction;
 }
 BENCHMARK(BM_FilterReorderDepth)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->ArgName("depth");
+
+/// Per-copy cost as streams age. Arg: sequences each of 400 streams has
+/// already carried. A timed block of 100 more sequences per stream, three
+/// copies each, then runs on top. Dedup state that grows with a stream's
+/// history (a seen-set that is walked or pruned per new sequence) shows
+/// up as time_per_copy rising with the arg; constant-time state stays flat.
+void BM_FilterStreamAge(benchmark::State& state) {
+  constexpr std::uint32_t kStreams = 400;
+  constexpr std::uint32_t kBlock = 100;
+  constexpr std::uint32_t kCopies = 3;
+  const auto age = static_cast<std::uint32_t>(state.range(0));
+
+  const auto report = [](std::uint32_t stream, std::uint32_t seq, std::uint32_t copy) {
+    core::DataMessage msg;
+    msg.stream_id = {stream + 1, 0};
+    msg.sequence = static_cast<core::SequenceNo>(seq);
+    msg.payload = util::Bytes(24);
+    return wireless::ReceptionReport{copy + 1, -50.0, {}, core::encode(msg)};
+  };
+  std::vector<wireless::ReceptionReport> block;
+  block.reserve(std::size_t{kStreams} * kBlock * kCopies);
+  for (std::uint32_t seq = age; seq < age + kBlock; ++seq) {
+    for (std::uint32_t stream = 0; stream < kStreams; ++stream) {
+      for (std::uint32_t copy = 0; copy < kCopies; ++copy) {
+        block.push_back(report(stream, seq, copy));
+      }
+    }
+  }
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Scheduler scheduler;
+    core::FilteringService filter(scheduler, {});
+    for (std::uint32_t stream = 0; stream < kStreams; ++stream) {
+      for (std::uint32_t seq = 0; seq < age; ++seq) {
+        filter.note_seen({stream + 1, 0}, static_cast<core::SequenceNo>(seq));
+      }
+    }
+    state.ResumeTiming();
+    for (const auto& copy : block) filter.ingest(copy);
+    benchmark::DoNotOptimize(filter.stats().messages_out);
+  }
+
+  const double copies = static_cast<double>(state.iterations() * block.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(copies));
+  state.counters["time_per_copy"] =
+      benchmark::Counter(copies, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterStreamAge)->Arg(0)->Arg(1000)->Arg(4000)->ArgName("age")->Unit(
+    benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace garnet::bench

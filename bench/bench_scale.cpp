@@ -12,11 +12,14 @@
 //     tier's population;
 //   * checkpoint-capture stall: wall time of a full capture (walks
 //     everything) vs an incremental capture after ~1% of streams were
-//     touched — the stall the delta frames exist to eliminate.
+//     touched — the stall the delta frames exist to eliminate;
+//   * probe length: mean slots a lookup inspects in each service's
+//     StreamTable index (1.0 = every key in its home slot). A count,
+//     not a timing, so a clustering hash shows up without noise.
 //
 // Every tier's numbers land in BENCH_scale.json; scripts/ci.sh gates on
 // it via scripts/check_scale_report.py (bytes/stream budget, the 10^5
-// tier's presence, and the delta-stall budget).
+// tier's presence, the delta-stall budget and the probe-length budget).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -56,6 +59,10 @@ struct TierResult {
   double delta_capture_ms = 0;  ///< Max single-service delta stall, ~1% dirty.
   double full_capture_bytes = 0;
   double delta_capture_bytes = 0;
+  core::ProbeStats catalog_probes;
+  core::ProbeStats filtering_probes;
+  core::ProbeStats dispatch_probes;
+  core::ProbeStats location_probes;
 };
 
 TierResult run_tier(std::int64_t streams) {
@@ -126,6 +133,10 @@ TierResult run_tier(std::int64_t streams) {
   result.bytes_per_stream = (result.catalog_bytes + result.filtering_bytes +
                              result.dispatch_bytes + result.location_bytes) /
                             static_cast<double>(streams);
+  result.catalog_probes = catalog.probe_stats();
+  result.filtering_probes = filtering.probe_stats();
+  result.dispatch_probes = dispatch.probe_stats();
+  result.location_probes = location.probe_stats();
 
   // Phase 4 — full-capture stall: each service walks its whole table.
   // The headline number is the worst single capture (one service's
@@ -191,17 +202,23 @@ void write_scale_report() {
   std::string json = "{\"experiment\":\"scale\",\"tiers\":[";
   bool first = true;
   for (const auto& [streams, tier] : tier_results()) {
-    char buf[768];
+    char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "%s{\"streams\":%lld,\"registrations_per_sec\":%.0f,\"msgs_per_sec\":%.0f,"
         "\"bytes_per_stream\":%.1f,\"catalog_bytes\":%.0f,\"filtering_bytes\":%.0f,"
         "\"dispatch_bytes\":%.0f,\"location_bytes\":%.0f,\"full_capture_ms\":%.3f,"
-        "\"delta_capture_ms\":%.3f,\"full_capture_bytes\":%.0f,\"delta_capture_bytes\":%.0f}",
+        "\"delta_capture_ms\":%.3f,\"full_capture_bytes\":%.0f,\"delta_capture_bytes\":%.0f,"
+        "\"probe_mean\":{\"catalog\":%.3f,\"filtering\":%.3f,\"dispatch\":%.3f,"
+        "\"location\":%.3f},\"probe_max\":{\"catalog\":%u,\"filtering\":%u,"
+        "\"dispatch\":%u,\"location\":%u}}",
         first ? "" : ",", static_cast<long long>(streams), tier.registrations_per_sec,
         tier.msgs_per_sec, tier.bytes_per_stream, tier.catalog_bytes, tier.filtering_bytes,
         tier.dispatch_bytes, tier.location_bytes, tier.full_capture_ms, tier.delta_capture_ms,
-        tier.full_capture_bytes, tier.delta_capture_bytes);
+        tier.full_capture_bytes, tier.delta_capture_bytes, tier.catalog_probes.mean(),
+        tier.filtering_probes.mean(), tier.dispatch_probes.mean(), tier.location_probes.mean(),
+        tier.catalog_probes.max_probes, tier.filtering_probes.max_probes,
+        tier.dispatch_probes.max_probes, tier.location_probes.max_probes);
     json += buf;
     first = false;
   }

@@ -14,7 +14,10 @@ StreamTable migration was made for:
      arena layout must not regress toward node-per-stream costs;
   3. the incremental capture stall stays inside budget, and at the
      large tiers it must actually undercut the full-capture stall
-     (otherwise the delta machinery is dead weight).
+     (otherwise the delta machinery is dead weight);
+  4. every service's mean probe length stays inside budget at every
+     tier. This is a count taken by walking each table's index, not a
+     timing, so noise cannot trip it; a clustering hash can.
 """
 import argparse
 import json
@@ -30,6 +33,13 @@ BYTES_PER_STREAM_BUDGET = 1024.0
 # dirty. Full captures at 10^6 streams take O(seconds); the delta path
 # exists to keep the steady-state stall bounded regardless of population.
 DELTA_STALL_BUDGET_MS = 1000.0
+
+# Mean slots a successful lookup inspects in each service's StreamTable
+# index. A well-mixed hash measures 1.0-1.4 at the tables' load factors;
+# a hash that clusters the packed ids (tag 0 in the low byte) measured
+# 49-63 on the same keys.
+PROBE_MEAN_BUDGET = 2.0
+SERVICES = ("catalog", "filtering", "dispatch", "location")
 
 REQUIRED_TIER = 100_000
 TOP_TIER = 1_000_000
@@ -80,6 +90,17 @@ def main() -> int:
             )
         if float(tier.get("msgs_per_sec", 0.0)) <= 0:
             failures.append(f"{streams:,} streams: no traffic measured")
+        probe_mean = tier.get("probe_mean", {})
+        for service in SERVICES:
+            if service not in probe_mean:
+                failures.append(f"{streams:,} streams: no {service} probe_mean in the report")
+                continue
+            probes = float(probe_mean[service])
+            if probes > PROBE_MEAN_BUDGET:
+                failures.append(
+                    f"{streams:,} streams: {service} lookups average {probes:.2f} probes, "
+                    f"over the {PROBE_MEAN_BUDGET:.1f} budget — the table hash clusters"
+                )
 
     if failures:
         for failure in failures:
@@ -92,7 +113,8 @@ def main() -> int:
             f"{tier['bytes_per_stream']:.0f} B/stream, "
             f"{tier['msgs_per_sec']:,.0f} msgs/s, "
             f"capture full {tier['full_capture_ms']:.1f}ms / "
-            f"delta {tier['delta_capture_ms']:.1f}ms"
+            f"delta {tier['delta_capture_ms']:.1f}ms, "
+            f"probes/lookup max {max(tier['probe_mean'].values()):.2f}"
         )
     return 0
 

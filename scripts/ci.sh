@@ -54,7 +54,8 @@ scripts/check_recovery_report.py "$PERF_BUILD_DIR/bench-results/BENCH_recovery.j
 # Scale gate: the registration-scale bench must show the StreamTable
 # footprint inside its bytes/stream budget at every tier (10^5 tier
 # mandatory) and the incremental-capture stall inside budget — and
-# genuinely cheaper than a full capture at the large tiers.
+# genuinely cheaper than a full capture at the large tiers — and every
+# service's mean lookup probe length at or under 2.0.
 scripts/check_scale_report.py "$PERF_BUILD_DIR/bench-results/BENCH_scale.json"
 
 # Tree gate: the depth-4 churn cell in BENCH_tree.json must show the

@@ -87,6 +87,9 @@ class StreamCatalog {
   /// Index + arena bytes of the stream table (bench_scale bytes/stream).
   [[nodiscard]] std::size_t memory_bytes() const noexcept { return streams_.memory_bytes(); }
 
+  /// Lookup cost of the stream table's index (bench_scale probe gate).
+  [[nodiscard]] ProbeStats probe_stats() const { return streams_.probe_stats(); }
+
  private:
   static void encode_info(util::ByteWriter& w, const StreamInfo& info);
   [[nodiscard]] static StreamInfo decode_info(StreamKey key, util::ByteReader& r);

@@ -207,6 +207,14 @@ class DispatchingService {
     return cursors_.memory_bytes() + flows_.memory_bytes();
   }
 
+  /// Lookup cost of the cursor and flow tables' indexes, summed
+  /// (bench_scale probe gate).
+  [[nodiscard]] ProbeStats probe_stats() const {
+    ProbeStats stats = cursors_.probe_stats();
+    stats += flows_.probe_stats();
+    return stats;
+  }
+
  private:
   /// Per-consumer flow state, created lazily at first delivery. The epoch
   /// is globally unique per Flow instance so an in-flight resume can tell

@@ -57,12 +57,18 @@ void FilteringService::encode_stream(util::ByteWriter& w, std::uint32_t packed,
   w.u16(state.next_release);
   w.u64(state.accepted);
   w.u64(state.total_advance);
-  // std::map iterates keys ascending — deterministic by construction.
-  w.u16(static_cast<std::uint16_t>(state.seen.size()));
-  for (const auto& entry : state.seen) w.u16(entry.first);
+  // The seen list is written in ascending raw sequence order. Distance d
+  // is sequence newest - d: distances newest..0 give the ascending run
+  // up to `newest`, and larger distances wrap to the top of the 16-bit
+  // space, so they follow, again largest distance first.
+  const std::uint32_t newest = state.newest;
+  w.u16(static_cast<std::uint16_t>(state.seen.count()));
+  const auto put = [&w, newest](std::uint32_t d) { w.u16(static_cast<SequenceNo>(newest - d)); };
+  state.seen.for_each_descending(0, newest, put);
+  state.seen.for_each_descending(newest + 1, 0xFFFF, put);
 }
 
-FilteringService::StreamState FilteringService::decode_stream(util::ByteReader& r) {
+FilteringService::StreamState FilteringService::decode_stream(util::ByteReader& r) const {
   StreamState s;
   s.started = r.u8() != 0;
   s.newest = r.u16();
@@ -70,7 +76,15 @@ FilteringService::StreamState FilteringService::decode_stream(util::ByteReader& 
   s.accepted = r.u64();
   s.total_advance = r.u64();
   const std::uint16_t seen_count = r.u16();
-  for (std::uint16_t j = 0; j < seen_count && r.ok(); ++j) s.seen.emplace(r.u16(), true);
+  for (std::uint16_t j = 0; j < seen_count && r.ok(); ++j) {
+    // Only sequences inside this service's window are kept. A live
+    // service never holds any other (each advance prunes them), so only
+    // a frame from a wider-window peer or a damaged one has them; as in
+    // a live window, they are simply not "seen". A stream that never
+    // started has no newest sequence to anchor its list to.
+    const auto back = static_cast<std::uint16_t>(s.newest - r.u16());
+    if (s.started && back <= config_.dedup_window) s.seen.set(back, config_.dedup_window);
+  }
   return s;
 }
 
@@ -154,35 +168,48 @@ util::Status<util::DecodeError> FilteringService::restore_state(util::BytesView 
 void FilteringService::note_seen(StreamId id, SequenceNo seq) {
   auto [entry, inserted] = streams_.try_emplace(StreamKey{id});
   if (inserted) ++stats_.streams_seen;
-  StreamState& state = *entry;
+  const Mark mark = mark_seen(*entry, seq);
+  // Unlike accept(), the message was already forwarded by the (dead)
+  // primary, so the release cursor points past it.
+  if (mark == Mark::kFirst || mark == Mark::kAdvanced) {
+    entry->next_release = static_cast<SequenceNo>(seq + 1);
+  }
+}
+
+FilteringService::Mark FilteringService::mark_seen(StreamState& state, SequenceNo seq) {
+  const std::uint16_t window = config_.dedup_window;
   if (!state.started) {
     state.started = true;
     state.newest = seq;
-    // Unlike accept(), the message was already forwarded by the (dead)
-    // primary, so the release cursor points past it.
-    state.next_release = static_cast<SequenceNo>(seq + 1);
-    state.seen.emplace(seq, true);
+    state.seen.set(0, window);
     state.accepted = 1;
-    return;
+    return Mark::kFirst;
   }
-  if (state.seen.contains(seq)) return;
   const auto backward = static_cast<std::uint16_t>(state.newest - seq);
+  if (state.seen.test(backward)) return Mark::kDuplicate;
+  Mark mark = Mark::kFilled;
   if (seq_newer(seq, state.newest)) {
-    state.total_advance += static_cast<std::uint16_t>(seq - state.newest);
+    const auto step = static_cast<std::uint16_t>(seq - state.newest);
+    state.total_advance += step;
     state.newest = seq;
-    for (auto sit = state.seen.begin(); sit != state.seen.end();) {
-      if (static_cast<std::uint16_t>(state.newest - sit->first) > config_.dedup_window) {
-        sit = state.seen.erase(sit);
-      } else {
-        ++sit;
-      }
-    }
-    state.next_release = static_cast<SequenceNo>(seq + 1);
-  } else if (backward > config_.dedup_window) {
-    return;
+    state.seen.advance(step, window);  // drops what fell out of the window
+    mark = Mark::kAdvanced;
+  } else if (backward > window) {
+    // Too old to distinguish a late copy from a wrapped sequence; the
+    // paper's 64K sequence space makes this a rare pathological case.
+    return Mark::kStale;
+  } else {
+    state.seen.set(backward, window);
   }
-  state.seen.emplace(seq, true);
   ++state.accepted;
+  return mark;
+}
+
+std::size_t FilteringService::memory_bytes() const noexcept {
+  std::size_t bytes = streams_.memory_bytes();
+  streams_.for_each(
+      [&bytes](StreamKey, const StreamState& state) { bytes += state.seen.heap_bytes(); });
+  return bytes;
 }
 
 std::vector<FilteringService::StreamReport> FilteringService::stream_reports() const {
@@ -207,37 +234,19 @@ void FilteringService::accept(StreamState& state, const DataMessageView& message
   const SequenceNo seq = message.sequence;
   const StreamId id = message.stream_id;
 
-  if (!state.started) {
-    state.started = true;
-    state.newest = seq;
-    state.next_release = seq;
-    state.seen.emplace(seq, true);
-    state.accepted = 1;
-  } else {
-    if (state.seen.contains(seq)) {
+  switch (mark_seen(state, seq)) {
+    case Mark::kDuplicate:
       ++stats_.duplicates_dropped;
       return;
-    }
-    const auto backward = static_cast<std::uint16_t>(state.newest - seq);
-    if (seq_newer(seq, state.newest)) {
-      state.total_advance += static_cast<std::uint16_t>(seq - state.newest);
-      state.newest = seq;
-      // Prune seen-set entries that fell out of the dedup window.
-      for (auto sit = state.seen.begin(); sit != state.seen.end();) {
-        if (static_cast<std::uint16_t>(state.newest - sit->first) > config_.dedup_window) {
-          sit = state.seen.erase(sit);
-        } else {
-          ++sit;
-        }
-      }
-    } else if (backward > config_.dedup_window) {
-      // Too old to distinguish a late copy from a wrapped sequence; the
-      // paper's 64K sequence space makes this a rare pathological case.
+    case Mark::kStale:
       ++stats_.stale_dropped;
       return;
-    }
-    state.seen.emplace(seq, true);
-    ++state.accepted;
+    case Mark::kFirst:
+      state.next_release = seq;
+      break;
+    case Mark::kAdvanced:
+    case Mark::kFilled:
+      break;
   }
 
   // A new unique message: the radio hop ends at its first valid receipt

@@ -22,6 +22,7 @@
 #include <map>
 
 #include "core/message.hpp"
+#include "core/seen_window.hpp"
 #include "core/stream_table.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
@@ -152,8 +153,12 @@ class FilteringService {
   /// Loss/reception accounting for every reconstructed stream.
   [[nodiscard]] std::vector<StreamReport> stream_reports() const;
 
-  /// Index + arena bytes of the stream table (bench_scale bytes/stream).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept { return streams_.memory_bytes(); }
+  /// Index + arena bytes of the stream table plus the heap of every
+  /// stream's dedup window (bench_scale bytes/stream). O(streams).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
+  /// Lookup cost of the stream table's index (bench_scale probe gate).
+  [[nodiscard]] ProbeStats probe_stats() const { return streams_.probe_stats(); }
 
  private:
   struct PendingMessage {
@@ -167,15 +172,27 @@ class FilteringService {
     SequenceNo newest = 0;  ///< Highest (mod-wrap) sequence seen.
     std::uint64_t accepted = 0;       ///< Unique messages reconstructed.
     std::uint64_t total_advance = 0;  ///< Sum of forward sequence jumps.
-    // Seen-set for the dedup window. Keyed by raw sequence; pruned as the
-    // window advances. (A bitmap would be faster; a map keeps the logic
-    // transparent and the window small.)
-    std::map<SequenceNo, bool> seen;
+    // Sequences accepted within dedup_window of `newest`, by distance
+    // back from it (core/seen_window.hpp).
+    SeenWindow seen;
     // Reorder buffer keyed by sequence distance from next_release.
     SequenceNo next_release = 0;  ///< Next sequence owed to the sink.
     std::map<SequenceNo, PendingMessage> held;
     sim::EventId gap_timer;
   };
+
+  /// What mark_seen() made of one sequence.
+  enum class Mark : std::uint8_t {
+    kFirst,      ///< The stream's first sequence.
+    kAdvanced,   ///< New newest sequence.
+    kFilled,     ///< Late but new, inside the window.
+    kDuplicate,  ///< Already in the window.
+    kStale,      ///< Too far behind the newest to tell apart.
+  };
+
+  /// The one seen-set update shared by accept() and note_seen(): records
+  /// `seq` if it is new and advances the window when it is the newest.
+  Mark mark_seen(StreamState& state, SequenceNo seq);
 
   /// `message` is a view into the radio frame; the payload is copied out
   /// only when the message is accepted (duplicates drop copy-free).
@@ -184,7 +201,7 @@ class FilteringService {
   void flush_gap(StreamId id);
   void arm_gap_timer(StreamId id, StreamState& state);
   static void encode_stream(util::ByteWriter& w, std::uint32_t packed, const StreamState& state);
-  [[nodiscard]] static StreamState decode_stream(util::ByteReader& r);
+  [[nodiscard]] StreamState decode_stream(util::ByteReader& r) const;
 
   /// True if `a` is newer than `b` in wrapping 16-bit arithmetic.
   [[nodiscard]] static bool seq_newer(SequenceNo a, SequenceNo b) {

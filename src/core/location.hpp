@@ -113,6 +113,9 @@ class LocationService {
   /// Index + arena bytes of the track table (bench_scale bytes/stream).
   [[nodiscard]] std::size_t memory_bytes() const noexcept { return tracks_.memory_bytes(); }
 
+  /// Lookup cost of the track table's index (bench_scale probe gate).
+  [[nodiscard]] ProbeStats probe_stats() const { return tracks_.probe_stats(); }
+
  private:
   struct Observation {
     wireless::ReceiverId receiver;

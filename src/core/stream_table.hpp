@@ -29,6 +29,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -106,6 +107,25 @@ class ConsumerKey {
 
  private:
   std::uint32_t raw_ = 0;
+};
+
+/// Lookup cost of a StreamTable's index: how many slots a successful
+/// lookup inspects (1 = the key sits in its home slot). Summable, so a
+/// service can report one figure across several tables.
+struct ProbeStats {
+  std::uint64_t entries = 0;
+  std::uint64_t total_probes = 0;
+  std::uint32_t max_probes = 0;
+
+  [[nodiscard]] double mean() const noexcept {
+    return entries == 0 ? 0.0 : static_cast<double>(total_probes) / static_cast<double>(entries);
+  }
+  ProbeStats& operator+=(const ProbeStats& other) noexcept {
+    entries += other.entries;
+    total_probes += other.total_probes;
+    max_probes = std::max(max_probes, other.max_probes);
+    return *this;
+  }
 };
 
 /// Open-addressing hash table with arena-allocated values and built-in
@@ -296,6 +316,22 @@ class StreamTable {
            free_.capacity() * sizeof(std::uint32_t) + removed_.capacity() * sizeof(std::uint32_t);
   }
 
+  /// Cold diagnostic: walks the index and reports the probe length of
+  /// every live key. Costs O(slots); nothing on the lookup path counts.
+  [[nodiscard]] ProbeStats probe_stats() const {
+    ProbeStats stats;
+    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
+    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      const Slot& s = slots_[slot];
+      if (s.ref == kEmpty || s.ref == kTombstone) continue;
+      const std::uint32_t probes = ((slot - home(s.key)) & mask) + 1;
+      ++stats.entries;
+      stats.total_probes += probes;
+      stats.max_probes = std::max(stats.max_probes, probes);
+    }
+    return stats;
+  }
+
   /// Pre-sizes the index for `n` entries (bench warm-up; optional).
   void reserve(std::size_t n) {
     std::size_t want = 16;
@@ -334,11 +370,13 @@ class StreamTable {
     return &chunks_[index / kChunkEntries]->entries[index % kChunkEntries];
   }
 
-  /// Fibonacci-style multiplicative hash: packed stream ids are dense
-  /// in the low bits (tag) and sparse above, so a plain mask would
-  /// cluster entire sensors into runs.
-  [[nodiscard]] static std::uint32_t mix(std::uint32_t key) noexcept {
-    return key * 0x9E3779B9u;
+  /// Home slot of a packed key: Fibonacci hashing, i.e. multiply by
+  /// 2^64/phi and keep the top log2(slots) bits. Packed stream ids carry
+  /// the tag in the low byte (0 on most sensors), so the low bits of any
+  /// product of them are nearly constant; the top bits depend on every
+  /// key bit and spread arithmetic runs of sensors evenly.
+  [[nodiscard]] std::uint32_t home(std::uint32_t key) const noexcept {
+    return static_cast<std::uint32_t>((std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
   /// Probe for a live entry; kNoSlot when absent.
@@ -346,7 +384,7 @@ class StreamTable {
     if (slots_.empty()) return kNoSlot;
     const std::uint32_t raw = key.pack();
     const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t slot = mix(raw) & mask;
+    std::uint32_t slot = home(raw);
     while (true) {
       const Slot& s = slots_[slot];
       if (s.ref == kEmpty) return kNoSlot;
@@ -361,7 +399,7 @@ class StreamTable {
     }
     const std::uint32_t raw = key.pack();
     const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t slot = mix(raw) & mask;
+    std::uint32_t slot = home(raw);
     std::uint32_t first_tombstone = kNoSlot;
     while (true) {
       Slot& s = slots_[slot];
@@ -404,10 +442,11 @@ class StreamTable {
     assert((new_size & (new_size - 1)) == 0 && "slot count must stay a power of two");
     std::vector<Slot> next(new_size);
     const std::uint32_t mask = static_cast<std::uint32_t>(new_size) - 1;
+    shift_ = static_cast<std::uint8_t>(64 - std::countr_zero(new_size));
     for (std::uint32_t i = 0; i < arena_used_; ++i) {
       const Entry* entry = arena_at(i);
       if (!entry->alive) continue;
-      std::uint32_t slot = mix(entry->key) & mask;
+      std::uint32_t slot = home(entry->key);
       while (next[slot].ref != kEmpty) slot = (slot + 1) & mask;
       next[slot] = Slot{entry->key, i};
     }
@@ -422,6 +461,7 @@ class StreamTable {
   std::size_t size_ = 0;
   std::uint32_t arena_used_ = 0;        ///< High-water arena index.
   std::size_t tombstone_slots_ = 0;     ///< Live tombstones in slots_.
+  std::uint8_t shift_ = 64;             ///< 64 - log2(slots_.size()); see home().
 };
 
 }  // namespace garnet::core

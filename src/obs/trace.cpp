@@ -46,15 +46,26 @@ void Tracer::end_span(TraceKey key, const char* stage, std::int64_t now_ns) {
     if (!span->open() || std::strcmp(span->stage, stage) != 0) continue;
     span->end_ns = now_ns;
     if (registry_ != nullptr) {
-      Histogram*& histogram = stage_histograms_[stage];
-      if (histogram == nullptr) {
-        histogram = &registry_->histogram(kStageLatencyMetric, Histogram::Layout::latency_ns(),
-                                          {{"stage", stage}});
-      }
-      histogram->observe(static_cast<double>(span->duration_ns()));
+      stage_histogram(stage).observe(static_cast<double>(span->duration_ns()));
     }
     return;
   }
+}
+
+Histogram& Tracer::stage_histogram(const char* stage) {
+  for (const StageHistogram& entry : stage_histograms_) {
+    if (entry.stage == stage) return *entry.histogram;
+  }
+  Histogram* histogram = nullptr;
+  for (const StageHistogram& entry : stage_histograms_) {
+    if (std::strcmp(entry.stage, stage) == 0) histogram = entry.histogram;
+  }
+  if (histogram == nullptr) {
+    histogram = &registry_->histogram(kStageLatencyMetric, Histogram::Layout::latency_ns(),
+                                      {{"stage", stage}});
+  }
+  stage_histograms_.push_back({stage, histogram});
+  return *histogram;
 }
 
 void Tracer::complete(TraceKey key, std::int64_t now_ns) {

@@ -97,7 +97,10 @@ class Tracer {
   explicit Tracer(Config config);
 
   /// Stage histograms land in `registry` from now on (may be null).
-  void bind_metrics(MetricsRegistry* registry) { registry_ = registry; }
+  void bind_metrics(MetricsRegistry* registry) {
+    registry_ = registry;
+    stage_histograms_.clear();
+  }
 
   [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
 
@@ -132,13 +135,24 @@ class Tracer {
 
  private:
   void evict_oldest_active();
+  /// The stage's latency histogram in the bound registry, registered on
+  /// first use.
+  Histogram& stage_histogram(const char* stage);
 
   Config config_;
   MetricsRegistry* registry_ = nullptr;
   std::unordered_map<std::uint64_t, Trace> active_;
   std::deque<std::uint64_t> active_order_;  ///< FIFO of keys; stale entries skipped lazily.
   util::RingBuffer<Trace> completed_;
-  std::unordered_map<std::string, Histogram*> stage_histograms_;
+  /// Stage-name pointer -> histogram. Stages are string literals, so a
+  /// span close usually matches by pointer; a second literal with the
+  /// same text matches by name and is added as an alias. A handful of
+  /// stages exist, so a linear scan beats hashing the name.
+  struct StageHistogram {
+    const char* stage;
+    Histogram* histogram;
+  };
+  std::vector<StageHistogram> stage_histograms_;
   Stats stats_;
 };
 

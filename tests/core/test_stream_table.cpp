@@ -243,5 +243,68 @@ TEST(StreamTable, WorksWithAlternateKeyTypes) {
   EXPECT_FALSE(flows.contains(ConsumerKey(43)));
 }
 
+// Probe-length regression: a hash that clusters the packed ids (tag 0
+// in the low byte, as on most sensors) still passes every map-contract
+// test above but turns each lookup into a long linear scan. These key
+// sets are the shapes the services actually hold.
+template <typename Key>
+ProbeStats probe_stats_after_inserting(const std::vector<Key>& keys) {
+  StreamTable<std::uint64_t, Key> table;
+  for (const Key key : keys) table.upsert(key) = key.pack();
+  const ProbeStats stats = table.probe_stats();
+  EXPECT_EQ(stats.entries, keys.size());
+  return stats;
+}
+
+std::vector<StreamKey> tag0_stream_keys(std::uint32_t sensors) {
+  std::vector<StreamKey> keys;
+  for (std::uint32_t sensor = 0; sensor < sensors; ++sensor) keys.emplace_back(sensor, 0);
+  return keys;
+}
+
+TEST(StreamTableProbes, Tag0StreamKeysSitNearTheirHomeSlot) {
+  for (const std::uint32_t sensors : {4000u, 100000u}) {
+    const ProbeStats stats = probe_stats_after_inserting(tag0_stream_keys(sensors));
+    EXPECT_LE(stats.mean(), 1.5) << sensors << " sensors";
+    EXPECT_LE(stats.max_probes, 4u) << sensors << " sensors";
+  }
+}
+
+TEST(StreamTableProbes, SensorsWithSeveralTagsSitNearTheirHomeSlot) {
+  std::vector<StreamKey> keys;
+  for (std::uint32_t sensor = 0; sensor < 256; ++sensor) {
+    for (InternalStreamId tag = 0; tag < 4; ++tag) keys.emplace_back(sensor, tag);
+  }
+  const ProbeStats stats = probe_stats_after_inserting(keys);
+  EXPECT_LE(stats.mean(), 1.5);
+  EXPECT_LE(stats.max_probes, 4u);
+}
+
+TEST(StreamTableProbes, DenseSensorKeysSitNearTheirHomeSlot) {
+  std::vector<SensorKey> keys;
+  for (std::uint32_t sensor = 0; sensor < 100000; ++sensor) keys.emplace_back(sensor);
+  const ProbeStats stats = probe_stats_after_inserting(keys);
+  EXPECT_LE(stats.mean(), 1.5);
+  EXPECT_LE(stats.max_probes, 4u);
+}
+
+TEST(StreamTableProbes, StatsWalkOnlyLiveSlotsAndSum) {
+  StreamTable<std::uint64_t> table;
+  EXPECT_EQ(table.probe_stats().entries, 0u);
+  EXPECT_EQ(table.probe_stats().mean(), 0.0);
+  for (std::uint32_t sensor = 0; sensor < 100; ++sensor) table.upsert(StreamKey(sensor, 0));
+  for (std::uint32_t sensor = 0; sensor < 100; sensor += 2) table.erase(StreamKey(sensor, 0));
+  const ProbeStats stats = table.probe_stats();
+  EXPECT_EQ(stats.entries, 50u);  // tombstones are not entries
+  EXPECT_GE(stats.mean(), 1.0);
+
+  ProbeStats sum = stats;
+  sum += stats;
+  EXPECT_EQ(sum.entries, 100u);
+  EXPECT_EQ(sum.total_probes, 2 * stats.total_probes);
+  EXPECT_EQ(sum.max_probes, stats.max_probes);
+  EXPECT_DOUBLE_EQ(sum.mean(), stats.mean());
+}
+
 }  // namespace
 }  // namespace garnet::core

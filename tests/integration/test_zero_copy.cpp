@@ -29,8 +29,8 @@ constexpr std::size_t kPayloadBytes = 4096;
 
 TEST(ZeroCopyGuard, FanOut64CostsOneAllocationAndNoCopiesPerMessage) {
   sim::Scheduler scheduler;
-  net::MessageBus bus(scheduler, {});
   obs::MetricsRegistry registry;
+  net::MessageBus bus(scheduler, {});
   bus.set_metrics(registry);
   core::AuthService auth{{}};
   core::StreamCatalog catalog;

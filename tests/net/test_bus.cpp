@@ -147,8 +147,8 @@ TEST(BusFaultAliasing, InjectedDuplicateSharesTheBufferNotACopy) {
   sim::Scheduler scheduler;
   MessageBus::Config config;
   config.faults.links[{"src", "dst"}].duplicate = 1.0;
-  MessageBus bus(scheduler, config);
   obs::MetricsRegistry registry;
+  MessageBus bus(scheduler, config);
   bus.set_metrics(registry);
 
   std::vector<const std::byte*> seen;

@@ -155,8 +155,8 @@ TEST_F(OverloadFixture, ControlIsShedOnlyWhenTheWholeInboxIsControl) {
 }
 
 TEST_F(OverloadFixture, InboxDepthGaugeTracksTheQueue) {
-  MessageBus bus(scheduler, config_with(small_inbox(OverflowPolicy::kDropNewest)));
   obs::MetricsRegistry registry;
+  MessageBus bus(scheduler, config_with(small_inbox(OverflowPolicy::kDropNewest)));
   bus.set_metrics(registry);
   const Address sink = bus.add_endpoint("sink", [](Envelope) {});
   const Address src = bus.add_endpoint("src", [](Envelope) {});
@@ -175,8 +175,8 @@ TEST_F(OverloadFixture, InboxDepthGaugeTracksTheQueue) {
 }
 
 TEST_F(OverloadFixture, ShedGridIsExportedWithClassAndPolicyLabels) {
-  MessageBus bus(scheduler, config_with(small_inbox(OverflowPolicy::kDropOldest)));
   obs::MetricsRegistry registry;
+  MessageBus bus(scheduler, config_with(small_inbox(OverflowPolicy::kDropOldest)));
   bus.set_metrics(registry);
   const Address sink = bus.add_endpoint("sink", [](Envelope) {});
   const Address src = bus.add_endpoint("src", [](Envelope) {});

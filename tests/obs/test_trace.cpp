@@ -137,6 +137,36 @@ TEST(Tracer, ClosedSpansFeedStageHistograms) {
   EXPECT_EQ(snap.histogram(kStageLatencyMetric, {{"stage", "radio"}}), nullptr);
 }
 
+TEST(Tracer, SameStageNameFromTwoPointersFeedsOneHistogram) {
+  // Instrumentation sites pass literals; two sites naming the same stage
+  // may hand over different pointers. They must share one series.
+  MetricsRegistry registry;
+  Tracer tracer;
+  tracer.bind_metrics(&registry);
+  static constexpr char first[] = "dispatch";
+  static constexpr char second[] = "dispatch";
+  ASSERT_NE(static_cast<const char*>(first), static_cast<const char*>(second));
+
+  for (std::uint16_t seq = 0; seq < 3; ++seq) {
+    const TraceKey key{2, seq};
+    tracer.begin_span(key, first, 0);
+    tracer.end_span(key, seq == 1 ? second : first, 100);
+  }
+  const std::size_t instruments = registry.instrument_count();
+  const MetricsSnapshot snap = registry.snapshot();
+  const HistogramSnapshot* h = snap.histogram(kStageLatencyMetric, {{"stage", "dispatch"}});
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 3u);
+
+  // Rebinding resolves the stages afresh in the new registry.
+  MetricsRegistry other;
+  tracer.bind_metrics(&other);
+  tracer.begin_span({2, 9}, second, 0);
+  tracer.end_span({2, 9}, second, 100);
+  EXPECT_EQ(registry.instrument_count(), instruments);
+  ASSERT_NE(other.snapshot().histogram(kStageLatencyMetric, {{"stage", "dispatch"}}), nullptr);
+}
+
 TEST(Trace, ToStringListsStages) {
   Tracer tracer;
   const TraceKey key{7, 3};
