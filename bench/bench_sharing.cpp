@@ -77,7 +77,7 @@ SharingOutcome run_scenario(std::size_t consumers, bool shared, std::uint64_t se
     auto consumer =
         std::make_unique<core::Consumer>(runtime.bus(), "consumer." + std::to_string(c));
     runtime.provision(*consumer, "app" + std::to_string(c));
-    consumer->set_data_handler([&delivered](const core::Delivery&) { ++delivered; });
+    consumer->set_data_handler([&delivered](const core::DeliveryView&) { ++delivered; });
     for (core::SensorId id = 1; id <= kSensors; ++id) {
       const core::InternalStreamId stream =
           shared ? 0 : static_cast<core::InternalStreamId>(c);

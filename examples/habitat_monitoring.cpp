@@ -31,7 +31,7 @@ class ZoneAggregator {
       : consumer_(runtime.bus(), "consumer.zone." + zone_name), name_(std::move(zone_name)) {
     runtime.provision(consumer_, "zone." + name_);
     summary_ = runtime.create_derived_stream("summary." + name_, "zone-summary");
-    consumer_.set_data_handler([this](const core::Delivery& delivery) {
+    consumer_.set_data_handler([this](const core::DeliveryView& delivery) {
       util::ByteReader r(delivery.message.payload);
       const double value = r.f64();
       if (!r.ok()) return;
@@ -126,7 +126,7 @@ int main() {
   core::Consumer dashboard(runtime.bus(), "consumer.dashboard");
   runtime.provision(dashboard, "dashboard");
   std::uint64_t live_updates = 0;
-  dashboard.set_data_handler([&](const core::Delivery&) { ++live_updates; });
+  dashboard.set_data_handler([&](const core::DeliveryView&) { ++live_updates; });
 
   // Claim what was orphaned before the dashboard existed, then go live.
   std::size_t backlog_total = 0;

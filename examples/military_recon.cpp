@@ -88,7 +88,7 @@ int main() {
 
   std::uint64_t opened = 0;
   std::uint64_t reject_bad = 0;
-  intel.set_data_handler([&](const core::Delivery& delivery) {
+  intel.set_data_handler([&](const core::DeliveryView& delivery) {
     const auto sensor = delivery.message.stream_id.sensor;
     if (sensor == kPatrolTag) return;
     // The nonce is fully determined by the Figure-2 header: sensor id
@@ -110,7 +110,7 @@ int main() {
   runtime.provision(observer, "observer", /*priority=*/10);
   std::uint64_t observer_plaintexts = 0;
   std::uint64_t observer_ciphertexts = 0;
-  observer.set_data_handler([&](const core::Delivery& delivery) {
+  observer.set_data_handler([&](const core::DeliveryView& delivery) {
     if (delivery.message.stream_id.sensor == kPatrolTag) return;
     const crypto::Nonce guess = crypto::nonce_from_counter(0);
     if (crypto::open(crypto::key_from_seed(0xBAD), guess, delivery.message.payload).ok()) {

@@ -45,7 +45,7 @@ int main() {
   runtime.provision(app, "quickstart");
 
   std::uint64_t readings = 0;
-  app.set_data_handler([&](const core::Delivery& delivery) {
+  app.set_data_handler([&](const core::DeliveryView& delivery) {
     ++readings;
     if (readings <= 3) {
       util::ByteReader r(delivery.message.payload);

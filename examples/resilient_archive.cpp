@@ -1,111 +1,103 @@
-// Resilient archive: service replication + stream recording, composed
-// from the library à la carte (no Runtime facade).
+// Resilient archive: crash recovery + stream recording on the Runtime.
 //
 // The paper presumes "service-level parallelism and replication ... for
 // efficiency, data-integrity, and fault-tolerance" (§3). This example
-// builds the pipeline by hand with a replicated Filtering Service (hot
-// standby), kills the primary mid-run, and shows that:
+// runs a Runtime with crash recovery enabled and a fault plan that
+// crash-stops the Filtering Service at t=10s with no restart, so the
+// watchdog has to detect the dead service and promote it from its
+// replicated checkpoint + op-log. It shows that:
 //
 //   * the detection window is the only data loss,
-//   * the exactly-once property survives the failover (no duplicate
-//     deliveries after promotion), and
+//   * the exactly-once property survives the promotion (no duplicate
+//     deliveries: the restored dedup state still recognises the copies
+//     overlapping receivers keep hearing), and
 //   * an archive recorded through the outage replays cleanly as a
 //     derived stream afterwards.
 #include <cstdio>
 #include <set>
 
 #include "core/recorder.hpp"
-#include "garnet/failover.hpp"
 #include "garnet/runtime.hpp"
-#include "obs/metrics.hpp"
 
 using namespace garnet;
 using util::Duration;
+using util::SimTime;
 
 int main() {
-  // --- hand-built stack -----------------------------------------------------
-  sim::Scheduler scheduler;
-  net::MessageBus bus(scheduler, {});
-  core::AuthService auth({});
-  core::StreamCatalog catalog;
-  core::DispatchingService dispatch(bus, auth, catalog);
+  const SimTime crash_at = SimTime{} + Duration::seconds(10);
 
-  wireless::SensorField::Config field_config;
-  field_config.area = {{0, 0}, {400, 400}};
-  field_config.radio.base_loss = 0.0;
-  field_config.radio.edge_loss = 0.0;
-  wireless::SensorField field(scheduler, field_config);
-  field.add_receiver_grid(4, 300);
-
-  FilteringFailover::Config failover_config;
-  failover_config.mode = FilteringFailover::Mode::kHot;
-  failover_config.heartbeat_interval = Duration::millis(100);
-  failover_config.miss_threshold = 3;
-  obs::MetricsRegistry registry;
-  FilteringFailover filtering(scheduler, failover_config);
-  filtering.set_metrics(registry);
-
-  field.medium().set_uplink_sink(
-      [&](const wireless::ReceptionReport& report) { filtering.ingest(report); });
-  filtering.set_message_sink([&](const core::DataMessage& message, util::SimTime heard) {
-    dispatch.on_filtered(message, heard);
-  });
+  Runtime::Config config;
+  config.field.area = {{0, 0}, {400, 400}};
+  config.field.radio.base_loss = 0.0;
+  config.field.radio.edge_loss = 0.0;
+  config.recovery.enabled = true;
+  config.recovery.heartbeat_interval = Duration::millis(100);
+  config.recovery.miss_threshold = 3;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "filtering";
+    crash.at = crash_at;
+    config.faults.crashes.push_back(crash);  // no restart: the watchdog promotes
+  }
+  Runtime runtime(config);
+  runtime.deploy_receivers(4, 300);  // overlapping coverage: duplicate copies
 
   wireless::SensorField::PopulationSpec population;
   population.count = 4;
   population.interval_ms = 100;
-  field.add_population(population);
+  runtime.deploy_population(population);
 
   // --- archiving consumer ----------------------------------------------------
-  core::Consumer archiver(bus, "consumer.archiver");
-  archiver.set_identity(auth.register_consumer("archiver", archiver.address()).value());
+  core::Consumer archiver(runtime.bus(), "consumer.archiver");
+  runtime.provision(archiver, "archiver");
   std::set<std::pair<std::uint32_t, core::SequenceNo>> seen;
   std::uint64_t duplicates = 0;
-  archiver.set_data_handler([&](const core::Delivery& delivery) {
+  archiver.set_data_handler([&](const core::DeliveryView& delivery) {
     if (!seen.insert({delivery.message.stream_id.packed(), delivery.message.sequence}).second) {
       ++duplicates;
     }
   });
   core::StreamRecorder recorder(archiver);
   archiver.subscribe(core::StreamPattern::everything());
-  scheduler.run_for(Duration::millis(20));
+  runtime.run_for(Duration::millis(20));
 
   // --- run, crash, keep running ----------------------------------------------
-  field.start_all();
-  scheduler.run_for(Duration::seconds(10));
+  runtime.start_sensors();
+  runtime.scheduler().run_until(crash_at);
   const std::uint64_t before_crash = archiver.received();
   std::printf("10s of healthy operation: %llu messages archived\n",
               static_cast<unsigned long long>(before_crash));
 
-  filtering.kill_primary();
-  scheduler.run_for(Duration::seconds(10));
-  std::printf("primary filtering replica killed at t=10s\n");
+  runtime.run_for(Duration::seconds(10));
+  std::printf("filtering service crash-stopped at t=10s (no restart)\n");
   {
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    std::printf("  detection latency: %.0fms, frames lost in window: %llu\n",
-                snap.gauge("garnet.failover.detection_latency_ns") / 1e6,
-                static_cast<unsigned long long>(snap.counter("garnet.failover.lost_in_window")));
+    const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+    std::printf("  detection latency: %.0fms, copies lost in window: %llu, promotions: %llu\n",
+                snap.gauge("garnet.recovery.latency_ns") / 1e6,
+                static_cast<unsigned long long>(snap.counter(
+                    "garnet.recovery.service_inputs_lost", {{"service", "filtering"}})),
+                static_cast<unsigned long long>(snap.counter("garnet.recovery.promotions")));
   }
-  std::printf("  messages after failover: %llu (duplicates leaked: %llu)\n",
+  std::printf("  messages after promotion: %llu (duplicates leaked: %llu)\n",
               static_cast<unsigned long long>(archiver.received() - before_crash),
               static_cast<unsigned long long>(duplicates));
-  field.stop_all();
-  scheduler.run_for(Duration::seconds(1));
+  runtime.field().stop_all();
+  runtime.run_for(Duration::seconds(1));
 
   // --- replay the archive ------------------------------------------------------
-  const core::StreamId archive_stream = catalog.allocate_derived();
-  catalog.advertise(archive_stream, "archive.replay", "replay", true);
+  const core::StreamId archive_stream = runtime.create_derived_stream("archive.replay", "replay");
 
-  core::Consumer analyst(bus, "consumer.analyst");
-  analyst.set_identity(auth.register_consumer("analyst", analyst.address()).value());
+  core::Consumer analyst(runtime.bus(), "consumer.analyst");
+  runtime.provision(analyst, "analyst");
   std::uint64_t replayed = 0;
-  analyst.set_data_handler([&](const core::Delivery&) { ++replayed; });
+  analyst.set_data_handler([&](const core::DeliveryView&) { ++replayed; });
   analyst.subscribe(core::StreamPattern::exact(archive_stream));
-  scheduler.run_for(Duration::millis(20));
+  runtime.run_for(Duration::millis(20));
 
   const auto recording = std::move(recorder).take();
-  core::replay_as_stream(scheduler, recording, archiver, archive_stream, /*speed=*/20.0);
-  scheduler.run_for(Duration::seconds(5));
+  core::replay_as_stream(runtime.scheduler(), recording, archiver, archive_stream,
+                         /*speed=*/20.0);
+  runtime.run_for(Duration::seconds(5));
 
   std::printf("archive of %zu messages (%.1fs span) replayed at 20x: analyst received %llu\n",
               recording.size(), recording.span().to_seconds(),

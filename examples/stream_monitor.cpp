@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   core::Consumer monitor(runtime.bus(), "consumer.monitor");
   runtime.provision(monitor, "monitor");
   std::map<std::uint32_t, StreamRow> rows;
-  monitor.set_data_handler([&](const core::Delivery& delivery) {
+  monitor.set_data_handler([&](const core::DeliveryView& delivery) {
     StreamRow& row = rows[delivery.message.stream_id.packed()];
     ++row.messages;
     row.last_seen = delivery.first_heard;

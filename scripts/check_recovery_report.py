@@ -13,7 +13,13 @@ docs/FAULT_MODEL.md:
      and the garnet.recovery.crashed gauge ended at zero);
   3. the cycle actually exercised recovery (a crash fired, a checkpoint
      was stored, the stash replayed something — an idle gate proves
-     nothing).
+     nothing);
+  4. ablation A3's 100ms cell (bench.recovery.filtering_* gauges: the
+     Filtering Service crash-stopped under a stream whose late radio
+     copies straddle the outage) leaked zero duplicates, and its
+     promoted filter recognised at least one late copy — a cell in
+     which no late copy reached the restored dedup state proves
+     nothing.
 """
 import json
 import sys
@@ -65,6 +71,21 @@ def main() -> int:
     if value("garnet.dispatch.recovery_replayed", 0.0) == 0:
         failures.append("the orphanage stash replayed nothing — crash-window traffic was lost")
 
+    leaked = value("bench.recovery.filtering_duplicates_leaked")
+    deduped = value("bench.recovery.filtering_late_copies_deduped")
+    if leaked is None or deduped is None:
+        failures.append("bench.recovery.filtering_* (ablation A3) gauges missing from the report")
+    else:
+        if leaked > 0:
+            failures.append(
+                f"{leaked:.0f} duplicates leaked past the promoted filtering service"
+            )
+        if deduped <= 0:
+            failures.append(
+                "the promoted filtering service recognised no late copy — "
+                "the A3 cell never probed its restored dedup state"
+            )
+
     if failures:
         for failure in failures:
             print(f"recovery gate FAILED: {failure}", file=sys.stderr)
@@ -74,7 +95,8 @@ def main() -> int:
         f"latency={value('garnet.recovery.latency_ns', 0.0) / 1e6:.1f}ms, "
         f"ops replayed={value('garnet.recovery.ops_replayed', 0.0):.0f}, "
         f"stash replayed={value('garnet.dispatch.recovery_replayed', 0.0):.0f}, "
-        "duplicates after promotion=0"
+        "duplicates after promotion=0, "
+        f"filtering late copies deduped={deduped:.0f} with 0 leaked"
     )
     return 0
 

@@ -48,7 +48,9 @@ scripts/check_dispatch_report.py "$PERF_BUILD_DIR/bench-results/BENCH_dispatch.j
 
 # Recovery gate: the crash-cycle bench's snapshot must show every
 # crashed service recovered and zero duplicate deliveries after the
-# promotion (checkpoint + op-log + stash replay closed the gap exactly).
+# promotion (checkpoint + op-log + stash replay closed the gap exactly),
+# and ablation A3's filtering crash cell must leak no duplicate while
+# its promoted filter recognises late copies of pre-crash frames.
 scripts/check_recovery_report.py "$PERF_BUILD_DIR/bench-results/BENCH_recovery.json"
 
 # Scale gate: the registration-scale bench must show the StreamTable

@@ -64,10 +64,8 @@ class Consumer {
   // --- data plane ---------------------------------------------------------
 
   /// Handlers receive a zero-copy view whose payload aliases the wire
-  /// buffer (valid for the callback's duration; retain `wire` or call
-  /// to_owned() to keep it). Lambdas written against `const Delivery&`
-  /// still bind — the view converts implicitly, at the cost of a counted
-  /// payload copy.
+  /// buffer (valid for the callback's duration; to keep it, retain
+  /// `wire` or call to_owned(), which costs one counted payload copy).
   using DataHandler = std::function<void(const DeliveryView&)>;
   void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
   /// Current handler (utilities like StreamRecorder chain in front of it).

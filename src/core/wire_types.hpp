@@ -62,9 +62,6 @@ struct DeliveryView {
 
   /// Materialises an owned Delivery (one counted payload copy).
   [[nodiscard]] Delivery to_owned() const;
-  /// Implicit owning conversion so legacy `const Delivery&` handlers
-  /// still bind; costs a counted payload copy — hot paths take the view.
-  operator Delivery() const { return to_owned(); }  // NOLINT(google-explicit-constructor)
 };
 
 [[nodiscard]] util::Bytes encode(const Delivery& delivery);

@@ -1,7 +1,6 @@
 // Service-agnostic crash recovery: checkpoints + replicated op-log.
 //
-// Generalises the FilteringFailover experiment (garnet/failover.hpp) into
-// the harness the paper's presumption of "service-level ... replication
+// The harness the paper's presumption of "service-level ... replication
 // ... for efficiency, data-integrity, and fault-tolerance" (§3) demands
 // for *every* stateful service. Each managed service registers four
 // hooks — capture, restore, wipe, and (optionally) apply_op/on_restart —

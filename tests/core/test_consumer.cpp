@@ -56,7 +56,7 @@ TEST_F(ConsumerFixture, SubscribeAndReceive) {
   runtime.provision(consumer, "app");
 
   std::vector<Delivery> got;
-  consumer.set_data_handler([&](const Delivery& d) { got.push_back(d); });
+  consumer.set_data_handler([&](const DeliveryView& d) { got.push_back(d.to_owned()); });
   bool subscribed = false;
   consumer.subscribe(StreamPattern::all_of(1), [&](auto result) {
     ASSERT_TRUE(result.ok());
@@ -137,7 +137,7 @@ TEST_F(ConsumerFixture, PublishDerivedStream) {
 
   const StreamId derived = runtime.create_derived_stream("averages", "derived-avg");
   std::vector<Delivery> got;
-  subscriber.set_data_handler([&](const Delivery& d) { got.push_back(d); });
+  subscriber.set_data_handler([&](const DeliveryView& d) { got.push_back(d.to_owned()); });
   subscriber.subscribe(StreamPattern::exact(derived));
   runtime.run_for(Duration::millis(10));
 

@@ -85,7 +85,7 @@ TEST(Recorder, TransparentlyChainsHandler) {
   Consumer consumer(runtime.bus(), "consumer.archiver");
   runtime.provision(consumer, "archiver");
   std::size_t app_saw = 0;
-  consumer.set_data_handler([&](const Delivery&) { ++app_saw; });
+  consumer.set_data_handler([&](const DeliveryView&) { ++app_saw; });
   StreamRecorder recorder(consumer);  // chained AFTER the app handler set
   consumer.subscribe(StreamPattern::all_of(1));
   runtime.run_for(Duration::millis(20));
@@ -126,7 +126,7 @@ TEST(Recorder, ReplayAsDerivedStreamReachesSubscribers) {
   Consumer analyst(runtime.bus(), "consumer.analyst");
   runtime.provision(analyst, "analyst");
   std::size_t replayed = 0;
-  analyst.set_data_handler([&](const Delivery& d) {
+  analyst.set_data_handler([&](const DeliveryView& d) {
     ++replayed;
     EXPECT_TRUE(d.message.header.has(HeaderFlag::kDerived));
     EXPECT_TRUE(d.message.header.has(HeaderFlag::kFused));

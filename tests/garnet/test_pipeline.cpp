@@ -36,7 +36,7 @@ TEST_F(PipelineFixture, SingleStageTransformsAndPublishes) {
   core::Consumer sink(runtime.bus(), "consumer.sink");
   runtime.provision(sink, "sink");
   std::vector<double> means;
-  sink.set_data_handler([&](const core::Delivery& d) {
+  sink.set_data_handler([&](const core::DeliveryView& d) {
     util::ByteReader r(d.message.payload);
     means.push_back(r.f64());
   });

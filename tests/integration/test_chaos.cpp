@@ -8,15 +8,16 @@
 //     handlers execute exactly once and deduped == retries exactly.
 //   * Two runs from the same seed produce byte-identical fault journals
 //     and identical garnet.bus.faults / garnet.rpc.* telemetry.
-//   * A partition between the filtering watchdog and primary promotes
-//     the hot standby; its dedup state holds after the partition heals.
+//   * With the recovery replica's bounded inbox pinned full by a data
+//     flood, a crash-stopped filtering is still promoted on schedule,
+//     seeded with the state it had before dying.
 //   * An unreachable Resource Manager degrades actuation to an explicit
 //     denial instead of a silent stall.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
-#include "garnet/failover.hpp"
 #include "garnet/runtime.hpp"
 #include "net/rpc.hpp"
 #include "obs/metrics.hpp"
@@ -199,124 +200,98 @@ TEST(Chaos, RuntimeChaosRunsAreReplayable) {
   EXPECT_GT(first[0], 0u);
 }
 
-TEST(Chaos, PartitionPromotesFailoverAndDedupHoldsAfterHeal) {
-  sim::Scheduler scheduler;
-  net::MessageBus::Config config;
-  {
-    net::FaultPlan::PartitionSpec partition;
-    partition.name = "watchdog-cut";
-    partition.members = {FilteringFailover::kWatchdogEndpointName};
-    partition.opens_at = SimTime{} + Duration::millis(500);
-    partition.heals_at = SimTime{} + Duration::millis(1500);
-    config.faults.partitions.push_back(partition);
-  }
-  net::MessageBus bus(scheduler, config);
-
-  FilteringFailover::Config failover_config;
-  failover_config.mode = FilteringFailover::Mode::kHot;
-  failover_config.heartbeat_interval = Duration::millis(100);
-  failover_config.miss_threshold = 3;
-  obs::MetricsRegistry registry;
-  FilteringFailover failover(scheduler, bus, failover_config);
-  failover.set_metrics(registry);
-
-  std::multiset<core::SequenceNo> delivered;
-  failover.set_message_sink(
-      [&](const core::DataMessage& m, SimTime) { delivered.insert(m.sequence); });
-
-  const auto report = [](core::SequenceNo seq, wireless::ReceiverId receiver) {
-    core::DataMessage msg;
-    msg.stream_id = {1, 0};
-    msg.sequence = seq;
-    msg.payload = util::to_bytes("x");
-    return wireless::ReceptionReport{receiver, -40.0, SimTime{}, core::encode(msg)};
-  };
-
-  // Healthy phase: pings flow, traffic is deduplicated by the primary.
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) failover.ingest(report(seq, 1));
-  scheduler.run_until(SimTime{} + Duration::millis(450));
-  EXPECT_FALSE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.misses"), 0u);
-
-  // Partition opens at 500ms: the watchdog's pings stop arriving even
-  // though the primary never crashed; the standby must be promoted.
-  scheduler.run_until(SimTime{} + Duration::millis(1400));
-  EXPECT_TRUE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.failovers"), 1u);
-  EXPECT_GT(bus.fault_injector()->counters().partitioned, 0u);
-
-  // After the heal, late radio copies of the pre-partition messages
-  // arrive: the hot standby's shadowed dedup state still holds.
-  scheduler.run_until(SimTime{} + Duration::millis(2000));
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) failover.ingest(report(seq, 2));
-  for (core::SequenceNo seq = 0; seq < 5; ++seq) {
-    EXPECT_EQ(delivered.count(seq), 1u) << "sequence " << seq << " re-delivered after heal";
-  }
-  failover.ingest(report(100, 1));
-  EXPECT_EQ(delivered.count(100), 1u);  // fresh traffic flows post-heal
-}
-
 TEST(Chaos, FailoverDetectsDeadPrimaryThroughSaturatedWatchdogInbox) {
-  // Combined partition + overload chaos: the watchdog's bounded inbox is
-  // kept saturated by a data-plane flood for the whole run, and the
-  // primary is islanded by a FaultPlan partition mid-flood. Liveness
-  // traffic (ping responses) is control-plane, so it displaces flood
-  // data instead of being shed — before the cut the flood must not
-  // cause a false promotion, and once the partition opens the missed
-  // pings still promote the standby on schedule.
-  sim::Scheduler scheduler;
-  net::MessageBus::Config config;
+  // Combined crash + overload chaos: the recovery replica's bounded inbox
+  // is kept saturated by a data-plane flood for the whole run, and the
+  // filtering primary is crash-stopped by a FaultPlan entry mid-flood.
+  // Checkpoint and op-log replication is control-plane, so it displaces
+  // flood data instead of being shed: before the crash the flood must
+  // not cause a false promotion, the watchdog must still promote on
+  // schedule, and the promoted filter must hold the pre-crash state.
+  Runtime::Config config;
+  config.field.radio.base_loss = 0.0;  // every uplink copy is heard
+  config.field.radio.edge_loss = 0.0;
+  config.recovery.enabled = true;
+  config.recovery.heartbeat_interval = Duration::millis(100);
+  config.recovery.miss_threshold = 3;
   {
     net::InboxConfig inbox;
     inbox.capacity = 4;
     inbox.policy = net::OverflowPolicy::kDropOldest;
     inbox.service_time = Duration::millis(1);
-    config.inboxes[FilteringFailover::kWatchdogEndpointName] = inbox;
+    config.overload.inboxes[RecoveryHarness::kReplicaEndpointName] = inbox;
   }
+  const SimTime crash_at = SimTime{} + Duration::millis(1000);
   {
-    net::FaultPlan::PartitionSpec partition;
-    partition.name = "primary-island";
-    partition.members = {FilteringFailover::kPrimaryEndpointName};
-    partition.opens_at = SimTime{} + Duration::millis(1000);
-    config.faults.partitions.push_back(partition);
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "filtering";
+    crash.at = crash_at;
+    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
-  net::MessageBus bus(scheduler, config);
+  Runtime runtime(config);
+  runtime.deploy_receivers(1, 5000);  // one receiver covering the field
+  core::Consumer consumer(runtime.bus(), "consumer.ledger");
+  runtime.provision(consumer, "ledger");
+  consumer.subscribe(core::StreamPattern::everything());
+  std::map<core::SequenceNo, int> delivered;
+  consumer.set_data_handler(
+      [&](const core::DeliveryView& d) { ++delivered[d.message.sequence]; });
 
-  FilteringFailover::Config failover_config;
-  failover_config.mode = FilteringFailover::Mode::kHot;
-  failover_config.heartbeat_interval = Duration::millis(100);
-  failover_config.miss_threshold = 3;
-  obs::MetricsRegistry registry;
-  FilteringFailover failover(scheduler, bus, failover_config);
-  failover.set_metrics(registry);
-
-  // Data-plane flood aimed at the watchdog endpoint, refreshed faster
+  // Data-plane flood aimed at the replica endpoint, refreshed faster
   // than its inbox drains so the queue stays pinned at capacity.
+  net::MessageBus& bus = runtime.bus();
   const net::Address flooder = bus.add_endpoint("chaos.flooder", [](net::Envelope) {});
-  const auto watchdog = bus.lookup(FilteringFailover::kWatchdogEndpointName);
-  ASSERT_TRUE(watchdog.has_value());
+  const auto replica = bus.lookup(RecoveryHarness::kReplicaEndpointName);
+  ASSERT_TRUE(replica.has_value());
   std::function<void()> flood = [&] {
     for (int i = 0; i < 8; ++i) {
-      bus.post(flooder, *watchdog, net::app_type(0), util::SharedBytes{util::to_bytes("junk")});
+      bus.post(flooder, *replica, net::app_type(0), util::SharedBytes{util::to_bytes("junk")});
     }
-    if (scheduler.now() < SimTime{} + Duration::millis(1900)) {
-      scheduler.schedule_after(Duration::millis(2), flood);
+    if (runtime.scheduler().now() < SimTime{} + Duration::millis(1900)) {
+      runtime.scheduler().schedule_after(Duration::millis(2), flood);
     }
   };
   flood();
 
-  // Healthy primary + saturated watchdog inbox: no false promotion.
-  scheduler.run_until(SimTime{} + Duration::millis(1000));
-  EXPECT_FALSE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.misses"), 0u);
+  std::vector<util::Bytes> frames;
+  for (core::SequenceNo seq = 0; seq < 40; ++seq) {
+    core::DataMessage msg;
+    msg.stream_id = {1, 0};
+    msg.sequence = seq;
+    msg.payload = util::to_bytes("chaos");
+    frames.push_back(core::encode(msg));
+  }
+  const auto send_all = [&] {
+    for (const util::Bytes& frame : frames) {
+      runtime.field().medium().uplink({500, 500}, frame);
+      runtime.run_for(Duration::millis(10));
+    }
+  };
+
+  // Healthy primary + saturated replica inbox: no false promotion.
+  runtime.run_for(Duration::millis(100));
+  send_all();
+  runtime.scheduler().run_until(crash_at - Duration::millis(1));
+  EXPECT_EQ(delivered.size(), 40u);
+  EXPECT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"), 0u);
   EXPECT_GT(bus.shed_stats().data_total(), 0u);  // the flood really overflowed
 
-  // At t=1s the partition islands the primary mid-flood: detection must
-  // land within the usual heartbeat_interval * miss_threshold budget
-  // despite the saturation.
-  scheduler.run_until(SimTime{} + Duration::millis(1600));
-  EXPECT_TRUE(failover.failed_over());
-  EXPECT_EQ(registry.snapshot().counter("garnet.failover.failovers"), 1u);
+  // At t=1s filtering dies mid-flood: detection must land within the
+  // usual heartbeat_interval * (miss_threshold + 1) budget despite the
+  // saturation.
+  runtime.scheduler().run_until(crash_at + Duration::millis(1));
+  ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
+  runtime.scheduler().run_until(crash_at + Duration::millis(600));
+  EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  EXPECT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
+  EXPECT_LE(snap.gauge("garnet.recovery.latency_ns"),
+            static_cast<double>(Duration::millis(400).ns));
+
+  // The replicated state got through the flood: late copies of every
+  // pre-crash frame are recognised, none is delivered twice.
+  send_all();
+  for (core::SequenceNo seq = 0; seq < 40; ++seq) EXPECT_EQ(delivered[seq], 1) << seq;
 
   // The structural invariant: only data-plane traffic was shed.
   EXPECT_EQ(bus.shed_stats().control_total(), 0u);

@@ -11,11 +11,16 @@
 //     duplicate deliveries and all four services recovered.
 //   * Two runs from the same seed produce byte-identical fault and
 //     shed journals and identical recovery telemetry.
+//   * Ablation A3 as a regression test: filtering is crash-stopped with
+//     no restart, the watchdog promotes it, and late radio copies of
+//     frames delivered before the crash are recognised by the promoted
+//     filter instead of leaking as duplicates.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "garnet/runtime.hpp"
 #include "obs/metrics.hpp"
@@ -297,6 +302,91 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
   EXPECT_EQ(snap.counter("garnet.recovery.inputs_lost"), 2u);
   EXPECT_EQ(snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}), 2u);
   EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
+}
+
+TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
+  // Filtering dies with no restart scheduled; the watchdog must promote
+  // it from checkpoint + op-log. Late copies of frames it delivered
+  // before dying (a slow relay path) then reach the promoted filter,
+  // which must recognise them from its restored dedup state.
+  Runtime::Config config;
+  config.field.radio.base_loss = 0.0;  // every uplink copy is heard
+  config.field.radio.edge_loss = 0.0;
+  config.recovery.enabled = true;
+  config.recovery.heartbeat_interval = Duration::millis(100);
+  config.recovery.miss_threshold = 3;
+  const SimTime crash_at = SimTime{} + Duration::seconds(2);
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "filtering";
+    crash.at = crash_at;
+    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+  }
+  Runtime runtime(config);
+  runtime.deploy_receivers(1, 5000);  // one receiver covering the field
+  core::Consumer consumer(runtime.bus(), "consumer.ledger");
+  runtime.provision(consumer, "ledger");
+  consumer.subscribe(core::StreamPattern::everything());
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
+  runtime.run_for(Duration::millis(20));
+
+  std::vector<util::Bytes> frames;
+  for (core::SequenceNo seq = 0; seq < 60; ++seq) {
+    core::DataMessage msg;
+    msg.stream_id = {1, 0};
+    msg.sequence = seq;
+    msg.payload = util::to_bytes("a3");
+    frames.push_back(core::encode(msg));
+  }
+  wireless::RadioMedium& radio = runtime.field().medium();
+  const auto send = [&](core::SequenceNo first, core::SequenceNo last) {
+    for (core::SequenceNo seq = first; seq < last; ++seq) {
+      radio.uplink({500, 500}, frames[seq]);
+      runtime.run_for(Duration::millis(10));
+    }
+  };
+
+  // Healthy phase: frames 0..39 delivered once each. The watchdog has
+  // been beating for almost two seconds without a false promotion.
+  send(0, 40);
+  runtime.scheduler().run_until(crash_at - Duration::millis(1));
+  EXPECT_EQ(ledger.distinct(), 40u);
+  EXPECT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"), 0u);
+
+  // Detection window: filtering is down, the watchdog has not fired yet.
+  // New frames 40..49 die with the process and are booked as lost.
+  runtime.scheduler().run_until(crash_at + Duration::millis(1));
+  ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
+  send(40, 50);
+  ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
+
+  // Promotion, then the late copies of every pre-crash frame arrive,
+  // followed by fresh traffic and the late copies of the lost frames.
+  runtime.run_for(Duration::millis(500));
+  ASSERT_FALSE(runtime.recovery()->crashed("filtering"));
+  const core::FilteringStats at_promotion = runtime.filtering().stats();
+  send(0, 40);
+  const core::FilteringStats after_late = runtime.filtering().stats();
+  send(50, 60);
+  send(40, 50);
+  runtime.run_for(Duration::millis(100));
+
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  EXPECT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
+  EXPECT_EQ(snap.counter("garnet.recovery.rejoins"), 0u);
+  // Every copy sent while filtering was down shows up as a lost input.
+  EXPECT_EQ(snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}), 10u);
+  // All 40 late copies were recognised as duplicate or stale...
+  EXPECT_EQ((after_late.duplicates_dropped + after_late.stale_dropped) -
+                (at_promotion.duplicates_dropped + at_promotion.stale_dropped),
+            40u);
+  EXPECT_EQ(after_late.messages_out, at_promotion.messages_out);
+  // ...so every (stream, seq) reached the consumer exactly once: the
+  // pre-crash frames, the fresh ones, and the lost frames recovered
+  // through their late copies.
+  EXPECT_EQ(ledger.distinct(), 60u);
+  EXPECT_EQ(ledger.max_count(), 1);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ Trace run_full_scenario(std::uint64_t seed) {
   core::Consumer consumer(runtime.bus(), "consumer.app");
   runtime.provision(consumer, "app");
   Trace trace;
-  consumer.set_data_handler([&](const core::Delivery& delivery) {
+  consumer.set_data_handler([&](const core::DeliveryView& delivery) {
     std::uint64_t h = delivery.message.stream_id.packed();
     h = h * 0x9E3779B97F4A7C15ull + delivery.message.sequence;
     h = h * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(delivery.first_heard.ns);

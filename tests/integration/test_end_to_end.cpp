@@ -41,7 +41,7 @@ TEST_F(EndToEndFixture, DataFlowsRadioToConsumer) {
   core::Consumer consumer(runtime.bus(), "consumer.app");
   runtime.provision(consumer, "app");
   std::vector<core::Delivery> got;
-  consumer.set_data_handler([&](const core::Delivery& d) { got.push_back(d); });
+  consumer.set_data_handler([&](const core::DeliveryView& d) { got.push_back(d.to_owned()); });
   consumer.subscribe(core::StreamPattern::everything());
   runtime.run_for(Duration::millis(20));
 
@@ -70,9 +70,9 @@ TEST_F(EndToEndFixture, SelectiveSubscriptionsAreIsolated) {
   std::set<core::SensorId> a_sensors;
   std::set<core::SensorId> b_sensors;
   a.set_data_handler(
-      [&](const core::Delivery& d) { a_sensors.insert(d.message.stream_id.sensor); });
+      [&](const core::DeliveryView& d) { a_sensors.insert(d.message.stream_id.sensor); });
   b.set_data_handler(
-      [&](const core::Delivery& d) { b_sensors.insert(d.message.stream_id.sensor); });
+      [&](const core::DeliveryView& d) { b_sensors.insert(d.message.stream_id.sensor); });
   a.subscribe(core::StreamPattern::all_of(1));
   b.subscribe(core::StreamPattern::all_of(2));
   runtime.run_for(Duration::millis(20));
@@ -154,7 +154,7 @@ TEST_F(EndToEndFixture, LocationStreamIsSubscribable) {
   core::Consumer watcher(rt.bus(), "consumer.location-watcher");
   rt.provision(watcher, "location-watcher");
   std::vector<core::Delivery> updates;
-  watcher.set_data_handler([&](const core::Delivery& d) { updates.push_back(d); });
+  watcher.set_data_handler([&](const core::DeliveryView& d) { updates.push_back(d.to_owned()); });
   watcher.subscribe(core::StreamPattern::exact(*rt.location_stream()));
   rt.run_for(Duration::millis(20));
 
@@ -187,7 +187,7 @@ TEST_F(EndToEndFixture, DeterministicEndToEnd) {
     core::Consumer consumer(rt.bus(), "consumer.app");
     rt.provision(consumer, "app");
     std::vector<std::uint64_t> trace;
-    consumer.set_data_handler([&](const core::Delivery& d) {
+    consumer.set_data_handler([&](const core::DeliveryView& d) {
       trace.push_back((static_cast<std::uint64_t>(d.message.stream_id.packed()) << 16) |
                       d.message.sequence);
     });

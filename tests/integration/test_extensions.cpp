@@ -40,7 +40,7 @@ TEST(Extensions, GpsBeaconHintsSharpenLocation) {
   // knowledge of, the location of a sensor").
   core::Consumer consumer(runtime.bus(), "consumer.tracker");
   runtime.provision(consumer, "tracker");
-  consumer.set_data_handler([&](const core::Delivery& delivery) {
+  consumer.set_data_handler([&](const core::DeliveryView& delivery) {
     const auto fix = wireless::decode_gps_beacon(delivery.message.payload);
     if (!fix) return;
     consumer.send_location_hint({delivery.message.stream_id.sensor, fix->position.x,
@@ -78,7 +78,7 @@ TEST(Extensions, NonLocationAwareSensorIgnoresPositionalGenerator) {
   runtime.provision(consumer, "x");
   std::size_t beacons = 0;
   std::size_t messages = 0;
-  consumer.set_data_handler([&](const core::Delivery& delivery) {
+  consumer.set_data_handler([&](const core::DeliveryView& delivery) {
     ++messages;
     if (delivery.message.payload.size() == 24) ++beacons;
   });

@@ -36,7 +36,7 @@ TEST_F(FailureFixture, HeavyLossNeverDuplicatesOrCrashes) {
   runtime.provision(consumer, "app");
   std::set<std::pair<std::uint32_t, core::SequenceNo>> seen;
   std::uint64_t duplicates_at_consumer = 0;
-  consumer.set_data_handler([&](const core::Delivery& d) {
+  consumer.set_data_handler([&](const core::DeliveryView& d) {
     if (!seen.insert({d.message.stream_id.packed(), d.message.sequence}).second) {
       ++duplicates_at_consumer;
     }

@@ -34,7 +34,7 @@ class Smoother {
         window_(window) {
     runtime.provision(consumer_, "smoother." + std::to_string(input));
     output_ = runtime.create_derived_stream("smoothed." + std::to_string(input), "smoothed");
-    consumer_.set_data_handler([this](const core::Delivery& delivery) {
+    consumer_.set_data_handler([this](const core::DeliveryView& delivery) {
       util::ByteReader r(delivery.message.payload);
       const double value = r.f64();
       if (!r.ok()) return;
@@ -79,7 +79,7 @@ TEST_F(MultiLevelFixture, DerivedStreamsFlowToSecondLevel) {
   core::Consumer level2(runtime.bus(), "consumer.level2");
   runtime.provision(level2, "level2");
   std::vector<double> averages;
-  level2.set_data_handler([&](const core::Delivery& d) {
+  level2.set_data_handler([&](const core::DeliveryView& d) {
     util::ByteReader r(d.message.payload);
     averages.push_back(r.f64());
     EXPECT_TRUE(d.message.header.has(core::HeaderFlag::kDerived));
@@ -110,7 +110,7 @@ TEST_F(MultiLevelFixture, ThreeLevelGraph) {
   runtime.provision(alarm, "alarm");
   const core::StreamId alerts = runtime.create_derived_stream("alerts", "alert");
   std::uint64_t alarm_inputs = 0;
-  alarm.set_data_handler([&](const core::Delivery& d) {
+  alarm.set_data_handler([&](const core::DeliveryView& d) {
     ++alarm_inputs;
     util::ByteReader r(d.message.payload);
     const double value = r.f64();

@@ -103,13 +103,13 @@ TEST(Scenarios, SealedPayloadsOpaqueToMiddlewareAndKeyless) {
   runtime.provision(observer, "observer");
 
   std::size_t intel_opened = 0;
-  intel.set_data_handler([&](const core::Delivery& d) {
+  intel.set_data_handler([&](const core::DeliveryView& d) {
     const auto nonce = crypto::nonce_from_counter((1ull << 32) | d.message.sequence);
     if (crypto::open(key, nonce, d.message.payload).ok()) ++intel_opened;
   });
   std::size_t observer_opened = 0;
   std::size_t observer_received = 0;
-  observer.set_data_handler([&](const core::Delivery& d) {
+  observer.set_data_handler([&](const core::DeliveryView& d) {
     ++observer_received;
     const auto nonce = crypto::nonce_from_counter((1ull << 32) | d.message.sequence);
     if (crypto::open(crypto::key_from_seed(0xBAD), nonce, d.message.payload).ok()) {
