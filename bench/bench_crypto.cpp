@@ -57,7 +57,7 @@ void BM_PipelinePlain(benchmark::State& state) {
 
   for (auto _ : state) {
     const util::Bytes wire = core::encode(msg);
-    const auto decoded = core::decode(wire);
+    const auto decoded = core::decode_view(wire);
     benchmark::DoNotOptimize(&decoded);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -79,7 +79,7 @@ void BM_PipelineSealed(benchmark::State& state) {
     const crypto::Nonce nonce = crypto::nonce_from_counter(++nonce_counter);
     msg.payload = crypto::seal(key, nonce, reading);  // producer
     const util::Bytes wire = core::encode(msg);       // sensor radio + fixed net
-    const auto decoded = core::decode(wire);          // filtering
+    const auto decoded = core::decode_view(wire);     // filtering
     if (!decoded.ok()) state.SkipWithError("decode failed");
     const auto opened = crypto::open(key, nonce, decoded.value().payload);  // consumer
     benchmark::DoNotOptimize(&opened);

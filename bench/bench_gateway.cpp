@@ -124,7 +124,8 @@ GatewayOutcome run_gateway(int subscribers, std::size_t payload_bytes, int messa
     // Decode every delivery frame with the full checksum walk —
     // corruption anywhere on the egress path shows up here.
     while (const auto frame = assembler.frame()) {
-      const auto decoded = core::decode_delivery(*frame);
+      const auto decoded = core::decode_delivery_view(util::SharedBytes::copy_of(*frame),
+                                                      core::ChecksumPolicy::kVerify);
       if (decoded.ok()) {
         newest_arrival = decoded.value().message.sequence;
       } else {

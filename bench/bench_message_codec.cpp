@@ -36,7 +36,7 @@ void BM_Decode(benchmark::State& state) {
   const util::Bytes wire = core::encode(make_message(rng, payload_size));
 
   for (auto _ : state) {
-    const auto decoded = core::decode(wire);
+    const auto decoded = core::decode_view(wire);
     benchmark::DoNotOptimize(&decoded);
     if (!decoded.ok()) state.SkipWithError("decode failed");
   }
@@ -64,7 +64,7 @@ void BM_DecodeRejectCorrupt(benchmark::State& state) {
   util::Bytes wire = core::encode(make_message(rng, 64));
   wire[wire.size() / 2] ^= std::byte{0x01};
   for (auto _ : state) {
-    const auto decoded = core::decode(wire);
+    const auto decoded = core::decode_view(wire);
     benchmark::DoNotOptimize(&decoded);
     if (decoded.ok()) state.SkipWithError("corrupt frame accepted");
   }

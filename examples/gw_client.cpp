@@ -113,9 +113,11 @@ int run_sub(const Options& opt, const std::string& pattern) {
   std::printf("%s; streaming...\n", ack->c_str());
   std::size_t received = 0;
   while (opt.count == 0 || received < opt.count) {
-    const auto frame = gw_client::read_frame(fd);
+    auto frame = gw_client::read_frame(fd);
     if (!frame) break;
-    const auto delivery = core::decode_delivery(*frame);
+    // Socket bytes: re-verify the CRC the dispatcher computed.
+    const auto delivery =
+        core::decode_delivery_view(std::move(*frame), core::ChecksumPolicy::kVerify);
     if (!delivery.ok()) {
       std::fprintf(stderr, "gw_client: corrupt delivery frame\n");
       ::close(fd);

@@ -61,9 +61,11 @@ int run_connected(const std::string& spec, std::size_t count) {
   std::map<std::uint32_t, StreamRow> rows;
   std::size_t received = 0;
   while (count == 0 || received < count) {
-    const auto frame = gw_client::read_frame(fd);
+    auto frame = gw_client::read_frame(fd);
     if (!frame) break;
-    const auto delivery = core::decode_delivery(*frame);
+    // Socket bytes: re-verify the CRC the dispatcher computed.
+    const auto delivery =
+        core::decode_delivery_view(std::move(*frame), core::ChecksumPolicy::kVerify);
     if (!delivery.ok()) {
       std::fprintf(stderr, "stream_monitor: corrupt delivery frame\n");
       break;

@@ -54,7 +54,6 @@ void Consumer::on_envelope(net::Envelope envelope) {
   const auto decoded = decode_delivery_view(envelope.payload);
   if (!decoded.ok()) return;
   ++received_;
-  delivery_latency_.add(bus_.now() - decoded.value().first_heard);
   if (tracer_ != nullptr) {
     // The first consumer to receive a copy completes the journey; for
     // later copies the trace is already in the flight recorder.
@@ -117,15 +116,18 @@ void Consumer::unsubscribe(SubscriptionId id) {
              });
 }
 
-void Consumer::publish_derived(StreamId id, util::Bytes payload, std::uint8_t extra_flags) {
+void Consumer::publish_derived(StreamId id, util::BytesView payload, std::uint8_t extra_flags) {
   assert(id.sensor >= kDerivedSensorBase && "derived streams use the reserved id range");
-  DataMessage message;
+  DataMessageView message;
   message.header.flags = extra_flags;
   message.header.set(HeaderFlag::kDerived);
   message.stream_id = id;
   message.sequence = derived_sequences_[id.packed()]++;
-  message.payload = std::move(payload);
-  node_.post(resolve(DispatchingService::kEndpointName), kDerivedPublish, encode(message));
+  message.payload = payload;
+  util::ByteWriter w(message.wire_size());
+  encode_into(w, message);
+  node_.post(resolve(DispatchingService::kEndpointName), kDerivedPublish,
+             util::take_shared(std::move(w)));
 }
 
 void Consumer::request_update(StreamId target, UpdateAction action, std::uint32_t value,

@@ -64,8 +64,8 @@ class Consumer {
   // --- data plane ---------------------------------------------------------
 
   /// Handlers receive a zero-copy view whose payload aliases the wire
-  /// buffer (valid for the callback's duration; to keep it, retain
-  /// `wire` or call to_owned(), which costs one counted payload copy).
+  /// buffer. Copying the view retains that buffer, so a handler may keep
+  /// it without copying payload bytes.
   using DataHandler = std::function<void(const DeliveryView&)>;
   void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
   /// Current handler (utilities like StreamRecorder chain in front of it).
@@ -79,8 +79,8 @@ class Consumer {
 
   /// Publishes one message on a derived stream this consumer owns. The
   /// kDerived flag is set automatically; sequence numbers are managed per
-  /// stream id.
-  void publish_derived(StreamId id, util::Bytes payload, std::uint8_t extra_flags = 0);
+  /// stream id. The payload is encoded straight into the outgoing frame.
+  void publish_derived(StreamId id, util::BytesView payload, std::uint8_t extra_flags = 0);
 
   // --- control plane ------------------------------------------------------
 
@@ -125,10 +125,6 @@ class Consumer {
   void set_metrics(obs::MetricsRegistry& registry);
 
   [[nodiscard]] std::uint64_t received() const noexcept { return received_; }
-  /// Radio-ingress to consumer-delivery latency distribution.
-  [[nodiscard]] const util::Quantiles& delivery_latency() const noexcept {
-    return delivery_latency_;
-  }
   /// Delivery window granted by the dispatcher (0 until a subscribe
   /// reply arrives under flow control).
   [[nodiscard]] std::uint32_t credit_window() const noexcept { return credit_window_; }
@@ -151,7 +147,6 @@ class Consumer {
   ConsumerNetStats net_stats_;
   std::unordered_map<std::uint32_t, SequenceNo> derived_sequences_;
   std::uint64_t received_ = 0;
-  util::Quantiles delivery_latency_;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t credit_window_ = 0;  ///< From the subscribe reply; 0 = no flow control.
   std::uint64_t credit_acks_ = 0;

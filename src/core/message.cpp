@@ -97,21 +97,4 @@ util::Result<DataMessageView, util::DecodeError> decode_view(util::BytesView wir
   return msg;
 }
 
-util::Result<DataMessage, util::DecodeError> decode(util::BytesView wire) {
-  auto view = decode_view(wire);
-  if (!view.ok()) return util::Err{view.error()};
-
-  // Owned materialisation of the view; the copy is intentional here (the
-  // caller asked for an owning decode) and deliberately not counted as a
-  // payload copy — accounting tracks the shared-buffer delivery path.
-  const DataMessageView& v = view.value();
-  DataMessage msg;
-  msg.header = v.header;
-  msg.stream_id = v.stream_id;
-  msg.sequence = v.sequence;
-  msg.payload = util::Bytes(v.payload.begin(), v.payload.end());
-  msg.ack_request_id = v.ack_request_id;
-  return msg;
-}
-
 }  // namespace garnet::core

@@ -153,11 +153,9 @@ void encode_into(util::ByteWriter& w, const DataMessageView& msg);
 /// lengths) always run.
 enum class ChecksumPolicy : std::uint8_t { kVerify, kTrusted };
 
-/// Parses and checksum-verifies one message occupying the whole view.
-[[nodiscard]] util::Result<DataMessage, util::DecodeError> decode(util::BytesView wire);
-
-/// Zero-copy parse: like decode(), but the result's payload aliases
-/// `wire` instead of copying out of it.
+/// Parses one message occupying the whole view (checksum-verified unless
+/// `policy` is kTrusted). Zero-copy: the result's payload aliases `wire`;
+/// call to_owned() on it to keep the message past the buffer's lifetime.
 [[nodiscard]] util::Result<DataMessageView, util::DecodeError> decode_view(
     util::BytesView wire, ChecksumPolicy policy = ChecksumPolicy::kVerify);
 

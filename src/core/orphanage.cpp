@@ -13,7 +13,7 @@ Orphanage::Orphanage(net::MessageBus& bus, Config config)
 
     // The retained views still hold the original delivery frames, so the
     // backlog reply is framed straight from those buffers — no re-encode.
-    const std::vector<DeliveryView> backlog = drain(id, max);
+    const std::vector<DeliveryView> backlog = claim(id, max);
     util::ByteWriter w;
     w.u16(static_cast<std::uint16_t>(backlog.size()));
     for (const DeliveryView& delivery : backlog) {
@@ -63,7 +63,7 @@ const OrphanAnalysis* Orphanage::analysis(StreamId id) const {
   return it == stores_.end() ? nullptr : &it->second.analysis;
 }
 
-std::vector<DeliveryView> Orphanage::drain(StreamId id, std::size_t max) {
+std::vector<DeliveryView> Orphanage::claim(StreamId id, std::size_t max) {
   std::vector<DeliveryView> out;
   const auto it = stores_.find(id);
   if (it == stores_.end()) return out;
@@ -72,12 +72,6 @@ std::vector<DeliveryView> Orphanage::drain(StreamId id, std::size_t max) {
     out.push_back(std::move(backlog.front()));
     backlog.pop();
   }
-  return out;
-}
-
-std::vector<Delivery> Orphanage::claim(StreamId id, std::size_t max) {
-  std::vector<Delivery> out;
-  for (const DeliveryView& delivery : drain(id, max)) out.push_back(delivery.to_owned());
   return out;
 }
 

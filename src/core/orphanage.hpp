@@ -49,9 +49,8 @@ class Orphanage {
 
   /// Removes and returns up to `max` retained deliveries of a stream,
   /// oldest first (claim handoff). Direct-call form of kFetchBacklog.
-  /// Materialises owned copies — claiming is the cold path; retention
-  /// itself holds refcounted views of the original wire buffers.
-  [[nodiscard]] std::vector<Delivery> claim(StreamId id, std::size_t max = SIZE_MAX);
+  /// The views hand over the retained wire buffers; no payload is copied.
+  [[nodiscard]] std::vector<DeliveryView> claim(StreamId id, std::size_t max = SIZE_MAX);
 
   [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
   [[nodiscard]] std::uint64_t total_received() const noexcept { return total_received_; }
@@ -67,7 +66,6 @@ class Orphanage {
   };
 
   void on_envelope(net::Envelope envelope);
-  [[nodiscard]] std::vector<DeliveryView> drain(StreamId id, std::size_t max);
 
   Config config_;
   net::RpcNode node_;

@@ -19,17 +19,20 @@
 
 namespace garnet::core {
 
-/// An in-memory archive of deliveries, ordered by capture time.
+/// An in-memory archive of deliveries, ordered by capture time. Each
+/// entry is a view retaining its dispatch-time wire buffer (as in the
+/// Orphanage ring), so archiving copies no payload bytes and the entries
+/// outlive the runtime that delivered them.
 class Recording {
  public:
-  void append(const Delivery& delivery) { entries_.push_back(delivery); }
+  void append(DeliveryView delivery) { entries_.push_back(std::move(delivery)); }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  [[nodiscard]] const Delivery& at(std::size_t i) const { return entries_.at(i); }
+  [[nodiscard]] const DeliveryView& at(std::size_t i) const { return entries_.at(i); }
 
   /// Deliveries of one stream, in capture order.
-  [[nodiscard]] std::vector<Delivery> stream(StreamId id) const;
+  [[nodiscard]] std::vector<DeliveryView> stream(StreamId id) const;
 
   /// Distinct streams present.
   [[nodiscard]] std::vector<StreamId> streams() const;
@@ -38,7 +41,7 @@ class Recording {
   [[nodiscard]] util::Duration span() const;
 
  private:
-  std::vector<Delivery> entries_;
+  std::vector<DeliveryView> entries_;
 };
 
 /// Attaches to a Consumer and archives everything it receives, while
@@ -58,7 +61,7 @@ class StreamRecorder {
 /// gaps (scaled by `speed`; 2.0 = twice as fast). Returns the virtual
 /// time at which the last message will fire.
 util::SimTime replay(sim::Scheduler& scheduler, const Recording& recording,
-                     std::function<void(const Delivery&)> sink, double speed = 1.0);
+                     std::function<void(const DeliveryView&)> sink, double speed = 1.0);
 
 /// Replays a recording as a derived stream through a consumer: each
 /// archived message is re-published on `output` with fresh sequence

@@ -2,28 +2,6 @@
 
 namespace garnet::core {
 
-Delivery DeliveryView::to_owned() const {
-  return Delivery{message.to_owned(), first_heard};
-}
-
-util::Bytes encode(const Delivery& delivery) {
-  util::ByteWriter w(8 + delivery.message.wire_size());
-  w.i64(delivery.first_heard.ns);
-  encode_into(w, as_view(delivery.message));
-  return std::move(w).take();
-}
-
-util::Result<Delivery, util::DecodeError> decode_delivery(util::BytesView wire) {
-  util::ByteReader r(wire);
-  Delivery delivery;
-  delivery.first_heard.ns = r.i64();
-  if (!r.ok()) return util::Err{util::DecodeError::kTruncated};
-  auto message = decode(wire.subspan(r.consumed()));
-  if (!message.ok()) return util::Err{message.error()};
-  delivery.message = std::move(message).value();
-  return delivery;
-}
-
 util::SharedBytes encode_delivery(const DataMessageView& message, util::SimTime first_heard) {
   util::ByteWriter w(8 + message.wire_size());
   w.i64(first_heard.ns);

@@ -43,36 +43,18 @@ inline constexpr net::MessageType kAdmissionRelease = net::app_type(8);
 inline constexpr net::MessageType kGoodputReport = net::app_type(9);
 
 /// A data message as delivered to a subscribed consumer, carrying the
-/// time the fixed network first heard it (for end-to-end latency).
-struct Delivery {
-  DataMessage message;
-  util::SimTime first_heard;
-};
-
-/// A delivery whose message payload aliases the wire buffer it arrived
-/// in — the zero-copy consumer-facing shape. The `wire` handle keeps the
-/// buffer alive, so a DeliveryView is self-contained: it may be stored
-/// (orphanage ring, pending queues) without copying payload bytes, and
-/// N consumers of one dispatch all alias the same allocation.
+/// time the fixed network first heard it (for end-to-end latency). The
+/// message payload aliases the wire buffer it arrived in, and the `wire`
+/// handle keeps that buffer alive, so a DeliveryView is self-contained:
+/// it may be stored (orphanage ring, recordings, pending queues) without
+/// copying payload bytes, and N consumers of one dispatch all alias the
+/// same allocation. message.to_owned() is the one (counted) escape.
 struct DeliveryView {
   DataMessageView message;
   util::SimTime first_heard;
   /// The delivery's wire buffer; message.payload points into it.
   util::SharedBytes wire;
-
-  /// Materialises an owned Delivery (one counted payload copy).
-  [[nodiscard]] Delivery to_owned() const;
 };
-
-[[nodiscard]] util::Bytes encode(const Delivery& delivery);
-[[nodiscard]] util::Result<Delivery, util::DecodeError> decode_delivery(util::BytesView wire);
-
-/// Borrowing view of an owned delivery (no bytes copied, no wire handle):
-/// the view is valid only while `delivery` lives. Lets owned data flow
-/// into view-taking consumers (stage transforms, handlers) directly.
-[[nodiscard]] inline DeliveryView as_view(const Delivery& delivery) {
-  return DeliveryView{as_view(delivery.message), delivery.first_heard, {}};
-}
 
 /// Encodes a delivery frame (i64 first-heard prefix + Figure-2 message)
 /// in one exact allocation, returning the shared buffer that fan-out
@@ -83,8 +65,9 @@ struct DeliveryView {
 /// Zero-copy parse of a delivery frame: the returned view's payload
 /// aliases `wire`, which the view retains. Delivery frames are encoded
 /// in-process by the dispatcher and never cross a corrupting medium, so
-/// consumers default to trusting the encode-time checksum ("verify
-/// once") instead of re-hashing the shared buffer per subscriber.
+/// bus consumers default to trusting the encode-time checksum ("verify
+/// once") instead of re-hashing the shared buffer per subscriber. Frames
+/// read from a socket (gateway egress) must pass ChecksumPolicy::kVerify.
 [[nodiscard]] util::Result<DeliveryView, util::DecodeError> decode_delivery_view(
     util::SharedBytes wire, ChecksumPolicy policy = ChecksumPolicy::kTrusted);
 

@@ -31,8 +31,7 @@ class Runtime;
 /// Transform applied to each input delivery. Returning an empty optional
 /// publishes nothing for this input (aggregating transforms emit only
 /// when their window closes). The delivery is a zero-copy view: its
-/// payload aliases the wire buffer and is valid for the call's duration
-/// (call to_owned() to keep it longer).
+/// payload aliases the wire buffer, which a copy of the view retains.
 using StageTransform = std::function<std::optional<util::Bytes>(const core::DeliveryView&)>;
 
 class DerivedStage {

@@ -34,7 +34,6 @@
 #include "core/replicator.hpp"
 #include "core/resource.hpp"
 #include "garnet/recovery.hpp"
-#include "garnet/shard_plane.hpp"
 #include "net/admission.hpp"
 #include "net/bus.hpp"
 #include "obs/telemetry.hpp"
@@ -94,13 +93,6 @@ class Runtime {
     core::ActuationService::Config actuation;
     core::SuperCoordinator::Config coordinator;
     obs::Tracer::Config trace;
-
-    /// Opt-in multi-core dispatch: a hash-partitioned plane of shard
-    /// pipelines beside the classic single-threaded one (embedders route
-    /// bulk ingress through it; the radio path is untouched). Enabled by
-    /// setting shard_plane.shards > 1, or shard_plane_enabled for N=1.
-    ShardPlaneConfig shard_plane;
-    bool shard_plane_enabled = false;
 
     /// Re-publish location estimates as a subscribable derived stream
     /// (paper §2 treats location as "any other data stream").
@@ -187,10 +179,6 @@ class Runtime {
   /// reachable over the wire: the runtime registers an "admission" bus
   /// endpoint accepting kAdmissionRelease / kGoodputReport frames.
   [[nodiscard]] net::AdmissionGate* admission() noexcept { return admission_.get(); }
-  /// Sharded dispatch plane; nullptr unless Config::shard_plane_enabled
-  /// or Config::shard_plane.shards > 1. When recovery is also enabled,
-  /// every shard checkpoints under the "dispatch-plane" re-anchor group.
-  [[nodiscard]] ShardedDispatchPlane* shard_plane() noexcept { return shard_plane_.get(); }
   /// Metrics registry + message tracer; every service is wired into it.
   [[nodiscard]] obs::Telemetry& telemetry() noexcept { return telemetry_; }
 
@@ -225,10 +213,8 @@ class Runtime {
   core::SuperCoordinator coordinator_;
   core::CatalogService catalog_service_;
   /// Optional admission gate (Config::admission). Declared before the
-  /// plane/harness so its resize listener outlives neither.
+  /// harness so its resize listener outlives it.
   std::unique_ptr<net::AdmissionGate> admission_;
-  /// Optional multi-core dispatch plane (Config::shard_plane).
-  std::unique_ptr<ShardedDispatchPlane> shard_plane_;
   /// Declared after every service it manages: destroyed first, so its
   /// collector/timers never outlive the services its hooks capture.
   std::unique_ptr<RecoveryHarness> recovery_;

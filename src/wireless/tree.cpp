@@ -18,19 +18,26 @@ std::uint64_t fingerprint_of(const core::DataMessageView& msg) {
   return (static_cast<std::uint64_t>(msg.stream_id.packed()) << 16) | msg.sequence;
 }
 
+/// Re-encodes `msg` with the kRelayed flag set (the payload is written
+/// straight from the view into the new frame).
+util::Bytes encode_relayed(core::DataMessageView msg) {
+  msg.header.set(core::HeaderFlag::kRelayed);
+  util::ByteWriter w(msg.wire_size());
+  core::encode_into(w, msg);
+  return std::move(w).take();
+}
+
 /// Returns `inner` with the kRelayed flag set (re-encoded when it was
 /// clear). The first forwarder tags the frame; the origin's own wrap
 /// leaves it clear so a direct root reception still carries location
 /// evidence.
 std::optional<util::Bytes> with_relayed_flag(util::BytesView inner) {
-  const auto decoded = core::decode(inner);
+  const auto decoded = core::decode_view(inner);
   if (!decoded.ok()) return std::nullopt;
-  core::DataMessage msg = decoded.value();
-  if (msg.header.has(core::HeaderFlag::kRelayed)) {
+  if (decoded.value().header.has(core::HeaderFlag::kRelayed)) {
     return util::Bytes(inner.begin(), inner.end());
   }
-  msg.header.set(core::HeaderFlag::kRelayed);
-  return core::encode(msg);
+  return encode_relayed(decoded.value());
 }
 
 }  // namespace
@@ -466,23 +473,21 @@ void TreeRouter::on_plain_frame(util::BytesView frame) {
   // is pulled into the tree (or blindly rebroadcast once when no tree is
   // reachable — the pre-tree relay behaviour).
   if (!transmit_) return;
-  const auto decoded = core::decode(frame);
+  const auto decoded = core::decode_view(frame);
   if (!decoded.ok()) {
     ++stats_.corrupt_dropped;
     return;
   }
-  const core::DataMessage& msg = decoded.value();
+  const core::DataMessageView& msg = decoded.value();
   if (msg.stream_id.sensor == self_key_) return;  // own traffic, echoed
   // An already-relayed frame is never proxied again: one ingress per
   // frame keeps unattached relays from ping-ponging rebroadcasts.
   if (msg.header.has(core::HeaderFlag::kRelayed)) return;
-  if (seen_before(fingerprint_of(core::as_view(msg)))) {
+  if (seen_before(fingerprint_of(msg))) {
     ++stats_.dup_dropped;
     return;
   }
-  core::DataMessage relayed = msg;
-  relayed.header.set(core::HeaderFlag::kRelayed);
-  util::Bytes out = core::encode(relayed);
+  util::Bytes out = encode_relayed(msg);
   ++stats_.proxied;
   if (attached_ && !is_root_key(parent_)) {
     transmit_(encode_data(DataFrame{config_.max_ttl, static_cast<std::uint8_t>(depth_),

@@ -26,12 +26,12 @@ struct DispatchFixture : ::testing::Test {
 
   struct FakeConsumer {
     net::Address address;
-    std::vector<Delivery> deliveries;
+    std::vector<DeliveryView> deliveries;
 
     FakeConsumer(net::MessageBus& bus, const std::string& name) {
       address = bus.add_endpoint(name, [this](net::Envelope e) {
         if (e.type != kDataDelivery) return;
-        const auto decoded = decode_delivery(e.payload);
+        const auto decoded = decode_delivery_view(e.payload, ChecksumPolicy::kVerify);
         ASSERT_TRUE(decoded.ok());
         deliveries.push_back(decoded.value());
       });

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "util/crc32c.hpp"
@@ -77,11 +78,12 @@ TEST(MessageCodec, WireLayoutMatchesFigure2) {
 
 TEST(MessageCodec, RoundTripBasic) {
   const DataMessage msg = sample_message();
-  const auto decoded = decode(encode(msg));
+  const util::Bytes wire = encode(msg);
+  const auto decoded = decode_view(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().stream_id, msg.stream_id);
   EXPECT_EQ(decoded.value().sequence, msg.sequence);
-  EXPECT_EQ(decoded.value().payload, msg.payload);
+  EXPECT_TRUE(std::ranges::equal(decoded.value().payload, msg.payload));
   EXPECT_FALSE(decoded.value().ack_request_id.has_value());
 }
 
@@ -89,7 +91,8 @@ TEST(MessageCodec, RoundTripWithAckExtension) {
   DataMessage msg = sample_message();
   msg.header.set(HeaderFlag::kAckPresent);
   msg.ack_request_id = 0xDEADBEEF;
-  const auto decoded = decode(encode(msg));
+  const util::Bytes wire = encode(msg);
+  const auto decoded = decode_view(wire);
   ASSERT_TRUE(decoded.ok());
   ASSERT_TRUE(decoded.value().ack_request_id.has_value());
   EXPECT_EQ(*decoded.value().ack_request_id, 0xDEADBEEFu);
@@ -98,7 +101,8 @@ TEST(MessageCodec, RoundTripWithAckExtension) {
 TEST(MessageCodec, EmptyPayload) {
   DataMessage msg = sample_message();
   msg.payload.clear();
-  const auto decoded = decode(encode(msg));
+  const util::Bytes wire = encode(msg);
+  const auto decoded = decode_view(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().payload.empty());
 }
@@ -106,7 +110,8 @@ TEST(MessageCodec, EmptyPayload) {
 TEST(MessageCodec, MaxPayload) {
   DataMessage msg = sample_message();
   msg.payload.assign(kMaxPayload, std::byte{0x5A});
-  const auto decoded = decode(encode(msg));
+  const util::Bytes wire = encode(msg);
+  const auto decoded = decode_view(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().payload.size(), kMaxPayload);
 }
@@ -169,7 +174,8 @@ TEST(MessageCodec, BoundarySensorIds) {
   for (const SensorId sensor : {SensorId{0}, SensorId{1}, kMaxSensorId - 1, kMaxSensorId}) {
     DataMessage msg = sample_message();
     msg.stream_id.sensor = sensor;
-    const auto decoded = decode(encode(msg));
+    const util::Bytes wire = encode(msg);
+    const auto decoded = decode_view(wire);
     ASSERT_TRUE(decoded.ok()) << sensor;
     EXPECT_EQ(decoded.value().stream_id.sensor, sensor);
   }
@@ -180,7 +186,8 @@ TEST(MessageCodec, BoundarySequences) {
                                SequenceNo{0x8000}, SequenceNo{0xFFFF}}) {
     DataMessage msg = sample_message();
     msg.sequence = seq;
-    const auto decoded = decode(encode(msg));
+    const util::Bytes wire = encode(msg);
+    const auto decoded = decode_view(wire);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().sequence, seq);
   }
@@ -190,7 +197,8 @@ TEST(MessageCodec, AllInternalStreamIds) {
   for (int stream = 0; stream <= 255; ++stream) {
     DataMessage msg = sample_message();
     msg.stream_id.stream = static_cast<InternalStreamId>(stream);
-    const auto decoded = decode(encode(msg));
+    const util::Bytes wire = encode(msg);
+    const auto decoded = decode_view(wire);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().stream_id.stream, stream);
   }
@@ -201,7 +209,7 @@ TEST(MessageCodec, ChecksumDetectsCorruption) {
   for (std::size_t i = 0; i < wire.size(); ++i) {
     util::Bytes corrupt = wire;
     corrupt[i] ^= std::byte{0x01};
-    const auto decoded = decode(corrupt);
+    const auto decoded = decode_view(corrupt);
     EXPECT_FALSE(decoded.ok()) << "flip at byte " << i;
   }
 }
@@ -209,7 +217,7 @@ TEST(MessageCodec, ChecksumDetectsCorruption) {
 TEST(MessageCodec, TruncatedFailsCleanly) {
   const util::Bytes wire = encode(sample_message());
   for (std::size_t keep = 0; keep < kFixedHeaderBytes + kChecksumBytes; ++keep) {
-    const auto decoded = decode(util::BytesView(wire).first(keep));
+    const auto decoded = decode_view(util::BytesView(wire).first(keep));
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.error(), util::DecodeError::kTruncated);
   }
@@ -218,7 +226,7 @@ TEST(MessageCodec, TruncatedFailsCleanly) {
 TEST(MessageCodec, TrailingGarbageRejected) {
   util::Bytes wire = encode(sample_message());
   wire.push_back(std::byte{0x00});
-  EXPECT_FALSE(decode(wire).ok());
+  EXPECT_FALSE(decode_view(wire).ok());
 }
 
 TEST(MessageCodec, WrongVersionRejected) {
@@ -231,7 +239,7 @@ TEST(MessageCodec, WrongVersionRejected) {
   wire[wire.size() - 3] = static_cast<std::byte>(crc >> 16);
   wire[wire.size() - 2] = static_cast<std::byte>(crc >> 8);
   wire[wire.size() - 1] = static_cast<std::byte>(crc);
-  const auto decoded = decode(wire);
+  const auto decoded = decode_view(wire);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error(), util::DecodeError::kBadVersion);
 }
@@ -265,12 +273,13 @@ TEST_P(MessageRoundTripProperty, RandomMessagesRoundTrip) {
     if (rng.chance(0.2)) msg.header.set(HeaderFlag::kRelayed);
     if (rng.chance(0.2)) msg.header.set(HeaderFlag::kEncrypted);
 
-    const auto decoded = decode(encode(msg));
+    const util::Bytes wire = encode(msg);
+    const auto decoded = decode_view(wire);
     ASSERT_TRUE(decoded.ok());
-    const DataMessage& out = decoded.value();
+    const DataMessageView& out = decoded.value();
     EXPECT_EQ(out.stream_id, msg.stream_id);
     EXPECT_EQ(out.sequence, msg.sequence);
-    EXPECT_EQ(out.payload, msg.payload);
+    EXPECT_TRUE(std::ranges::equal(out.payload, msg.payload));
     EXPECT_EQ(out.header.flags, msg.header.flags);
     EXPECT_EQ(out.ack_request_id, msg.ack_request_id);
   }

@@ -22,7 +22,7 @@ struct OrphanageFixture : ::testing::Test {
     msg.stream_id = id;
     msg.sequence = seq;
     msg.payload = util::to_bytes(payload);
-    bus.post(sender, orphanage.address(), kDataDelivery, encode(Delivery{msg, heard}));
+    bus.post(sender, orphanage.address(), kDataDelivery, encode_delivery(as_view(msg), heard));
     scheduler.run();
   }
 };
@@ -101,7 +101,7 @@ TEST_F(OrphanageFixture, BacklogFetchableViaRpc) {
   deliver({1, 0}, 1);
 
   net::RpcNode caller(bus, "claimer");
-  std::vector<Delivery> fetched;
+  std::vector<DeliveryView> fetched;
   util::ByteWriter w(6);
   w.u32(StreamId{1, 0}.packed());
   w.u16(10);
@@ -112,8 +112,7 @@ TEST_F(OrphanageFixture, BacklogFetchableViaRpc) {
                 const std::uint16_t n = r.u16();
                 for (std::uint16_t i = 0; i < n; ++i) {
                   const std::uint16_t len = r.u16();
-                  const util::Bytes one = r.raw(len);
-                  const auto delivery = decode_delivery(one);
+                  const auto delivery = decode_delivery_view(r.raw(len), ChecksumPolicy::kVerify);
                   ASSERT_TRUE(delivery.ok());
                   fetched.push_back(delivery.value());
                 }

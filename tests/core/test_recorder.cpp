@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "garnet/runtime.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace garnet::core {
 namespace {
@@ -11,15 +14,20 @@ namespace {
 using util::Duration;
 using util::SimTime;
 
+/// A delivery of `msg` heard at `heard`, retaining its own wire buffer.
+DeliveryView delivery_of(const DataMessage& msg, SimTime heard) {
+  return decode_delivery_view(encode_delivery(as_view(msg), heard)).value();
+}
+
 TEST(Recording, StreamsAndSpan) {
   Recording recording;
   DataMessage a;
   a.stream_id = {1, 0};
   DataMessage b;
   b.stream_id = {2, 0};
-  recording.append({a, SimTime{} + Duration::seconds(1)});
-  recording.append({b, SimTime{} + Duration::seconds(2)});
-  recording.append({a, SimTime{} + Duration::seconds(4)});
+  recording.append(delivery_of(a, SimTime{} + Duration::seconds(1)));
+  recording.append(delivery_of(b, SimTime{} + Duration::seconds(2)));
+  recording.append(delivery_of(a, SimTime{} + Duration::seconds(4)));
 
   EXPECT_EQ(recording.size(), 3u);
   EXPECT_EQ(recording.streams().size(), 2u);
@@ -34,12 +42,12 @@ TEST(Replay, PreservesRelativeTiming) {
   msg.stream_id = {1, 0};
   for (int i = 0; i < 4; ++i) {
     msg.sequence = static_cast<SequenceNo>(i);
-    recording.append({msg, SimTime{} + Duration::millis(100 * i)});
+    recording.append(delivery_of(msg, SimTime{} + Duration::millis(100 * i)));
   }
 
   std::vector<std::int64_t> fire_times;
-  const SimTime last = replay(scheduler, recording,
-                              [&](const Delivery&) { fire_times.push_back(scheduler.now().ns); });
+  const SimTime last = replay(
+      scheduler, recording, [&](const DeliveryView&) { fire_times.push_back(scheduler.now().ns); });
   scheduler.run();
 
   ASSERT_EQ(fire_times.size(), 4u);
@@ -52,12 +60,13 @@ TEST(Replay, SpeedScalesGaps) {
   Recording recording;
   DataMessage msg;
   msg.stream_id = {1, 0};
-  recording.append({msg, SimTime{}});
-  recording.append({msg, SimTime{} + Duration::seconds(10)});
+  recording.append(delivery_of(msg, SimTime{}));
+  recording.append(delivery_of(msg, SimTime{} + Duration::seconds(10)));
 
   std::vector<std::int64_t> fire_times;
-  replay(scheduler, recording, [&](const Delivery&) { fire_times.push_back(scheduler.now().ns); },
-         /*speed=*/5.0);
+  replay(
+      scheduler, recording, [&](const DeliveryView&) { fire_times.push_back(scheduler.now().ns); },
+      /*speed=*/5.0);
   scheduler.run();
   ASSERT_EQ(fire_times.size(), 2u);
   EXPECT_EQ(fire_times[1], Duration::seconds(2).ns);  // 10s compressed 5x
@@ -66,7 +75,7 @@ TEST(Replay, SpeedScalesGaps) {
 TEST(Replay, EmptyRecordingIsNoop) {
   sim::Scheduler scheduler;
   const Recording recording;
-  const SimTime last = replay(scheduler, recording, [](const Delivery&) { FAIL(); });
+  const SimTime last = replay(scheduler, recording, [](const DeliveryView&) { FAIL(); });
   EXPECT_EQ(last, scheduler.now());
   scheduler.run();
 }
@@ -96,6 +105,58 @@ TEST(Recorder, TransparentlyChainsHandler) {
   EXPECT_GT(app_saw, 10u);                                 // app still served
   EXPECT_EQ(recorder.recording().size(), app_saw);          // archive complete
   EXPECT_GT(recorder.recording().span().ns, 0);
+}
+
+TEST(Recorder, ArchivesWithoutPayloadCopies) {
+  // Archived entries retain their dispatch-time wire buffers: recording
+  // N deliveries copies no payload byte, and the recording outlives the
+  // runtime and consumer that delivered it.
+  constexpr int kMessages = 32;
+  const auto payload_of = [](int i) {
+    util::Bytes payload(64 + static_cast<std::size_t>(i));
+    for (std::size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<std::byte>(i * 31 + static_cast<int>(b));
+    }
+    return payload;
+  };
+
+  Recording recording;
+  {
+    Runtime runtime(Runtime::Config{});
+    Consumer consumer(runtime.bus(), "consumer.archiver");
+    runtime.provision(consumer, "archiver");
+    StreamRecorder recorder(consumer);
+    consumer.subscribe(StreamPattern::exact({7, 0}));
+    runtime.run_for(Duration::millis(20));
+
+    std::vector<util::Bytes> payloads;
+    for (int i = 0; i < kMessages; ++i) payloads.push_back(payload_of(i));
+
+    const util::PayloadStats before = util::payload_stats();
+    DataMessageView msg;
+    msg.stream_id = {7, 0};
+    for (int i = 0; i < kMessages; ++i) {
+      msg.sequence = static_cast<SequenceNo>(i);
+      msg.payload = payloads[static_cast<std::size_t>(i)];
+      runtime.inject_external(msg);
+      runtime.run_for(Duration::millis(1));
+    }
+    ASSERT_EQ(recorder.recording().size(), static_cast<std::size_t>(kMessages));
+    EXPECT_EQ(util::payload_stats().copies - before.copies, 0u);
+    recording = std::move(recorder).take();
+  }
+
+  sim::Scheduler scheduler;
+  std::vector<int> replayed;
+  replay(scheduler, recording, [&](const DeliveryView& d) {
+    const int i = d.message.sequence;
+    const util::Bytes expected = payload_of(i);
+    EXPECT_TRUE(std::ranges::equal(d.message.payload, expected)) << "message " << i;
+    replayed.push_back(i);
+  });
+  scheduler.run();
+  ASSERT_EQ(replayed.size(), static_cast<std::size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i) EXPECT_EQ(replayed[static_cast<std::size_t>(i)], i);
 }
 
 TEST(Recorder, ReplayAsDerivedStreamReachesSubscribers) {

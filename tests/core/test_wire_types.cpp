@@ -3,52 +3,70 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace garnet::core {
 namespace {
 
 using util::Duration;
 using util::SimTime;
 
-TEST(DeliveryCodec, RoundTrip) {
-  Delivery delivery;
-  delivery.message.stream_id = {42, 3};
-  delivery.message.sequence = 999;
-  delivery.message.payload = util::to_bytes("payload");
-  delivery.first_heard = SimTime{} + Duration::millis(1234);
+// Delivery frames read back from a socket are decoded with kVerify, so
+// these cases pin the verifying decode.
+util::Result<DeliveryView, util::DecodeError> decode_verified(util::BytesView wire) {
+  return decode_delivery_view(util::SharedBytes::copy_of(wire), ChecksumPolicy::kVerify);
+}
 
-  const auto decoded = decode_delivery(encode(delivery));
+TEST(DeliveryCodec, RoundTrip) {
+  DataMessage message;
+  message.stream_id = {42, 3};
+  message.sequence = 999;
+  message.payload = util::to_bytes("payload");
+  const SimTime heard = SimTime{} + Duration::millis(1234);
+
+  const util::SharedBytes wire = encode_delivery(as_view(message), heard);
+  const auto decoded = decode_delivery_view(wire, ChecksumPolicy::kVerify);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().first_heard, delivery.first_heard);
-  EXPECT_EQ(decoded.value().message.stream_id, delivery.message.stream_id);
-  EXPECT_EQ(decoded.value().message.payload, delivery.message.payload);
+  EXPECT_EQ(decoded.value().first_heard, heard);
+  EXPECT_EQ(decoded.value().message.stream_id, message.stream_id);
+  EXPECT_EQ(decoded.value().message.sequence, message.sequence);
+  EXPECT_TRUE(std::ranges::equal(decoded.value().message.payload, message.payload));
+  // The view aliases (and retains) the frame it was parsed from.
+  EXPECT_EQ(decoded.value().wire.data(), wire.data());
+  EXPECT_GE(decoded.value().message.payload.data(), wire.data());
+  EXPECT_LE(decoded.value().message.payload.data() + decoded.value().message.payload.size(),
+            wire.data() + wire.size());
 }
 
 TEST(DeliveryCodec, PreservesAckExtension) {
-  Delivery delivery;
-  delivery.message.stream_id = {1, 0};
-  delivery.message.header.set(HeaderFlag::kAckPresent);
-  delivery.message.ack_request_id = 777;
-  const auto decoded = decode_delivery(encode(delivery));
+  DataMessage message;
+  message.stream_id = {1, 0};
+  message.header.set(HeaderFlag::kAckPresent);
+  message.ack_request_id = 777;
+  const auto decoded = decode_verified(encode_delivery(as_view(message), SimTime{}));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().message.ack_request_id, 777u);
 }
 
 TEST(DeliveryCodec, TruncationFails) {
-  Delivery delivery;
-  delivery.message.stream_id = {1, 0};
-  const util::Bytes wire = encode(delivery);
+  DataMessage message;
+  message.stream_id = {1, 0};
+  const util::SharedBytes wire = encode_delivery(as_view(message), SimTime{});
   for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-    EXPECT_FALSE(decode_delivery(util::BytesView(wire).first(keep)).ok()) << keep;
+    EXPECT_FALSE(decode_verified(wire.span().first(keep)).ok()) << keep;
   }
 }
 
 TEST(DeliveryCodec, InnerCorruptionCaughtByMessageChecksum) {
-  Delivery delivery;
-  delivery.message.stream_id = {1, 0};
-  delivery.message.payload = util::to_bytes("abc");
-  util::Bytes wire = encode(delivery);
-  wire[12] ^= std::byte{0x04};  // inside the embedded message
-  EXPECT_FALSE(decode_delivery(wire).ok());
+  DataMessage message;
+  message.stream_id = {1, 0};
+  message.payload = util::to_bytes("abc");
+  const util::SharedBytes wire = encode_delivery(as_view(message), SimTime{});
+  for (std::size_t i = 8; i < wire.size(); ++i) {
+    util::Bytes flipped(wire.span().begin(), wire.span().end());
+    flipped[i] ^= std::byte{0x04};  // inside the embedded message
+    EXPECT_FALSE(decode_verified(flipped).ok()) << "flip at byte " << i;
+  }
 }
 
 TEST(StateChangeCodec, RoundTrip) {

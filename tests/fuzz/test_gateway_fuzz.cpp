@@ -133,7 +133,9 @@ TEST_P(GatewayFuzz, ValidFramesSurviveAnySlicingAndArriveUncorrupted) {
   ASSERT_TRUE(assembler.push(h.transport.peer_take(sub)));
   std::size_t delivered = 0;
   while (const auto frame = assembler.frame()) {
-    ASSERT_TRUE(core::decode_delivery(*frame).ok());
+    ASSERT_TRUE(core::decode_delivery_view(util::SharedBytes::copy_of(*frame),
+                                           core::ChecksumPolicy::kVerify)
+                    .ok());
     assembler.pop();
     ++delivered;
   }

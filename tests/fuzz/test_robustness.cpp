@@ -26,7 +26,7 @@ TEST_P(FuzzSeeds, MessageDecodeNeverAcceptsRandomBytes) {
   int accepted = 0;
   for (int i = 0; i < 5000; ++i) {
     const util::Bytes junk = random_bytes(rng, 128);
-    const auto decoded = core::decode(junk);
+    const auto decoded = core::decode_view(junk);
     if (decoded.ok()) ++accepted;
   }
   // A 32-bit CRC makes random acceptance a ~2^-32 event.
@@ -49,7 +49,7 @@ TEST_P(FuzzSeeds, MessageDecodeSurvivesMutatedValidFrames) {
     }
     // Must not crash; must not accept (checksum covers every byte) —
     // unless the mutation round-tripped to the original.
-    const auto decoded = core::decode(mutated);
+    const auto decoded = core::decode_view(mutated);
     if (mutated != valid) {
       EXPECT_FALSE(decoded.ok());
     }

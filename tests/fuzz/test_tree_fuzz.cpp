@@ -174,7 +174,7 @@ TEST_P(TreeFuzzSeeds, SinkDecisionNeverLeaksTreeFramesIntoFiltering) {
         break;
       case SinkDecision::Verdict::kInner:
         // Whatever is handed to Filtering must be a valid Figure-2 frame.
-        EXPECT_TRUE(core::decode(decision.inner).ok());
+        EXPECT_TRUE(core::decode_view(decision.inner).ok());
         break;
       case SinkDecision::Verdict::kBeacon:
       case SinkDecision::Verdict::kCorrupt:

@@ -10,6 +10,20 @@ namespace {
 
 using util::Duration;
 
+/// A delivery carrying `payload`, retaining its own wire buffer.
+core::DeliveryView delivery_of(util::BytesView payload) {
+  core::DataMessageView message;
+  message.payload = payload;
+  return core::decode_delivery_view(core::encode_delivery(message, {})).value();
+}
+
+/// A delivery whose payload is the 8-byte encoding of `value`.
+core::DeliveryView delivery_of(double value) {
+  util::ByteWriter w(8);
+  w.f64(value);
+  return delivery_of(w.view());
+}
+
 Runtime::Config clean_config() {
   Runtime::Config config;
   config.field.area = {{0, 0}, {400, 400}};
@@ -82,13 +96,7 @@ TEST_F(PipelineFixture, StagesChainThroughDerivedStreams) {
 
 TEST_F(PipelineFixture, ThresholdAlertFiresOnRisingEdgesOnly) {
   auto transform = threshold_alert(10.0);
-  const auto feed = [&](double value) {
-    core::Delivery delivery;
-    util::ByteWriter w(8);
-    w.f64(value);
-    delivery.message.payload = std::move(w).take();
-    return transform(core::as_view(delivery)).has_value();
-  };
+  const auto feed = [&](double value) { return transform(delivery_of(value)).has_value(); };
   EXPECT_FALSE(feed(5.0));
   EXPECT_TRUE(feed(15.0));   // rising edge
   EXPECT_FALSE(feed(20.0));  // still above: no re-alert
@@ -98,13 +106,7 @@ TEST_F(PipelineFixture, ThresholdAlertFiresOnRisingEdgesOnly) {
 
 TEST_F(PipelineFixture, MinMaxMeanOrdering) {
   auto transform = windowed_minmaxmean(3);
-  core::Delivery delivery;
-  const auto feed = [&](double value) {
-    util::ByteWriter w(8);
-    w.f64(value);
-    delivery.message.payload = std::move(w).take();
-    return transform(core::as_view(delivery));
-  };
+  const auto feed = [&](double value) { return transform(delivery_of(value)); };
   EXPECT_FALSE(feed(3.0).has_value());
   EXPECT_FALSE(feed(1.0).has_value());
   const auto out = feed(2.0);
@@ -128,18 +130,10 @@ TEST_F(PipelineFixture, StageOutputsAreDiscoverable) {
 
 TEST_F(PipelineFixture, MalformedInputsAreSkipped) {
   auto transform = windowed_mean(2);
-  core::Delivery delivery;
-  delivery.message.payload = util::to_bytes("shrt");  // < 8 bytes
-  EXPECT_FALSE(transform(core::as_view(delivery)).has_value());
+  EXPECT_FALSE(transform(delivery_of(util::to_bytes("shrt"))).has_value());  // < 8 bytes
   // Valid inputs still work afterwards.
-  util::ByteWriter w(8);
-  w.f64(4.0);
-  delivery.message.payload = std::move(w).take();
-  EXPECT_FALSE(transform(core::as_view(delivery)).has_value());
-  util::ByteWriter w2(8);
-  w2.f64(6.0);
-  delivery.message.payload = std::move(w2).take();
-  const auto out = transform(core::as_view(delivery));
+  EXPECT_FALSE(transform(delivery_of(4.0)).has_value());
+  const auto out = transform(delivery_of(6.0));
   ASSERT_TRUE(out.has_value());
   util::ByteReader r(*out);
   EXPECT_DOUBLE_EQ(r.f64(), 5.0);

@@ -51,13 +51,15 @@ util::Bytes framed(const core::DataMessage& msg) {
   return out;
 }
 
-/// Splits a peer byte stream into length-prefixed delivery frames.
-std::vector<core::Delivery> parse_deliveries(util::BytesView wire) {
-  std::vector<core::Delivery> out;
+/// Splits a peer byte stream into length-prefixed delivery frames. The
+/// bytes came off a socket, so each frame's CRC is re-verified.
+std::vector<core::DeliveryView> parse_deliveries(util::BytesView wire) {
+  std::vector<core::DeliveryView> out;
   FrameAssembler assembler;
   EXPECT_TRUE(assembler.push(wire));
   while (const auto frame = assembler.frame()) {
-    const auto decoded = core::decode_delivery(*frame);
+    const auto decoded = core::decode_delivery_view(util::SharedBytes::copy_of(*frame),
+                                                    core::ChecksumPolicy::kVerify);
     EXPECT_TRUE(decoded.ok()) << "corrupt delivery frame";
     if (decoded.ok()) out.push_back(decoded.value());
     assembler.pop();

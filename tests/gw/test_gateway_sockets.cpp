@@ -121,14 +121,16 @@ class Client {
     return line;
   }
 
-  /// Decodes every complete delivery frame buffered so far.
-  std::vector<core::Delivery> take_deliveries() {
-    std::vector<core::Delivery> out;
+  /// Decodes (and CRC-verifies) every complete delivery frame buffered
+  /// so far.
+  std::vector<core::DeliveryView> take_deliveries() {
+    std::vector<core::DeliveryView> out;
     FrameAssembler assembler;
     EXPECT_TRUE(assembler.push(rx_));
     std::size_t consumed = rx_.size();
     while (const auto frame = assembler.frame()) {
-      const auto decoded = core::decode_delivery(*frame);
+      const auto decoded = core::decode_delivery_view(util::SharedBytes::copy_of(*frame),
+                                                      core::ChecksumPolicy::kVerify);
       EXPECT_TRUE(decoded.ok()) << "corrupt frame on the wire";
       if (decoded.ok()) out.push_back(decoded.value());
       assembler.pop();
@@ -191,7 +193,7 @@ TEST(GatewaySockets, IngestDispatchFanOutRoundTrip) {
   Client sub = h.subscriber("11/*");
 
   ASSERT_TRUE(producer.send(framed(message({11, 2}, 4, 2.75))));
-  std::vector<core::Delivery> got;
+  std::vector<core::DeliveryView> got;
   ASSERT_TRUE(h.pump_until({&producer, &sub}, [&] {
     auto batch = sub.take_deliveries();
     got.insert(got.end(), batch.begin(), batch.end());

@@ -40,8 +40,8 @@ struct EndToEndFixture : ::testing::Test {
 TEST_F(EndToEndFixture, DataFlowsRadioToConsumer) {
   core::Consumer consumer(runtime.bus(), "consumer.app");
   runtime.provision(consumer, "app");
-  std::vector<core::Delivery> got;
-  consumer.set_data_handler([&](const core::DeliveryView& d) { got.push_back(d.to_owned()); });
+  std::vector<core::DeliveryView> got;
+  consumer.set_data_handler([&](const core::DeliveryView& d) { got.push_back(d); });
   consumer.subscribe(core::StreamPattern::everything());
   runtime.run_for(Duration::millis(20));
 
@@ -54,7 +54,7 @@ TEST_F(EndToEndFixture, DataFlowsRadioToConsumer) {
   // The radio duplicated heavily; the consumer must never see the same
   // message twice.
   std::set<std::pair<std::uint32_t, core::SequenceNo>> seen;
-  for (const core::Delivery& d : got) {
+  for (const core::DeliveryView& d : got) {
     EXPECT_TRUE(seen.insert({d.message.stream_id.packed(), d.message.sequence}).second);
   }
   EXPECT_GT(runtime.telemetry().registry.snapshot().counter("garnet.radio.uplink_duplicates"), 0u);
@@ -153,8 +153,8 @@ TEST_F(EndToEndFixture, LocationStreamIsSubscribable) {
   ASSERT_TRUE(rt.location_stream().has_value());
   core::Consumer watcher(rt.bus(), "consumer.location-watcher");
   rt.provision(watcher, "location-watcher");
-  std::vector<core::Delivery> updates;
-  watcher.set_data_handler([&](const core::DeliveryView& d) { updates.push_back(d.to_owned()); });
+  std::vector<core::DeliveryView> updates;
+  watcher.set_data_handler([&](const core::DeliveryView& d) { updates.push_back(d); });
   watcher.subscribe(core::StreamPattern::exact(*rt.location_stream()));
   rt.run_for(Duration::millis(20));
 

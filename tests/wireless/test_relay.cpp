@@ -32,9 +32,9 @@ struct RelayFixture : ::testing::Test {
 
   void attach_sink() {
     medium.set_uplink_sink([this](const ReceptionReport& r) {
-      const auto decoded = core::decode(r.frame);
+      const auto decoded = core::decode_view(r.frame);
       ASSERT_TRUE(decoded.ok());
-      heard.push_back(decoded.value());
+      heard.push_back(decoded.value().to_owned());
     });
   }
 

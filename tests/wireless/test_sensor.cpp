@@ -26,9 +26,9 @@ struct SensorFixture : ::testing::Test {
   SensorFixture() {
     medium.add_receiver({1, {0, 0}, 10000});
     medium.set_uplink_sink([this](const ReceptionReport& r) {
-      const auto decoded = core::decode(r.frame);
+      const auto decoded = core::decode_view(r.frame);
       ASSERT_TRUE(decoded.ok());
-      heard.push_back(decoded.value());
+      heard.push_back(decoded.value().to_owned());
     });
   }
 

@@ -171,7 +171,7 @@ TEST_F(RouterFixture, ForwardsAddressedDataTaggedRelayed) {
   const util::Bytes inner = sample_frame(9, 7);
   router->on_frame(encode_data(DataFrame{8, 2, 5, 9, inner}), -60.0);
   ASSERT_EQ(sent.size(), 1u);
-  const auto forwarded = core::decode(sent[0]);
+  const auto forwarded = core::decode_view(sent[0]);
   ASSERT_TRUE(forwarded.ok());
   EXPECT_TRUE(forwarded.value().header.has(core::HeaderFlag::kRelayed));
   EXPECT_EQ(forwarded.value().stream_id.sensor, 9u);
