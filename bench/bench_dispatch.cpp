@@ -10,6 +10,7 @@
 // fan-out × payload sweep quantifies exactly that; the telemetry
 // exposition (BENCH_dispatch.json) pins allocations and copies per
 // dispatched message so regressions show up in the perf trajectory.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -197,20 +198,22 @@ struct ShardSweepPoint {
   double deliveries = 0.0;
 };
 
-/// E3b — shard scaling. 128 streams x fan-out 8, hash-partitioned over N
+/// E3b — shard scaling. 512 streams x fan-out 8, hash-partitioned over N
 /// shard pipelines with bounded consumer inboxes (the overload path is
 /// active; capacity is sized so nothing sheds). Work per shard tracks
 /// its stream share, so critical-path speedup == partition balance minus
-/// per-round merge overhead.
-ShardSweepPoint run_shard_sweep_point(std::uint32_t shards) {
-  constexpr std::size_t kStreams = 128;
+/// per-round merge overhead. `use_workers` = false runs the shards one
+/// after another on the calling thread.
+ShardSweepPoint run_shard_sweep_point(std::uint32_t shards, bool use_workers) {
+  constexpr std::size_t kStreams = 512;
   constexpr std::size_t kFanOut = 8;
-  constexpr core::SequenceNo kSeqs = 128;
+  constexpr core::SequenceNo kSeqs = 256;
   constexpr core::SequenceNo kBatchSeqs = 8;  // seq rounds injected per merge round
   constexpr std::size_t kPayload = 256;
 
   ShardPlaneConfig config;
   config.shards = shards;
+  config.use_workers = use_workers;
   config.bus.shed_journal_limit = 64;
   {
     net::InboxConfig inbox;
@@ -271,6 +274,16 @@ ShardSweepPoint run_shard_sweep_point(std::uint32_t shards) {
   return point;
 }
 
+/// 1-shard vs 4-shard runs behind the CI speedup gate. The two sides run
+/// back to back, pair after pair, so host drift hits both; the gate
+/// reads the median of the per-pair ratios, which one stalled run
+/// cannot move. The pairs run their shards one after another on this
+/// thread (the 1-core-runner model the critical-path rate stands for):
+/// on a shared host, four busy worker threads each run slower than one
+/// (clock boost, neighbours' load), which moved the ratio by 0.5x from
+/// one minute to the next. The sweep above keeps the worker threads.
+constexpr int kSpeedupPairs = 9;
+
 /// Machine-readable exposition for the acceptance configuration
 /// (fan-out 64 × 4 KB) plus the shard scaling sweep: fixed-size
 /// workloads, the telemetry snapshot, and one labelled gauge set per
@@ -284,7 +297,13 @@ void BM_ReportFanOut64x4K(benchmark::State& state) {
   // scripts/check_dispatch_report.py reads one file for both gates.
   std::vector<ShardSweepPoint> sweep;
   for (const std::uint32_t shards : g_shard_counts) {
-    sweep.push_back(run_shard_sweep_point(shards));
+    sweep.push_back(run_shard_sweep_point(shards, true));
+  }
+  std::vector<double> pair_speedups;
+  for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+    const double one = run_shard_sweep_point(1, false).critical_msgs_per_sec;
+    const double four = run_shard_sweep_point(4, false).critical_msgs_per_sec;
+    pair_speedups.push_back(one > 0.0 ? four / one : 0.0);
   }
 
   double msgs_per_sec = 0.0;
@@ -347,6 +366,10 @@ void BM_ReportFanOut64x4K(benchmark::State& state) {
         registry.gauge("bench.dispatch.shard.control_shed", labels).set(point.control_shed);
         registry.gauge("bench.dispatch.shard.deliveries", labels).set(point.deliveries);
       }
+      for (std::size_t pair = 0; pair < pair_speedups.size(); ++pair) {
+        registry.gauge("bench.dispatch.shard.pair_speedup", {{"pair", std::to_string(pair)}})
+            .set(pair_speedups[pair]);
+      }
       write_bench_report("dispatch", obs::render_json(registry.snapshot()));
     }
   }
@@ -360,6 +383,8 @@ void BM_ReportFanOut64x4K(benchmark::State& state) {
           base > 0.0 ? point.critical_msgs_per_sec / base : 0.0;
     }
   }
+  std::sort(pair_speedups.begin(), pair_speedups.end());
+  state.counters["pair_speedup_median"] = pair_speedups[pair_speedups.size() / 2];
 }
 BENCHMARK(BM_ReportFanOut64x4K)->Unit(benchmark::kMillisecond)->Iterations(1);
 

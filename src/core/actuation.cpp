@@ -155,7 +155,6 @@ void ActuationService::on_ack(std::uint32_t request_id, SensorId sensor,
 
   ++stats_.acked;
   const util::Duration latency = observed_at - it->second.issued_at;
-  ack_latency_.add(latency);
   bus_.scheduler().cancel(it->second.timer);
   if (tracer_ != nullptr) {
     tracer_->end_span(it->second.trace_key, "actuation", observed_at.ns);

@@ -27,7 +27,6 @@
 #include "core/stream_update.hpp"
 #include "net/rpc.hpp"
 #include "obs/trace.hpp"
-#include "util/stats.hpp"
 
 namespace garnet::core {
 
@@ -93,8 +92,6 @@ class ActuationService {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   [[nodiscard]] const ActuationStats& stats() const noexcept { return stats_; }
-  /// Issue-to-ack latency distribution (virtual time, ns).
-  [[nodiscard]] const util::Quantiles& ack_latency() const noexcept { return ack_latency_; }
   [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
   [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
 
@@ -127,7 +124,6 @@ class ActuationService {
   std::unordered_map<std::uint32_t, PendingRequest> pending_;
   std::uint32_t next_request_id_ = 1;
   ActuationStats stats_;
-  util::Quantiles ack_latency_;
   CompletionObserver completion_observer_;
   obs::Tracer* tracer_ = nullptr;
 };

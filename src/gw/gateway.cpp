@@ -77,11 +77,15 @@ Gateway::Gateway(Runtime& runtime, Transport& transport, GatewayConfig config)
 Gateway::~Gateway() { runtime_.telemetry().registry.remove_collector(collector_id_); }
 
 std::size_t Gateway::pump() {
+  // What the scheduler queued since the last round goes out before any
+  // new request is read, so replies keep their place behind it.
+  std::size_t work = flush_dirty();
   events_.clear();
   transport_.poll(events_);
   for (const TransportEvent& event : events_) on_event(event);
+  work += events_.size() + flush_dirty();
   reap();
-  return events_.size();
+  return work;
 }
 
 void Gateway::step(util::Duration span) {
@@ -293,15 +297,15 @@ void Gateway::on_delivery(const core::DeliveryView& d) {
   cache_.update(d.message.stream_id, d.message.sequence, d.message.header.flags, now,
                 std::move(payload));
 
-  std::byte prefix[kLengthPrefixBytes];
-  put_length_prefix(static_cast<std::uint32_t>(frame.size()), prefix);
+  std::array<std::byte, kLengthPrefixBytes> prefix;
+  put_length_prefix(static_cast<std::uint32_t>(frame.size()), prefix.data());
   for (auto& [id, conn] : conns_) {
     if (conn.dead || conn.listener != Listener::kStream || !conn.subscription ||
         !conn.subscription->matches(d.message.stream_id)) {
       continue;
     }
     OutFrame out;
-    out.head.assign(prefix, prefix + kLengthPrefixBytes);
+    out.prefix = prefix;
     out.body = frame;  // refcount bump, no bytes copied
     out.cls = net::TrafficClass::kData;
     enqueue_data(conn, std::move(out));
@@ -311,7 +315,7 @@ void Gateway::on_delivery(const core::DeliveryView& d) {
 
 void Gateway::send_control(Conn& conn, std::string_view text, util::SharedBytes body) {
   OutFrame frame;
-  frame.head = text_bytes(text);
+  frame.text = text_bytes(text);
   frame.body = std::move(body);
   frame.cls = net::TrafficClass::kControl;
   // Control jumps the data queue but never preempts a frame already
@@ -331,7 +335,14 @@ std::size_t Gateway::effective_outbox_frames() {
 }
 
 void Gateway::enqueue_data(Conn& conn, OutFrame frame) {
-  if (conn.data_frames >= effective_outbox_frames()) {
+  const std::size_t bound = effective_outbox_frames();
+  // Shed only once a flush has found the peer blocked: a burst past the
+  // bound that a fast reader can take is written, not dropped.
+  if (conn.data_frames >= bound && !conn.blocked) {
+    flush(conn);
+    if (conn.dead) return;
+  }
+  if (conn.data_frames >= bound) {
     switch (config_.shed_policy) {
       case net::OverflowPolicy::kDropOldest: {
         std::size_t idx = conn.head_offset > 0 ? 1 : 0;
@@ -361,7 +372,23 @@ void Gateway::enqueue_data(Conn& conn, OutFrame frame) {
   }
   conn.outbox.push_back(std::move(frame));
   ++conn.data_frames;
-  if (!conn.blocked) flush(conn);
+  if (conn.blocked) return;  // the kWritable event resumes the flush
+  if (conn.outbox.size() >= kBatchFrames) {
+    flush(conn);
+  } else {
+    conn.dirty = true;
+  }
+}
+
+std::size_t Gateway::flush_dirty() {
+  std::size_t n = 0;
+  for (auto& [id, conn] : conns_) {
+    if (!conn.dirty) continue;
+    conn.dirty = false;
+    ++n;
+    if (!conn.blocked) flush(conn);
+  }
+  return n;
 }
 
 void Gateway::flush(Conn& conn) {
@@ -369,7 +396,7 @@ void Gateway::flush(Conn& conn) {
   while (!conn.outbox.empty()) {
     // Gather as many queued frames as fit one writev: heads and shared
     // bodies interleave without ever being copied into a staging buffer.
-    std::array<util::IoSlice, 64> slices;
+    std::array<util::IoSlice, kMaxSlices> slices;
     std::size_t nslices = 0;
     std::size_t total = 0;
     std::size_t first_offset = conn.head_offset;
@@ -377,12 +404,13 @@ void Gateway::flush(Conn& conn) {
       if (nslices + 2 > slices.size()) break;
       std::size_t off = first_offset;
       first_offset = 0;
-      if (off < frame.head.size()) {
-        slices[nslices++] = {frame.head.data() + off, frame.head.size() - off};
-        total += frame.head.size() - off;
+      const util::BytesView head = frame.head();
+      if (off < head.size()) {
+        slices[nslices++] = {head.data() + off, head.size() - off};
+        total += head.size() - off;
         off = 0;
       } else {
-        off -= frame.head.size();
+        off -= head.size();
       }
       if (off < frame.body.size()) {
         slices[nslices++] = {frame.body.data() + off, frame.body.size() - off};

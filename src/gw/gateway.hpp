@@ -25,11 +25,21 @@
 // replies) are never shed and jump ahead of queued data. A shed
 // subscriber recovers the latest value through the cache.
 //
+// Egress is batched. A delivery only queues its frame and marks the
+// connection dirty; each dirty connection is flushed with one gathered
+// writev at the start of pump() (so what the scheduler queued goes out
+// before any new request is read), at its end, and early once kBatchFrames
+// unsent frames fill the writev slice array. A data frame is shed only
+// after a flush attempt found the peer blocked, so a burst larger than
+// the outbox bound is written to a fast reader rather than dropped.
+// Control replies still flush at once.
+//
 // The core is transport-agnostic (gw/transport.hpp): production runs on
 // PosixTransport, tests drive the identical state machine through
 // LoopbackTransport deterministically.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <optional>
@@ -107,10 +117,12 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// One transport round: poll, then service every event (accepts,
-  /// reads, resumed writes). Non-blocking; returns events handled.
-  /// Deliveries flow while the runtime's scheduler runs — interleave
-  /// pump() with scheduler progress (see step()).
+  /// One transport round: flush the data frames queued since the last
+  /// round, poll, service every event (accepts, reads, resumed writes),
+  /// then flush again. Non-blocking; returns the events handled plus
+  /// the connections flushed. Deliveries are queued while the runtime's
+  /// scheduler runs — interleave pump() with scheduler progress (see
+  /// step()).
   std::size_t pump();
 
   /// pump + run the scheduler for `span` of virtual time + pump: one
@@ -128,16 +140,26 @@ class Gateway {
   [[nodiscard]] core::Consumer& consumer() noexcept { return consumer_; }
 
  private:
-  /// One queued egress frame: a small owned head (length prefix or
-  /// text line) plus an optional shared body aliasing the delivery's
-  /// wire buffer — the zero-copy half.
+  /// One queued egress frame: a small head (a data frame's inline
+  /// length prefix, or a control frame's owned text line) plus an
+  /// optional shared body aliasing the delivery's wire buffer — the
+  /// zero-copy half.
   struct OutFrame {
-    util::Bytes head;
+    util::Bytes text;
+    std::array<std::byte, kLengthPrefixBytes> prefix{};
     util::SharedBytes body;
     net::TrafficClass cls = net::TrafficClass::kControl;
 
-    [[nodiscard]] std::size_t size() const noexcept { return head.size() + body.size(); }
+    [[nodiscard]] util::BytesView head() const noexcept {
+      return cls == net::TrafficClass::kData ? util::BytesView(prefix) : util::BytesView(text);
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return head().size() + body.size(); }
   };
+
+  /// Slices one writev gathers; a data frame takes two (prefix, body),
+  /// so kBatchFrames unsent data frames fill it and flush early.
+  static constexpr std::size_t kMaxSlices = 64;
+  static constexpr std::size_t kBatchFrames = kMaxSlices / 2;
 
   struct Conn {
     ConnId id = 0;
@@ -149,6 +171,7 @@ class Gateway {
     std::size_t data_frames = 0;  ///< Data-class frames queued (the bound).
     std::optional<core::StreamPattern> subscription;
     bool blocked = false;            ///< writev said would-block.
+    bool dirty = false;              ///< Data queued since the last flush.
     bool close_when_drained = false; ///< QUIT acknowledged.
     bool dead = false;               ///< Reaped after the current sweep.
   };
@@ -167,6 +190,8 @@ class Gateway {
   [[nodiscard]] std::size_t effective_outbox_frames();
   void enqueue_data(Conn& conn, OutFrame frame);
   void flush(Conn& conn);
+  /// Flushes every dirty connection; returns how many were dirty.
+  std::size_t flush_dirty();
   /// Consumes `written` bytes off the front of the outbox.
   void advance_outbox(Conn& conn, std::size_t written);
   void close_conn(Conn& conn);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -79,9 +80,10 @@ std::uint16_t PosixTransport::port(Listener listener) const {
 }
 
 void PosixTransport::poll(std::vector<TransportEvent>& out) {
-  std::vector<pollfd> fds;
-  std::vector<ConnId> ids;  ///< ids[i] maps fds[kListenerCount + i].
-  fds.reserve(kListenerCount + conns_.size());
+  std::vector<pollfd>& fds = poll_fds_;
+  std::vector<ConnId>& ids = poll_ids_;
+  fds.clear();
+  ids.clear();
   for (const int fd : listener_fds_) fds.push_back({fd, POLLIN, 0});
   for (const auto& [id, conn] : conns_) {
     short events = POLLIN;
@@ -132,14 +134,17 @@ std::ptrdiff_t PosixTransport::writev(ConnId conn, std::span<const util::IoSlice
   const auto it = conns_.find(conn);
   if (it == conns_.end()) return -1;
   // struct iovec wants a mutable pointer; the kernel only reads from it.
-  std::vector<iovec> iov(slices.size());
-  for (std::size_t i = 0; i < slices.size(); ++i) {
+  // Slices past kMaxIov are left for the caller's next call: the count
+  // returned is then short, which the contract already allows.
+  std::array<iovec, kMaxIov> iov;
+  const std::size_t n_iov = std::min(slices.size(), kMaxIov);
+  for (std::size_t i = 0; i < n_iov; ++i) {
     iov[i].iov_base = const_cast<std::byte*>(slices[i].data);
     iov[i].iov_len = slices[i].size;
   }
   msghdr msg{};
   msg.msg_iov = iov.data();
-  msg.msg_iovlen = iov.size();
+  msg.msg_iovlen = n_iov;
   const ssize_t n = ::sendmsg(it->second.fd, &msg, MSG_NOSIGNAL);
   if (n >= 0) return n;
   return (errno == EAGAIN || errno == EWOULDBLOCK) ? 0 : -1;

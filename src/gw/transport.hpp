@@ -22,6 +22,8 @@
 // true) is in force.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -114,10 +116,17 @@ class PosixTransport final : public Transport {
     bool want_write = false;
   };
 
+  /// Slices one sendmsg takes; a longer span is written short.
+  static constexpr std::size_t kMaxIov = 64;
+
   int listener_fds_[kListenerCount] = {-1, -1, -1};
   std::uint16_t ports_[kListenerCount] = {0, 0, 0};
   std::map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;
+  /// poll() scratch, reused across calls: poll_ids_[i] maps
+  /// poll_fds_[kListenerCount + i].
+  std::vector<pollfd> poll_fds_;
+  std::vector<ConnId> poll_ids_;
 };
 
 /// Deterministic in-memory transport. The test owns the "peer" side:

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "sim/scheduler.hpp"
@@ -23,11 +24,15 @@ class RealtimeDriver {
 
   /// Runs events for `span` of virtual time, sleeping between events so
   /// virtual time tracks wall time / speed. Returns events executed.
-  std::size_t run_for(util::Duration span) {
+  /// `before_sleep`, when set, runs just before each sleep: the embedder
+  /// services its I/O (e.g. Gateway::pump) whenever the driver would
+  /// otherwise idle. Work it schedules is picked up before the sleep.
+  std::size_t run_for(util::Duration span, const std::function<void()>& before_sleep = {}) {
     const util::SimTime deadline = scheduler_.now() + span;
     const auto wall_start = std::chrono::steady_clock::now();
     const util::SimTime virtual_start = scheduler_.now();
     std::size_t executed = 0;
+    bool serviced = false;  ///< before_sleep already ran for this sleep.
 
     for (;;) {
       const auto next = scheduler_.next_event_time();
@@ -40,7 +45,15 @@ class RealtimeDriver {
                            static_cast<std::int64_t>(static_cast<double>(virtual_elapsed.ns) /
                                                      speed_));
       const auto now = std::chrono::steady_clock::now();
-      if (wall_target > now) std::this_thread::sleep_for(wall_target - now);
+      if (wall_target > now) {
+        if (before_sleep && !serviced) {
+          before_sleep();
+          serviced = true;
+          continue;  // it may have scheduled work due before the target
+        }
+        std::this_thread::sleep_for(wall_target - now);
+      }
+      serviced = false;
 
       if (!next || *next > deadline) break;
       executed += scheduler_.run_until(target);

@@ -198,5 +198,37 @@ TEST(PosixTransport, ReadWriteRoundTrip) {
   EXPECT_EQ(transport.open_connections(), 0u);
 }
 
+TEST(PosixTransport, WritevPastSixtyFourSlicesWritesShortThenTheRest) {
+  // 100 one-byte slices: one call takes at most 64 of them and reports
+  // a short count; the caller resumes from there, as after any short
+  // write, and the peer receives every byte in order.
+  PosixTransport transport({});
+  const int fd = connect_to(transport.port(Listener::kStream));
+  ASSERT_GE(fd, 0);
+  std::vector<TransportEvent> events;
+  for (int spin = 0; spin < 100 && events.empty(); ++spin) transport.poll(events);
+  ASSERT_FALSE(events.empty());
+  const ConnId id = events[0].conn;
+
+  util::Bytes bytes(100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::byte>(i);
+  std::vector<util::IoSlice> slices;
+  for (const std::byte& b : bytes) slices.push_back({&b, 1});
+  std::size_t sent = 0;
+  for (int calls = 0; sent < bytes.size() && calls < 10; ++calls) {
+    const std::ptrdiff_t n =
+        transport.writev(id, std::span<const util::IoSlice>(slices).subspan(sent));
+    ASSERT_GT(n, 0);
+    EXPECT_LE(n, 64);
+    sent += static_cast<std::size_t>(n);
+  }
+  ASSERT_EQ(sent, bytes.size());
+  std::byte got[100];
+  ASSERT_EQ(::recv(fd, got, sizeof got, MSG_WAITALL), 100);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), got));
+  ::close(fd);
+  transport.close(id);
+}
+
 }  // namespace
 }  // namespace garnet::gw

@@ -5,6 +5,8 @@
 // location-targeted replication saving.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "garnet/runtime.hpp"
 
 namespace garnet {
@@ -51,13 +53,19 @@ TEST_F(ActuationPathFixture, FullRoundTripWithAck) {
   consumer.subscribe(core::StreamPattern::all_of(1));
   runtime.run_for(Duration::seconds(3));  // build location evidence
 
+  std::vector<Duration> ack_latencies;
+  runtime.actuation().set_completion_observer(
+      [&](std::uint32_t, bool acked, Duration latency) {
+        if (acked) ack_latencies.push_back(latency);
+      });
   consumer.request_update({1, 0}, core::UpdateAction::kSetIntervalMs, 100, {});
   runtime.run_for(Duration::seconds(3));
 
   EXPECT_EQ(sensor.stream(0)->interval_ms, 100u);
   EXPECT_EQ(runtime.actuation().stats().acked, 1u);
   EXPECT_EQ(runtime.actuation().stats().expired, 0u);
-  EXPECT_GT(runtime.actuation().ack_latency().count(), 0u);
+  ASSERT_EQ(ack_latencies.size(), 1u);
+  EXPECT_GT(ack_latencies[0].ns, 0);
 }
 
 TEST_F(ActuationPathFixture, LocationTargetingActivatesFewerTransmitters) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
+#include <vector>
 
 namespace garnet::sim {
 namespace {
@@ -52,6 +54,38 @@ TEST(RealtimeDriver, EventsMaySpawnEvents) {
   RealtimeDriver driver(scheduler, 1000.0);
   driver.run_for(Duration::millis(10));
   EXPECT_EQ(chain, 4);
+}
+
+TEST(RealtimeDriver, BeforeSleepRunsAheadOfEverySleep) {
+  // Real speed, events 20 ms apart: the driver idles before each event
+  // and before the deadline, and services the hook just ahead of each.
+  Scheduler scheduler;
+  for (int i = 1; i <= 3; ++i) scheduler.schedule_after(Duration::millis(20 * i), [] {});
+  std::vector<std::int64_t> hooked_at_ms;
+  RealtimeDriver driver(scheduler, 1.0);
+  driver.run_for(Duration::millis(80),
+                 [&] { hooked_at_ms.push_back(scheduler.now().ns / 1'000'000); });
+  EXPECT_EQ(hooked_at_ms, (std::vector<std::int64_t>{0, 20, 40, 60}));
+  EXPECT_EQ(scheduler.now().ns, Duration::millis(80).ns);
+}
+
+TEST(RealtimeDriver, WorkScheduledByTheHookRunsBeforeTheSleepEnds) {
+  // The hook schedules an event 5 ms out while the driver was about to
+  // sleep 200 ms to its deadline; the driver re-plans and runs the event
+  // on time instead of after the sleep.
+  Scheduler scheduler;
+  bool scheduled = false;
+  std::optional<std::chrono::steady_clock::duration> ran_after;
+  RealtimeDriver driver(scheduler, 1.0);
+  const auto start = std::chrono::steady_clock::now();
+  driver.run_for(Duration::millis(200), [&] {
+    if (scheduled) return;
+    scheduled = true;
+    scheduler.schedule_after(Duration::millis(5),
+                             [&] { ran_after = std::chrono::steady_clock::now() - start; });
+  });
+  ASSERT_TRUE(ran_after.has_value());
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(*ran_after).count(), 100);
 }
 
 }  // namespace
