@@ -202,9 +202,8 @@ struct ShardSweepPoint {
 /// shard pipelines with bounded consumer inboxes (the overload path is
 /// active; capacity is sized so nothing sheds). Work per shard tracks
 /// its stream share, so critical-path speedup == partition balance minus
-/// per-round merge overhead. `use_workers` = false runs the shards one
-/// after another on the calling thread.
-ShardSweepPoint run_shard_sweep_point(std::uint32_t shards, bool use_workers) {
+/// per-round merge overhead.
+ShardSweepPoint run_shard_sweep_point(std::uint32_t shards) {
   constexpr std::size_t kStreams = 512;
   constexpr std::size_t kFanOut = 8;
   constexpr core::SequenceNo kSeqs = 256;
@@ -213,7 +212,6 @@ ShardSweepPoint run_shard_sweep_point(std::uint32_t shards, bool use_workers) {
 
   ShardPlaneConfig config;
   config.shards = shards;
-  config.use_workers = use_workers;
   config.bus.shed_journal_limit = 64;
   {
     net::InboxConfig inbox;
@@ -274,14 +272,10 @@ ShardSweepPoint run_shard_sweep_point(std::uint32_t shards, bool use_workers) {
   return point;
 }
 
-/// 1-shard vs 4-shard runs behind the CI speedup gate. The two sides run
-/// back to back, pair after pair, so host drift hits both; the gate
-/// reads the median of the per-pair ratios, which one stalled run
-/// cannot move. The pairs run their shards one after another on this
-/// thread (the 1-core-runner model the critical-path rate stands for):
-/// on a shared host, four busy worker threads each run slower than one
-/// (clock boost, neighbours' load), which moved the ratio by 0.5x from
-/// one minute to the next. The sweep above keeps the worker threads.
+/// 1-shard vs 4-shard runs behind the CI speedup gate, on worker threads
+/// like the sweep. The two sides run back to back, pair after pair, so
+/// host drift hits both; the gate reads the median of the per-pair
+/// ratios, which one stalled run cannot move.
 constexpr int kSpeedupPairs = 9;
 
 /// Machine-readable exposition for the acceptance configuration
@@ -297,12 +291,12 @@ void BM_ReportFanOut64x4K(benchmark::State& state) {
   // scripts/check_dispatch_report.py reads one file for both gates.
   std::vector<ShardSweepPoint> sweep;
   for (const std::uint32_t shards : g_shard_counts) {
-    sweep.push_back(run_shard_sweep_point(shards, true));
+    sweep.push_back(run_shard_sweep_point(shards));
   }
   std::vector<double> pair_speedups;
   for (int pair = 0; pair < kSpeedupPairs; ++pair) {
-    const double one = run_shard_sweep_point(1, false).critical_msgs_per_sec;
-    const double four = run_shard_sweep_point(4, false).critical_msgs_per_sec;
+    const double one = run_shard_sweep_point(1).critical_msgs_per_sec;
+    const double four = run_shard_sweep_point(4).critical_msgs_per_sec;
     pair_speedups.push_back(one > 0.0 ? four / one : 0.0);
   }
 

@@ -10,10 +10,9 @@ The report carries two sections in one telemetry snapshot:
     messages over the slowest shard's thread-CPU time, i.e. the modeled
     N-core wall rate, measurable honestly on a 1-core runner;
   * interleaved 1-shard/4-shard pairs: one critical-path speedup gauge
-    per pair, labelled {pair=k}. The two runs of a pair are back to
-    back, so host drift hits both sides, and each runs its shards one
-    after another on one thread, so how many cores are busy (clock
-    boost, neighbours' load) does not favour either side.
+    per pair, labelled {pair=k}, run on worker threads like the sweep.
+    The two runs of a pair are back to back, so host drift hits both
+    sides.
 
 Gates:
   1. the sweep covers every required shard count (1, 2, 4, 8, 16);

@@ -79,11 +79,11 @@ Gateway::~Gateway() { runtime_.telemetry().registry.remove_collector(collector_i
 std::size_t Gateway::pump() {
   // What the scheduler queued since the last round goes out before any
   // new request is read, so replies keep their place behind it.
-  std::size_t work = flush_dirty();
+  std::size_t work = flush_pending();
   events_.clear();
   transport_.poll(events_);
   for (const TransportEvent& event : events_) on_event(event);
-  work += events_.size() + flush_dirty();
+  work += events_.size() + flush_pending();
   reap();
   return work;
 }
@@ -372,21 +372,19 @@ void Gateway::enqueue_data(Conn& conn, OutFrame frame) {
   }
   conn.outbox.push_back(std::move(frame));
   ++conn.data_frames;
-  if (conn.blocked) return;  // the kWritable event resumes the flush
-  if (conn.outbox.size() >= kBatchFrames) {
-    flush(conn);
-  } else {
-    conn.dirty = true;
-  }
+  // A blocked peer resumes on its kWritable event; otherwise the frame
+  // waits for pump() unless it fills the writev slice array.
+  if (!conn.blocked && conn.outbox.size() >= kBatchFrames) flush(conn);
 }
 
-std::size_t Gateway::flush_dirty() {
+std::size_t Gateway::flush_pending() {
+  // Control flushes at once, so an unblocked connection with a queued
+  // frame holds data that has not been tried yet.
   std::size_t n = 0;
   for (auto& [id, conn] : conns_) {
-    if (!conn.dirty) continue;
-    conn.dirty = false;
+    if (conn.dead || conn.blocked || conn.outbox.empty()) continue;
     ++n;
-    if (!conn.blocked) flush(conn);
+    flush(conn);
   }
   return n;
 }

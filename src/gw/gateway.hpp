@@ -25,9 +25,9 @@
 // replies) are never shed and jump ahead of queued data. A shed
 // subscriber recovers the latest value through the cache.
 //
-// Egress is batched. A delivery only queues its frame and marks the
-// connection dirty; each dirty connection is flushed with one gathered
-// writev at the start of pump() (so what the scheduler queued goes out
+// Egress is batched. A delivery only queues its frame; each unblocked
+// connection with queued frames is flushed with one gathered writev at
+// the start of pump() (so what the scheduler queued goes out
 // before any new request is read), at its end, and early once kBatchFrames
 // unsent frames fill the writev slice array. A data frame is shed only
 // after a flush attempt found the peer blocked, so a burst larger than
@@ -171,7 +171,6 @@ class Gateway {
     std::size_t data_frames = 0;  ///< Data-class frames queued (the bound).
     std::optional<core::StreamPattern> subscription;
     bool blocked = false;            ///< writev said would-block.
-    bool dirty = false;              ///< Data queued since the last flush.
     bool close_when_drained = false; ///< QUIT acknowledged.
     bool dead = false;               ///< Reaped after the current sweep.
   };
@@ -190,8 +189,9 @@ class Gateway {
   [[nodiscard]] std::size_t effective_outbox_frames();
   void enqueue_data(Conn& conn, OutFrame frame);
   void flush(Conn& conn);
-  /// Flushes every dirty connection; returns how many were dirty.
-  std::size_t flush_dirty();
+  /// Flushes every unblocked connection with queued frames; returns
+  /// how many it flushed.
+  std::size_t flush_pending();
   /// Consumes `written` bytes off the front of the outbox.
   void advance_outbox(Conn& conn, std::size_t written);
   void close_conn(Conn& conn);

@@ -9,6 +9,7 @@
 // possible rather than drifting.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -24,19 +25,22 @@ class RealtimeDriver {
 
   /// Runs events for `span` of virtual time, sleeping between events so
   /// virtual time tracks wall time / speed. Returns events executed.
-  /// `before_sleep`, when set, runs just before each sleep: the embedder
-  /// services its I/O (e.g. Gateway::pump) whenever the driver would
-  /// otherwise idle. Work it schedules is picked up before the sleep.
+  /// `before_sleep`, when set, is how the embedder services its I/O
+  /// (e.g. Gateway::pump): it runs on entry and after every batch of
+  /// events, so before each sleep, before returning, and between batches
+  /// when the driver has fallen behind the wall clock and never sleeps.
+  /// Work it schedules is picked up by the next batch.
   std::size_t run_for(util::Duration span, const std::function<void()>& before_sleep = {}) {
     const util::SimTime deadline = scheduler_.now() + span;
     const auto wall_start = std::chrono::steady_clock::now();
     const util::SimTime virtual_start = scheduler_.now();
     std::size_t executed = 0;
-    bool serviced = false;  ///< before_sleep already ran for this sleep.
 
     for (;;) {
+      if (before_sleep) before_sleep();
       const auto next = scheduler_.next_event_time();
-      const util::SimTime target = next && *next <= deadline ? *next : deadline;
+      const bool due = next && *next <= deadline;
+      const util::SimTime target = due ? *next : deadline;
 
       // Sleep until the wall clock catches up with the target instant.
       const auto virtual_elapsed = target - virtual_start;
@@ -45,18 +49,20 @@ class RealtimeDriver {
                            static_cast<std::int64_t>(static_cast<double>(virtual_elapsed.ns) /
                                                      speed_));
       const auto now = std::chrono::steady_clock::now();
-      if (wall_target > now) {
-        if (before_sleep && !serviced) {
-          before_sleep();
-          serviced = true;
-          continue;  // it may have scheduled work due before the target
-        }
-        std::this_thread::sleep_for(wall_target - now);
-      }
-      serviced = false;
+      if (wall_target > now) std::this_thread::sleep_for(wall_target - now);
 
-      if (!next || *next > deadline) break;
-      executed += scheduler_.run_until(target);
+      if (!due) break;
+      util::SimTime until = target;
+      if (wall_target <= now) {
+        // Behind the wall clock: run everything already due in one batch.
+        const auto wall_elapsed =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - wall_start).count();
+        const double caught_up_ns = std::min(static_cast<double>(wall_elapsed) * speed_,
+                                             static_cast<double>((deadline - virtual_start).ns));
+        until = std::max(target, virtual_start + util::Duration::nanos(
+                                                     static_cast<std::int64_t>(caught_up_ns)));
+      }
+      executed += scheduler_.run_until(until);
     }
     scheduler_.run_until(deadline);
     return executed;
