@@ -20,6 +20,7 @@
 #include "core/location.hpp"
 #include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 
 namespace garnet::core {
 namespace {
@@ -117,6 +118,105 @@ TEST(GoldenFrames, FilteringCaptureMatchesSortedMapReference) {
   w.u16(4);
 
   EXPECT_EQ(service.capture_state(), std::move(w).take());
+}
+
+// --- byte pins: full frame + the delta after it, per service ----------
+//
+// The reference encoders above cover two services' full frames; these
+// pins cover every service's full *and* delta bytes by length and
+// CRC-32C, so a codec change that keeps the chain self-consistent but
+// moves a byte still fails.
+
+struct Pin {
+  std::size_t size = 0;
+  std::uint32_t crc = 0;
+};
+
+void expect_pinned(const util::Bytes& bytes, Pin pin, const char* what) {
+  EXPECT_EQ(bytes.size(), pin.size) << what;
+  EXPECT_EQ(util::crc32c(bytes), pin.crc) << what << " crc 0x" << std::hex << util::crc32c(bytes);
+}
+
+TEST(GoldenFrames, CheckpointBytesArePinned) {
+  const SimTime t = SimTime{} + Duration::seconds(1);
+  {
+    StreamCatalog catalog;
+    catalog.advertise({7, 2}, "well-7", "water-level");
+    catalog.advertise({1, 0}, "temp-1", "temperature");
+    catalog.note_message({3, 1}, t);
+    (void)catalog.allocate_derived();
+    expect_pinned(catalog.capture_full(), {145, 0xC7E79A49}, "catalog full");
+    catalog.note_message({7, 2}, t + Duration::millis(5));
+    catalog.advertise({9, 9}, "nine", "water-level");
+    (void)catalog.allocate_derived();
+    expect_pinned(catalog.capture_delta(), {113, 0x66C02D44}, "catalog delta");
+  }
+  {
+    sim::Scheduler scheduler;
+    FilteringService filtering(scheduler, {});
+    for (const SequenceNo seq : {3, 1, 4, 9, 7}) filtering.note_seen({5, 1}, seq);
+    filtering.note_seen({2, 0}, 0xFFFE);
+    filtering.note_seen({2, 0}, 2);  // wraps past 0xFFFF
+    filtering.note_seen({8, 4}, 40);
+    expect_pinned(filtering.capture_full(), {101, 0xEF771C4F}, "filtering full");
+    filtering.note_seen({5, 1}, 12);
+    filtering.note_seen({6, 0}, 1);
+    expect_pinned(filtering.capture_delta(), {76, 0x5DBEA5AF}, "filtering delta");
+  }
+  {
+    sim::Scheduler scheduler;
+    net::MessageBus bus(scheduler, {});
+    AuthService auth{{}};
+    LocationService location(bus, auth, {});
+    location.set_receiver_layout({{.id = 1, .position = {0.0, 0.0}},
+                                  {.id = 2, .position = {60.0, 0.0}},
+                                  {.id = 3, .position = {0.0, 80.0}}});
+    location.observe({.sensor = 4, .receiver = 1, .rssi_dbm = -60.0, .heard_at = t});
+    location.observe({.sensor = 4, .receiver = 2, .rssi_dbm = -71.25, .heard_at = t});
+    location.observe({.sensor = 9, .receiver = 3, .rssi_dbm = -72.5, .heard_at = t});
+    LocationHint hint;
+    hint.sensor = 9;
+    hint.x = 12.0;
+    hint.y = 34.0;
+    hint.radius_m = 20.0;
+    location.hint(hint, t);
+    expect_pinned(location.capture_full(), {114, 0x1FE9004C}, "location full");
+    location.observe({.sensor = 4, .receiver = 3, .rssi_dbm = -55.0,
+                      .heard_at = t + Duration::millis(10)});
+    location.observe({.sensor = 11, .receiver = 1, .rssi_dbm = -80.0,
+                      .heard_at = t + Duration::millis(20)});
+    expect_pinned(location.capture_delta(), {106, 0xA0911DC2}, "location delta");
+  }
+  {
+    sim::Scheduler scheduler;
+    net::MessageBus bus(scheduler, {});
+    AuthService auth{{}};
+    StreamCatalog catalog;
+    DispatchingService dispatch(bus, auth, catalog);
+    FlowControlConfig flow;
+    flow.credit_window = 3;
+    dispatch.set_flow_control(flow);
+    const net::Address a = bus.add_endpoint("consumer.a", [](net::Envelope) {});
+    const net::Address b = bus.add_endpoint("consumer.b", [](net::Envelope) {});
+    dispatch.subscribe(a, StreamPattern::all_of(1));
+    dispatch.subscribe(b, StreamPattern::exact({2, 0}));
+
+    DataMessage msg;
+    msg.payload = util::to_bytes("x");
+    const auto send = [&](StreamId id, SequenceNo seq) {
+      msg.stream_id = id;
+      msg.sequence = seq;
+      dispatch.on_filtered(msg, scheduler.now());
+    };
+    for (SequenceNo seq = 0; seq < 5; ++seq) send({1, 0}, seq);  // a quarantines, sheds
+    send({2, 0}, 7);
+    send({3, 0}, 1);  // nobody subscribed
+    expect_pinned(dispatch.capture_full(), {132, 0x040D7B33}, "dispatch full");
+    dispatch.subscribe(b, StreamPattern::exact({1, 3}));
+    send({1, 3}, 2);
+    send({2, 0}, 8);
+    expect_pinned(dispatch.capture_delta(), {164, 0x2C8ACC47}, "dispatch delta");
+  }
 }
 
 // --- full + deltas == full, per service -------------------------------
