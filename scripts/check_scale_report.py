@@ -14,7 +14,9 @@ StreamTable migration was made for:
      arena layout must not regress toward node-per-stream costs;
   3. the incremental capture stall stays inside budget, and at the
      large tiers it must actually undercut the full-capture stall
-     (otherwise the delta machinery is dead weight);
+     (otherwise the delta machinery is dead weight) — in milliseconds,
+     and, with no timing noise, in bytes: a delta frame as large as the
+     full frame means the dirty journals are not doing their job;
   4. every service's mean probe length stays inside budget at every
      tier. This is a count taken by walking each table's index, not a
      timing, so noise cannot trip it; a clustering hash can.
@@ -88,6 +90,14 @@ def main() -> int:
                 f"{streams:,} streams: incremental capture ({delta_ms:.1f}ms) is no "
                 f"cheaper than a full capture ({full_ms:.1f}ms) — deltas are dead weight"
             )
+        delta_bytes = float(tier.get("delta_capture_bytes", float("inf")))
+        full_bytes = float(tier.get("full_capture_bytes", 0.0))
+        if streams >= REQUIRED_TIER and delta_bytes >= full_bytes:
+            failures.append(
+                f"{streams:,} streams: incremental capture ({delta_bytes:,.0f} B) is no "
+                f"smaller than a full capture ({full_bytes:,.0f} B) — the dirty journals "
+                "capture everything"
+            )
         if float(tier.get("msgs_per_sec", 0.0)) <= 0:
             failures.append(f"{streams:,} streams: no traffic measured")
         probe_mean = tier.get("probe_mean", {})
@@ -113,7 +123,8 @@ def main() -> int:
             f"{tier['bytes_per_stream']:.0f} B/stream, "
             f"{tier['msgs_per_sec']:,.0f} msgs/s, "
             f"capture full {tier['full_capture_ms']:.1f}ms / "
-            f"delta {tier['delta_capture_ms']:.1f}ms, "
+            f"delta {tier['delta_capture_ms']:.1f}ms "
+            f"({tier['delta_capture_bytes']:,.0f} of {tier['full_capture_bytes']:,.0f} B), "
             f"probes/lookup max {max(tier['probe_mean'].values()):.2f}"
         )
     return 0

@@ -44,7 +44,6 @@ std::vector<StreamInfo> StreamCatalog::discover(const Query& query) const {
 }
 
 void StreamCatalog::encode_info(util::ByteWriter& w, const StreamInfo& info) {
-  w.u32(info.id.packed());
   w.str(info.name);
   w.str(info.stream_class);
   w.u8(info.advertised ? 1 : 0);
@@ -69,9 +68,7 @@ StreamInfo StreamCatalog::decode_info(StreamKey key, util::ByteReader& r) {
 
 util::Bytes StreamCatalog::capture_state() const {
   util::ByteWriter w(16 + streams_.size() * 48);
-  w.u32(static_cast<std::uint32_t>(streams_.size()));
-  streams_.for_each_sorted(
-      [&w](StreamKey, const StreamInfo& info) { encode_info(w, info); });
+  streams_.write_full(w, encode_info);
   w.u32(next_derived_sensor_);
   w.u8(next_derived_stream_);
   return std::move(w).take();
@@ -84,16 +81,8 @@ util::Bytes StreamCatalog::capture_full() {
 }
 
 util::Bytes StreamCatalog::capture_delta() {
-  const std::vector<std::uint32_t> removed = streams_.removed_keys();
-  const std::vector<std::uint32_t> dirty = streams_.dirty_keys();
-  util::ByteWriter w(16 + removed.size() * 4 + dirty.size() * 48);
-  w.u32(static_cast<std::uint32_t>(removed.size()));
-  for (const std::uint32_t key : removed) w.u32(key);
-  w.u32(static_cast<std::uint32_t>(dirty.size()));
-  for (const std::uint32_t raw : dirty) {
-    const StreamKey key = StreamKey::from_packed(raw);
-    encode_info(w, *streams_.find(key));
-  }
+  util::ByteWriter w;
+  streams_.write_delta(w, encode_info, 48);
   w.u32(next_derived_sensor_);
   w.u8(next_derived_stream_);
   streams_.clear_dirty();
@@ -101,49 +90,23 @@ util::Bytes StreamCatalog::capture_delta() {
 }
 
 util::Status<util::DecodeError> StreamCatalog::apply_delta(util::BytesView delta) {
-  util::ByteReader r(delta);
-  std::vector<StreamKey> removed;
-  const std::uint32_t removed_count = r.u32();
-  for (std::uint32_t i = 0; i < removed_count && r.ok(); ++i) {
-    removed.push_back(StreamKey::from_packed(r.u32()));
-  }
-  std::vector<StreamInfo> upserts;
-  const std::uint32_t dirty_count = r.u32();
-  for (std::uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
-    const StreamKey key = StreamKey::from_packed(r.u32());
-    StreamInfo info = decode_info(key, r);
-    if (r.ok()) upserts.push_back(std::move(info));
-  }
-  const SensorId next_sensor = r.u32();
-  const auto next_stream = static_cast<InternalStreamId>(r.u8());
-  if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
-
-  for (const StreamKey key : removed) streams_.erase(key);
-  for (StreamInfo& info : upserts) streams_.upsert(StreamKey{info.id}) = std::move(info);
-  next_derived_sensor_ = next_sensor;
-  next_derived_stream_ = next_stream;
-  streams_.clear_dirty();
-  return {};
+  return load(delta, /*delta=*/true);
 }
 
 util::Status<util::DecodeError> StreamCatalog::restore_state(util::BytesView state) {
-  util::ByteReader r(state);
-  std::vector<StreamInfo> parsed;
-  const std::uint32_t declared = r.u32();
-  for (std::uint32_t i = 0; i < declared && r.ok(); ++i) {
-    const StreamKey key = StreamKey::from_packed(r.u32());
-    StreamInfo info = decode_info(key, r);
-    if (r.ok()) parsed.push_back(std::move(info));
-  }
+  return load(state, /*delta=*/false);
+}
+
+util::Status<util::DecodeError> StreamCatalog::load(util::BytesView bytes, bool delta) {
+  util::ByteReader r(bytes);
+  auto section = delta ? Table::read_delta(r, decode_info) : Table::read_full(r, decode_info);
   const SensorId next_sensor = r.u32();
   const auto next_stream = static_cast<InternalStreamId>(r.u8());
   if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
-  streams_.clear();
-  for (auto& info : parsed) streams_.upsert(StreamKey{info.id}) = std::move(info);
+  streams_.apply(std::move(section));
   next_derived_sensor_ = next_sensor;
   next_derived_stream_ = next_stream;
-  streams_.clear_dirty();
   return {};
 }
 

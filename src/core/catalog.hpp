@@ -91,10 +91,14 @@ class StreamCatalog {
   [[nodiscard]] ProbeStats probe_stats() const { return streams_.probe_stats(); }
 
  private:
+  using Table = StreamTable<StreamInfo>;
+
   static void encode_info(util::ByteWriter& w, const StreamInfo& info);
   [[nodiscard]] static StreamInfo decode_info(StreamKey key, util::ByteReader& r);
+  /// restore_state()/apply_delta(): parse a full or delta body, then commit.
+  [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
 
-  StreamTable<StreamInfo> streams_;
+  Table streams_;
   SensorId next_derived_sensor_ = kDerivedSensorBase;
   InternalStreamId next_derived_stream_ = 0;
 };

@@ -164,43 +164,43 @@ void DispatchingService::apply_op(std::uint16_t kind, util::BytesView payload) {
   }
 }
 
+void DispatchingService::encode_flow(util::ByteWriter& w, const Flow& flow) {
+  w.u32(flow.credits);
+  w.u8(flow.quarantined ? 1 : 0);
+  std::vector<std::uint64_t> shed(flow.shed.begin(), flow.shed.end());
+  std::sort(shed.begin(), shed.end());
+  w.u32(static_cast<std::uint32_t>(shed.size()));
+  for (const std::uint64_t key64 : shed) {
+    w.u32(static_cast<std::uint32_t>(key64 >> 16));
+    w.u16(static_cast<std::uint16_t>(key64 & 0xFFFF));
+  }
+}
+
+DispatchingService::Flow DispatchingService::decode_flow(ConsumerKey, util::ByteReader& r) {
+  Flow flow;
+  (void)r.u32();  // credits: the commit re-primes them
+  flow.quarantined = r.u8() != 0;
+  const std::uint32_t shed_count = r.u32();
+  for (std::uint32_t j = 0; j < shed_count && r.ok(); ++j) {
+    const std::uint32_t packed = r.u32();
+    const SequenceNo seq = r.u16();
+    flow.shed.insert(shed_key(packed, seq));
+  }
+  return flow;
+}
+
 namespace {
 
-/// Flow fields as they sit in a checkpoint frame (shed keys unpacked).
-struct ParsedFlow {
-  std::uint32_t addr = 0;
-  bool quarantined = false;
-  std::vector<std::uint64_t> shed;
-};
+void encode_cursor(util::ByteWriter& w, SequenceNo seq) { w.u16(seq); }
+SequenceNo decode_cursor(StreamKey, util::ByteReader& r) { return r.u16(); }
 
 }  // namespace
-
-void DispatchingService::encode_flows(util::ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(flows_.size()));
-  flows_.for_each_sorted([&w](ConsumerKey key, const Flow& flow) {
-    w.u32(key.pack());
-    w.u32(flow.credits);
-    w.u8(flow.quarantined ? 1 : 0);
-    std::vector<std::uint64_t> shed(flow.shed.begin(), flow.shed.end());
-    std::sort(shed.begin(), shed.end());
-    w.u32(static_cast<std::uint32_t>(shed.size()));
-    for (const std::uint64_t key64 : shed) {
-      w.u32(static_cast<std::uint32_t>(key64 >> 16));
-      w.u16(static_cast<std::uint16_t>(key64 & 0xFFFF));
-    }
-  });
-}
 
 util::Bytes DispatchingService::capture_state() const {
   util::ByteWriter w(256);
   table_.capture(w);
-  encode_flows(w);
-
-  w.u32(static_cast<std::uint32_t>(cursors_.size()));
-  cursors_.for_each_sorted([&w](StreamKey key, const SequenceNo& seq) {
-    w.u32(key.pack());
-    w.u16(seq);
-  });
+  flows_.write_full(w, encode_flow);
+  cursors_.write_full(w, encode_cursor);
   return std::move(w).take();
 }
 
@@ -214,116 +214,39 @@ util::Bytes DispatchingService::capture_full() {
 util::Bytes DispatchingService::capture_delta() {
   util::ByteWriter w(256);
   table_.capture(w);
-  encode_flows(w);
-
-  const std::vector<std::uint32_t> removed = cursors_.removed_keys();
-  const std::vector<std::uint32_t> dirty = cursors_.dirty_keys();
-  w.u32(static_cast<std::uint32_t>(removed.size()));
-  for (const std::uint32_t key : removed) w.u32(key);
-  w.u32(static_cast<std::uint32_t>(dirty.size()));
-  for (const std::uint32_t raw : dirty) {
-    w.u32(raw);
-    w.u16(*cursors_.find(StreamKey::from_packed(raw)));
-  }
+  flows_.write_full(w, encode_flow);
+  cursors_.write_delta(w, encode_cursor, 6);  // [u32 key][u16 seq]
   flows_.clear_dirty();
   cursors_.clear_dirty();
   return std::move(w).take();
 }
 
-namespace {
-
-std::vector<ParsedFlow> parse_flows(util::ByteReader& r) {
-  const std::uint32_t flow_count = r.u32();
-  std::vector<ParsedFlow> flows;
-  for (std::uint32_t i = 0; i < flow_count && r.ok(); ++i) {
-    ParsedFlow f;
-    f.addr = r.u32();
-    [[maybe_unused]] const std::uint32_t credits = r.u32();  // restore re-primes
-    f.quarantined = r.u8() != 0;
-    const std::uint32_t shed_count = r.u32();
-    for (std::uint32_t j = 0; j < shed_count && r.ok(); ++j) {
-      const std::uint32_t packed = r.u32();
-      const SequenceNo seq = r.u16();
-      f.shed.push_back((static_cast<std::uint64_t>(packed) << 16) | seq);
-    }
-    if (r.ok()) flows.push_back(std::move(f));
-  }
-  return flows;
-}
-
-}  // namespace
-
 util::Status<util::DecodeError> DispatchingService::apply_delta(util::BytesView delta) {
-  util::ByteReader r(delta);
-  SubscriptionTable table;
-  if (const auto status = table.restore(r); !status.ok()) return status;
-  std::vector<ParsedFlow> flows = parse_flows(r);
-
-  std::vector<StreamKey> removed;
-  const std::uint32_t removed_count = r.u32();
-  for (std::uint32_t i = 0; i < removed_count && r.ok(); ++i) {
-    removed.push_back(StreamKey::from_packed(r.u32()));
-  }
-  std::vector<std::pair<StreamKey, SequenceNo>> upserts;
-  const std::uint32_t dirty_count = r.u32();
-  for (std::uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
-    const StreamKey key = StreamKey::from_packed(r.u32());
-    const SequenceNo seq = r.u16();
-    upserts.emplace_back(key, seq);
-  }
-  if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
-
-  table_ = std::move(table);
-  flows_.clear();
-  if (flow_.enabled()) {
-    for (const ParsedFlow& f : flows) {
-      Flow& flow = flows_.upsert(ConsumerKey{f.addr});
-      flow.credits = flow_.credit_window;
-      flow.quarantined = f.quarantined;
-      flow.epoch = next_flow_epoch_++;
-      flow.shed.insert(f.shed.begin(), f.shed.end());
-    }
-  }
-  for (const StreamKey key : removed) cursors_.erase(key);
-  for (const auto& [key, seq] : upserts) cursors_.upsert(key) = seq;
-  flows_.clear_dirty();
-  cursors_.clear_dirty();
-  return {};
+  return load(delta, /*delta=*/true);
 }
 
 util::Status<util::DecodeError> DispatchingService::restore_state(util::BytesView state) {
-  util::ByteReader r(state);
+  return load(state, /*delta=*/false);
+}
+
+util::Status<util::DecodeError> DispatchingService::load(util::BytesView bytes, bool delta) {
+  util::ByteReader r(bytes);
   SubscriptionTable table;
   if (const auto status = table.restore(r); !status.ok()) return status;
-  std::vector<ParsedFlow> flows = parse_flows(r);
-
-  const std::uint32_t cursor_count = r.u32();
-  std::vector<std::pair<std::uint32_t, SequenceNo>> cursors;
-  for (std::uint32_t i = 0; i < cursor_count && r.ok(); ++i) {
-    const std::uint32_t packed = r.u32();
-    const SequenceNo seq = r.u16();
-    cursors.emplace_back(packed, seq);
-  }
+  auto flows = FlowTable::read_full(r, decode_flow);
+  auto cursors = delta ? CursorTable::read_delta(r, decode_cursor)
+                       : CursorTable::read_full(r, decode_cursor);
   if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
   table_ = std::move(table);
-  flows_.clear();
-  if (flow_.enabled()) {
-    for (const ParsedFlow& f : flows) {
-      Flow& flow = flows_.upsert(ConsumerKey{f.addr});
-      flow.credits = flow_.credit_window;
-      flow.quarantined = f.quarantined;
-      flow.epoch = next_flow_epoch_++;
-      flow.shed.insert(f.shed.begin(), f.shed.end());
-    }
+  // Flows ride every frame whole, re-primed to a full credit window.
+  if (!flow_.enabled()) flows.entries.clear();
+  for (auto& [key, flow] : flows.entries) {
+    flow.credits = flow_.credit_window;
+    flow.epoch = next_flow_epoch_++;
   }
-  cursors_.clear();
-  cursors_.reserve(cursors.size());
-  for (const auto& [packed, seq] : cursors) {
-    cursors_.upsert(StreamKey::from_packed(packed)) = seq;
-  }
-  flows_.clear_dirty();
-  cursors_.clear_dirty();
+  flows_.apply(std::move(flows));
+  cursors_.apply(std::move(cursors));
   return {};
 }
 

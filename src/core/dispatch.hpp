@@ -276,8 +276,14 @@ class DispatchingService {
     std::size_t index = 0;
   };
 
+  using FlowTable = StreamTable<Flow, ConsumerKey>;
+  using CursorTable = StreamTable<SequenceNo>;
+
   void on_envelope(net::Envelope envelope);
-  void encode_flows(util::ByteWriter& w) const;
+  static void encode_flow(util::ByteWriter& w, const Flow& flow);
+  [[nodiscard]] static Flow decode_flow(ConsumerKey key, util::ByteReader& r);
+  /// restore_state()/apply_delta(): parse a full or delta body, then commit.
+  [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
   void deliver(const DataMessageView& message, util::SimTime first_heard);
   void advance_cursor(StreamId id, SequenceNo seq);
   void fetch_stash(const std::shared_ptr<StashReplay>& plan);
@@ -304,12 +310,12 @@ class DispatchingService {
   obs::Tracer* tracer_ = nullptr;
   std::vector<net::Address> scratch_;  ///< Reused fan-out buffer.
   FlowControlConfig flow_;
-  StreamTable<Flow, ConsumerKey> flows_;  ///< Keyed by consumer address.
+  FlowTable flows_;  ///< Keyed by consumer address.
   std::uint64_t next_flow_epoch_ = 1;
   OpSink op_sink_;
   /// Newest processed sequence per stream — the 10^6-scale table; its
   /// dirty set is what makes dispatch deltas O(traffic) not O(streams).
-  StreamTable<SequenceNo> cursors_;
+  CursorTable cursors_;
   /// Alive while a post-restart stash sweep is in flight, so deliver()
   /// can mark live traffic racing it (the sweep's per-stream ceiling).
   std::weak_ptr<StashReplay> active_stash_replay_;

@@ -49,9 +49,7 @@ void FilteringService::reset() {
   streams_.clear();
 }
 
-void FilteringService::encode_stream(util::ByteWriter& w, std::uint32_t packed,
-                                     const StreamState& state) {
-  w.u32(packed);
+void FilteringService::encode_stream(util::ByteWriter& w, const StreamState& state) {
   w.u8(state.started ? 1 : 0);
   w.u16(state.newest);
   w.u16(state.next_release);
@@ -90,10 +88,7 @@ FilteringService::StreamState FilteringService::decode_stream(util::ByteReader& 
 
 util::Bytes FilteringService::capture_state() const {
   util::ByteWriter w(16 + streams_.size() * 32);
-  w.u32(static_cast<std::uint32_t>(streams_.size()));
-  streams_.for_each_sorted([&w](StreamKey key, const StreamState& state) {
-    encode_stream(w, key.pack(), state);
-  });
+  streams_.write_full(w, encode_stream);
   return std::move(w).take();
 }
 
@@ -104,64 +99,30 @@ util::Bytes FilteringService::capture_full() {
 }
 
 util::Bytes FilteringService::capture_delta() {
-  const std::vector<std::uint32_t> removed = streams_.removed_keys();
-  const std::vector<std::uint32_t> dirty = streams_.dirty_keys();
-  util::ByteWriter w(16 + removed.size() * 4 + dirty.size() * 32);
-  w.u32(static_cast<std::uint32_t>(removed.size()));
-  for (const std::uint32_t key : removed) w.u32(key);
-  w.u32(static_cast<std::uint32_t>(dirty.size()));
-  for (const std::uint32_t raw : dirty) {
-    encode_stream(w, raw, *streams_.find(StreamKey::from_packed(raw)));
-  }
+  util::ByteWriter w;
+  streams_.write_delta(w, encode_stream, 32);
   streams_.clear_dirty();
   return std::move(w).take();
 }
 
 util::Status<util::DecodeError> FilteringService::apply_delta(util::BytesView delta) {
-  util::ByteReader r(delta);
-  std::vector<StreamKey> removed;
-  const std::uint32_t removed_count = r.u32();
-  for (std::uint32_t i = 0; i < removed_count && r.ok(); ++i) {
-    removed.push_back(StreamKey::from_packed(r.u32()));
-  }
-  std::vector<std::pair<StreamKey, StreamState>> upserts;
-  const std::uint32_t dirty_count = r.u32();
-  for (std::uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
-    const StreamKey key = StreamKey::from_packed(r.u32());
-    StreamState s = decode_stream(r);
-    if (r.ok()) upserts.emplace_back(key, std::move(s));
-  }
-  if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
-
-  for (const StreamKey key : removed) {
-    if (StreamState* gone = streams_.mutate(key)) scheduler_.cancel(gone->gap_timer);
-    streams_.erase(key);
-  }
-  for (auto& [key, s] : upserts) {
-    StreamState& entry = streams_.upsert(key);
-    // A replaced stream's in-flight reorder state dies with the primary:
-    // the delta carries dedup state only.
-    scheduler_.cancel(entry.gap_timer);
-    entry = std::move(s);
-  }
-  streams_.clear_dirty();
-  return {};
+  return load(delta, /*delta=*/true);
 }
 
 util::Status<util::DecodeError> FilteringService::restore_state(util::BytesView state) {
-  util::ByteReader r(state);
-  std::vector<std::pair<StreamKey, StreamState>> parsed;
-  const std::uint32_t declared = r.u32();
-  for (std::uint32_t i = 0; i < declared && r.ok(); ++i) {
-    const StreamKey key = StreamKey::from_packed(r.u32());
-    StreamState s = decode_stream(r);
-    if (r.ok()) parsed.emplace_back(key, std::move(s));
-  }
+  return load(state, /*delta=*/false);
+}
+
+util::Status<util::DecodeError> FilteringService::load(util::BytesView bytes, bool delta) {
+  util::ByteReader r(bytes);
+  const auto decode = [this](StreamKey, util::ByteReader& in) { return decode_stream(in); };
+  auto section = delta ? Table::read_delta(r, decode) : Table::read_full(r, decode);
   if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
-  reset();  // cancels gap timers before the wholesale swap
-  for (auto& [key, s] : parsed) streams_.upsert(key) = std::move(s);
-  streams_.clear_dirty();
+  // A removed or replaced stream's in-flight reorder state dies with the
+  // primary (checkpoints carry dedup state only): cancel its gap timer.
+  streams_.apply(std::move(section),
+                 [this](StreamState& gone) { scheduler_.cancel(gone.gap_timer); });
   return {};
 }
 

@@ -200,8 +200,13 @@ class FilteringService {
   void release_ready(StreamId id, StreamState& state);
   void flush_gap(StreamId id);
   void arm_gap_timer(StreamId id, StreamState& state);
-  static void encode_stream(util::ByteWriter& w, std::uint32_t packed, const StreamState& state);
+
+  using Table = StreamTable<StreamState>;
+
+  static void encode_stream(util::ByteWriter& w, const StreamState& state);
   [[nodiscard]] StreamState decode_stream(util::ByteReader& r) const;
+  /// restore_state()/apply_delta(): parse a full or delta body, then commit.
+  [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
 
   /// True if `a` is newer than `b` in wrapping 16-bit arithmetic.
   [[nodiscard]] static bool seq_newer(SequenceNo a, SequenceNo b) {
@@ -212,7 +217,7 @@ class FilteringService {
   Config config_;
   MessageSink message_sink_;
   ReceptionSink reception_sink_;
-  StreamTable<StreamState> streams_;
+  Table streams_;
   FilteringStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };

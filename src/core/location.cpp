@@ -155,9 +155,7 @@ std::optional<LocationEstimate> LocationService::infer(SensorTrack& track) {
   return est;
 }
 
-void LocationService::encode_track(util::ByteWriter& w, SensorId sensor,
-                                   const SensorTrack& track) {
-  w.u32(sensor);
+void LocationService::encode_track(util::ByteWriter& w, const SensorTrack& track) {
   w.u32(static_cast<std::uint32_t>(track.observations.size()));
   for (const Observation& obs : track.observations) {
     w.u32(obs.receiver);
@@ -173,7 +171,7 @@ void LocationService::encode_track(util::ByteWriter& w, SensorId sensor,
   }
 }
 
-LocationService::SensorTrack LocationService::decode_track(util::ByteReader& r) {
+LocationService::SensorTrack LocationService::decode_track(SensorKey, util::ByteReader& r) {
   SensorTrack track;
   const std::uint32_t obs_count = r.u32();
   for (std::uint32_t j = 0; j < obs_count && r.ok(); ++j) {
@@ -196,10 +194,7 @@ LocationService::SensorTrack LocationService::decode_track(util::ByteReader& r) 
 
 util::Bytes LocationService::capture_state() const {
   util::ByteWriter w(16 + tracks_.size() * 64);
-  w.u32(static_cast<std::uint32_t>(tracks_.size()));
-  tracks_.for_each_sorted([&w](SensorKey key, const SensorTrack& track) {
-    encode_track(w, key.sensor(), track);
-  });
+  tracks_.write_full(w, encode_track);
   return std::move(w).take();
 }
 
@@ -210,56 +205,26 @@ util::Bytes LocationService::capture_full() {
 }
 
 util::Bytes LocationService::capture_delta() {
-  const std::vector<std::uint32_t> removed = tracks_.removed_keys();
-  const std::vector<std::uint32_t> dirty = tracks_.dirty_keys();
-  util::ByteWriter w(16 + removed.size() * 4 + dirty.size() * 64);
-  w.u32(static_cast<std::uint32_t>(removed.size()));
-  for (const std::uint32_t key : removed) w.u32(key);
-  w.u32(static_cast<std::uint32_t>(dirty.size()));
-  for (const std::uint32_t raw : dirty) {
-    const SensorKey key = SensorKey::from_packed(raw);
-    encode_track(w, key.sensor(), *tracks_.find(key));
-  }
+  util::ByteWriter w;
+  tracks_.write_delta(w, encode_track, 64);
   tracks_.clear_dirty();
   return std::move(w).take();
 }
 
 util::Status<util::DecodeError> LocationService::apply_delta(util::BytesView delta) {
-  util::ByteReader r(delta);
-  std::vector<SensorKey> removed;
-  const std::uint32_t removed_count = r.u32();
-  for (std::uint32_t i = 0; i < removed_count && r.ok(); ++i) {
-    removed.push_back(SensorKey::from_packed(r.u32()));
-  }
-  std::vector<std::pair<SensorId, SensorTrack>> upserts;
-  const std::uint32_t dirty_count = r.u32();
-  for (std::uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
-    const SensorId sensor = r.u32();
-    SensorTrack track = decode_track(r);
-    if (r.ok()) upserts.emplace_back(sensor, std::move(track));
-  }
-  if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
-
-  for (const SensorKey key : removed) tracks_.erase(key);
-  for (auto& [sensor, track] : upserts) tracks_.upsert(SensorKey{sensor}) = std::move(track);
-  tracks_.clear_dirty();
-  return {};
+  return load(delta, /*delta=*/true);
 }
 
 util::Status<util::DecodeError> LocationService::restore_state(util::BytesView state) {
-  util::ByteReader r(state);
-  std::vector<std::pair<SensorId, SensorTrack>> parsed;
-  const std::uint32_t declared = r.u32();
-  for (std::uint32_t i = 0; i < declared && r.ok(); ++i) {
-    const SensorId sensor = r.u32();
-    SensorTrack track = decode_track(r);
-    if (r.ok()) parsed.emplace_back(sensor, std::move(track));
-  }
+  return load(state, /*delta=*/false);
+}
+
+util::Status<util::DecodeError> LocationService::load(util::BytesView bytes, bool delta) {
+  util::ByteReader r(bytes);
+  auto section = delta ? Table::read_delta(r, decode_track) : Table::read_full(r, decode_track);
   if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
-  tracks_.clear();
-  for (auto& [sensor, track] : parsed) tracks_.upsert(SensorKey{sensor}) = std::move(track);
-  tracks_.clear_dirty();
+  tracks_.apply(std::move(section));
   return {};
 }
 

@@ -134,15 +134,20 @@ class LocationService {
 
   void on_envelope(net::Envelope envelope);
   [[nodiscard]] std::optional<LocationEstimate> infer(SensorTrack& track);
-  static void encode_track(util::ByteWriter& w, SensorId sensor, const SensorTrack& track);
-  [[nodiscard]] static SensorTrack decode_track(util::ByteReader& r);
+
+  using Table = StreamTable<SensorTrack, SensorKey>;
+
+  static void encode_track(util::ByteWriter& w, const SensorTrack& track);
+  [[nodiscard]] static SensorTrack decode_track(SensorKey key, util::ByteReader& r);
+  /// restore_state()/apply_delta(): parse a full or delta body, then commit.
+  [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
 
   net::MessageBus& bus_;
   AuthService& auth_;
   Config config_;
   net::RpcNode node_;
   std::unordered_map<wireless::ReceiverId, wireless::Receiver> receivers_;
-  StreamTable<SensorTrack, SensorKey> tracks_;
+  Table tracks_;
   UpdateSink update_sink_;
   LocationStats stats_;
 };

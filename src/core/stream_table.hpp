@@ -26,6 +26,20 @@
 //     (dirty entries + removals since the last capture) instead of
 //     stalling the plane to walk 10^6 entries (core/checkpoint.hpp's
 //     delta frames). clear_dirty() rebases after any capture.
+//
+// Table sections. This header is the one home of the checkpoint layout
+// every service's table shares; a service supplies only the codec of
+// one entry's value. Big-endian, as util::ByteWriter writes it:
+//
+//   full section:   [u32 n] then n x ([u32 key][entry]), keys ascending
+//   delta section:  [u32 r] then r x [u32 removed key] (ascending,
+//                   deduplicated), then [u32 d] then d x ([u32 key][entry])
+//                   for the entries dirtied since the last rebase,
+//                   keys ascending
+//
+// write_full()/write_delta() emit a section; read_full()/read_delta()
+// parse one into a Section without touching any table, and apply()
+// commits it — so a frame that fails to parse never partially applies.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +51,7 @@
 #include <vector>
 
 #include "core/message.hpp"
+#include "util/bytes.hpp"
 
 namespace garnet::core {
 
@@ -300,13 +315,95 @@ class StreamTable {
     removed_.clear();
   }
 
-  /// Marks every live entry dirty (restore paths that rebuild wholesale
-  /// and want the next delta to carry everything).
-  void mark_all_dirty() {
-    for (std::uint32_t i = 0; i < arena_used_; ++i) {
-      Entry* entry = arena_at(i);
-      if (entry->alive) entry->dirty = true;
+  // --- table sections (layout in the header comment) -------------------
+
+  /// One parsed section: keys to remove, then entries to upsert. A full
+  /// section replaces the whole table.
+  struct Section {
+    bool full = false;
+    std::vector<Key> removed;
+    std::vector<std::pair<Key, T>> entries;
+  };
+
+  /// Writes every entry as a full section. encode(w, const T&) writes
+  /// one entry's value; the key is written here.
+  template <typename Encode>
+  void write_full(util::ByteWriter& w, Encode&& encode) const {
+    w.u32(static_cast<std::uint32_t>(size_));
+    for_each_sorted([&](Key key, const T& value) {
+      w.u32(key.pack());
+      encode(w, value);
+    });
+  }
+
+  /// Writes the removals and dirty entries since the last rebase as a
+  /// delta section. Reserves room for it first, at `entry_bytes` per
+  /// dirty entry (key included) plus 16 for the counts and a small
+  /// trailer: only the table knows the journal sizes.
+  template <typename Encode>
+  void write_delta(util::ByteWriter& w, Encode&& encode, std::size_t entry_bytes) const {
+    const std::vector<std::uint32_t> removed = removed_keys();
+    const std::vector<std::uint32_t> dirty = dirty_keys();
+    w.reserve(w.size() + 16 + removed.size() * 4 + dirty.size() * entry_bytes);
+    w.u32(static_cast<std::uint32_t>(removed.size()));
+    for (const std::uint32_t raw : removed) w.u32(raw);
+    w.u32(static_cast<std::uint32_t>(dirty.size()));
+    for (const std::uint32_t raw : dirty) {
+      w.u32(raw);
+      encode(w, *find(Key::from_packed(raw)));
     }
+  }
+
+  /// Parses a full section. decode(Key, util::ByteReader&) returns one
+  /// entry's value. On malformed input `r` is left failed and the
+  /// section is partial; the caller checks `r` before apply().
+  template <typename Decode>
+  [[nodiscard]] static Section read_full(util::ByteReader& r, Decode&& decode) {
+    Section section;
+    section.full = true;
+    read_entries(r, decode, section);
+    return section;
+  }
+
+  /// Parses a delta section; failure as read_full().
+  template <typename Decode>
+  [[nodiscard]] static Section read_delta(util::ByteReader& r, Decode&& decode) {
+    Section section;
+    const std::uint32_t removed = r.u32();
+    for (std::uint32_t i = 0; i < removed && r.ok(); ++i) {
+      section.removed.push_back(Key::from_packed(r.u32()));
+    }
+    read_entries(r, decode, section);
+    return section;
+  }
+
+  /// Commits a parsed section, then rebases. A full section replaces
+  /// every entry (the index pre-sized for them); a delta removes its
+  /// keys, then upserts its entries.
+  /// drop(T&) runs on every value removed or overwritten before it goes
+  /// (a service cancels timers the value owns).
+  template <typename Drop>
+  void apply(Section section, Drop&& drop) {
+    if (section.full) {
+      for_each([&drop](Key, T& value) { drop(value); });
+      clear();
+      reserve(section.entries.size());
+    }
+    for (const Key key : section.removed) {
+      if (T* gone = mutate(key)) {
+        drop(*gone);
+        erase(key);
+      }
+    }
+    for (auto& [key, value] : section.entries) {
+      auto [entry, inserted] = emplace(key);
+      if (!inserted) drop(entry->value);
+      entry->value = std::move(value);
+    }
+    clear_dirty();
+  }
+  void apply(Section section) {
+    apply(std::move(section), [](T&) {});
   }
 
   /// Bytes held by the index and arena (not counting heap owned by the
@@ -437,6 +534,16 @@ class StreamTable {
   }
 
   [[nodiscard]] std::size_t tombstones() const noexcept { return tombstone_slots_; }
+
+  template <typename Decode>
+  static void read_entries(util::ByteReader& r, Decode& decode, Section& section) {
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+      const Key key = Key::from_packed(r.u32());
+      T value = decode(key, r);
+      if (r.ok()) section.entries.emplace_back(key, std::move(value));
+    }
+  }
 
   void rehash(std::size_t new_size) {
     assert((new_size & (new_size - 1)) == 0 && "slot count must stay a power of two");

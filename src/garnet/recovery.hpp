@@ -2,9 +2,13 @@
 //
 // The harness the paper's presumption of "service-level ... replication
 // ... for efficiency, data-integrity, and fault-tolerance" (§3) demands
-// for *every* stateful service. Each managed service registers four
-// hooks — capture, restore, wipe, and (optionally) apply_op/on_restart —
-// and the harness does the rest:
+// for *every* stateful service. Each managed service registers a
+// RecoveryHarness::Service with these hooks: capture and restore, the
+// optional incremental pair capture_delta/apply_delta, wipe, and the
+// optional apply_op and on_restart. checkpointed() fills the four
+// checkpoint hooks from a service's capture_full/restore_state/
+// capture_delta/apply_delta; the caller sets wipe, apply_op and
+// on_restart. The harness does the rest:
 //
 //   * On a checkpoint cadence, the primary's state is captured into a
 //     core/checkpoint frame and replicated to a standby endpoint over
@@ -211,5 +215,21 @@ class RecoveryHarness {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::CollectorId collector_id_ = 0;
 };
+
+/// A RecoveryHarness::Service named `name` whose checkpoint hooks call
+/// `service`'s capture_full(), restore_state(), capture_delta() and
+/// apply_delta() (the surface every core service shares). The caller
+/// sets endpoints, group, wipe, apply_op and on_restart; `service` must
+/// outlive the harness.
+template <typename Checkpointed>
+[[nodiscard]] RecoveryHarness::Service checkpointed(std::string name, Checkpointed& service) {
+  RecoveryHarness::Service spec;
+  spec.name = std::move(name);
+  spec.capture = [&service] { return service.capture_full(); };
+  spec.restore = [&service](util::BytesView state) { return service.restore_state(state); };
+  spec.capture_delta = [&service] { return service.capture_delta(); };
+  spec.apply_delta = [&service](util::BytesView delta) { return service.apply_delta(delta); };
+  return spec;
+}
 
 }  // namespace garnet

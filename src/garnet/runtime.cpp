@@ -216,64 +216,40 @@ void Runtime::wire_recovery() {
     recovery_->log_op("dispatch", kind, payload);
   });
 
-  recovery_->manage({
-      .name = "filtering",
-      .endpoints = {},  // no bus endpoint; fed directly by the radio sink
-      .capture = [this] { return filtering_.capture_full(); },
-      .restore = [this](util::BytesView state) { return filtering_.restore_state(state); },
-      .capture_delta = [this] { return filtering_.capture_delta(); },
-      .apply_delta = [this](util::BytesView delta) { return filtering_.apply_delta(delta); },
-      .wipe = [this] { filtering_.reset(); },
-      .apply_op =
-          [this](std::uint16_t kind, util::BytesView payload) {
-            if (kind != core::kFilteringOpSeen) return;
-            util::ByteReader r(payload);
-            const std::uint32_t packed = r.u32();
-            const core::SequenceNo seq = r.u16();
-            if (r.ok()) filtering_.note_seen(core::StreamId::from_packed(packed), seq);
-          },
-      .on_restart = {},
-  });
+  RecoveryHarness::Service filtering = checkpointed("filtering", filtering_);
+  // No endpoints: filtering has no bus endpoint, the radio sink feeds it.
+  filtering.wipe = [this] { filtering_.reset(); };
+  filtering.apply_op = [this](std::uint16_t kind, util::BytesView payload) {
+    if (kind != core::kFilteringOpSeen) return;
+    util::ByteReader r(payload);
+    const std::uint32_t packed = r.u32();
+    const core::SequenceNo seq = r.u16();
+    if (r.ok()) filtering_.note_seen(core::StreamId::from_packed(packed), seq);
+  };
+  recovery_->manage(std::move(filtering));
 
-  recovery_->manage({
-      .name = "dispatch",
-      .endpoints = {core::DispatchingService::kEndpointName},
-      .capture = [this] { return dispatch_.capture_full(); },
-      .restore = [this](util::BytesView state) { return dispatch_.restore_state(state); },
-      .capture_delta = [this] { return dispatch_.capture_delta(); },
-      .apply_delta = [this](util::BytesView delta) { return dispatch_.apply_delta(delta); },
-      .wipe = [this] { dispatch_.reset_state(); },
-      .apply_op = [this](std::uint16_t kind,
-                         util::BytesView payload) { dispatch_.apply_op(kind, payload); },
-      .on_restart = [this] { dispatch_.replay_stash(); },
-  });
+  RecoveryHarness::Service dispatch = checkpointed("dispatch", dispatch_);
+  dispatch.endpoints = {core::DispatchingService::kEndpointName};
+  dispatch.wipe = [this] { dispatch_.reset_state(); };
+  dispatch.apply_op = [this](std::uint16_t kind, util::BytesView payload) {
+    dispatch_.apply_op(kind, payload);
+  };
+  dispatch.on_restart = [this] { dispatch_.replay_stash(); };
+  recovery_->manage(std::move(dispatch));
 
   // Location and catalog are checkpoint-only: their state is soft
   // (re-learnable from the ongoing stream), so gaps cost accuracy, not
   // correctness, and an op log would buy nothing.
-  recovery_->manage({
-      .name = "location",
-      .endpoints = {core::LocationService::kEndpointName},
-      .capture = [this] { return location_.capture_full(); },
-      .restore = [this](util::BytesView state) { return location_.restore_state(state); },
-      .capture_delta = [this] { return location_.capture_delta(); },
-      .apply_delta = [this](util::BytesView delta) { return location_.apply_delta(delta); },
-      .wipe = [this] { location_.reset_state(); },
-      .apply_op = {},
-      .on_restart = [this] { location_.set_receiver_layout(field_.medium().receivers()); },
-  });
+  RecoveryHarness::Service location = checkpointed("location", location_);
+  location.endpoints = {core::LocationService::kEndpointName};
+  location.wipe = [this] { location_.reset_state(); };
+  location.on_restart = [this] { location_.set_receiver_layout(field_.medium().receivers()); };
+  recovery_->manage(std::move(location));
 
-  recovery_->manage({
-      .name = "catalog",
-      .endpoints = {core::CatalogService::kEndpointName},
-      .capture = [this] { return catalog_.capture_full(); },
-      .restore = [this](util::BytesView state) { return catalog_.restore_state(state); },
-      .capture_delta = [this] { return catalog_.capture_delta(); },
-      .apply_delta = [this](util::BytesView delta) { return catalog_.apply_delta(delta); },
-      .wipe = [this] { catalog_.clear(); },
-      .apply_op = {},
-      .on_restart = {},
-  });
+  RecoveryHarness::Service catalog = checkpointed("catalog", catalog_);
+  catalog.endpoints = {core::CatalogService::kEndpointName};
+  catalog.wipe = [this] { catalog_.clear(); };
+  recovery_->manage(std::move(catalog));
 
   // FaultPlan::crashes fire through the injector into the harness.
   if (net::FaultInjector* injector = bus_.fault_injector()) {

@@ -320,33 +320,15 @@ core::FilteringStats ShardedDispatchPlane::merged_filtering_stats() const {
   return merged;
 }
 
-util::Bytes ShardedDispatchPlane::capture_full(std::uint32_t shard) {
-  return shards_.at(shard)->dispatch.capture_full();
-}
-
-util::Bytes ShardedDispatchPlane::capture_delta(std::uint32_t shard) {
-  return shards_.at(shard)->dispatch.capture_delta();
-}
-
-util::Status<util::DecodeError> ShardedDispatchPlane::restore(std::uint32_t shard,
-                                                              util::BytesView state) {
-  return shards_.at(shard)->dispatch.restore_state(state);
-}
-
 void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
                                              const std::string& prefix) {
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     Shard& s = *shards_[i];
-    RecoveryHarness::Service spec;
-    spec.name = prefix + ".shard" + std::to_string(i);
+    RecoveryHarness::Service spec = checkpointed(prefix + ".shard" + std::to_string(i), s.dispatch);
     spec.group = prefix;
     // The shard's endpoints live on its own bus, not the harness's, so
     // there is nothing to silence here; a crash is modelled as the
     // wipe + restore cycle on the shard's dispatcher state.
-    spec.capture = [this, i] { return capture_full(i); };
-    spec.capture_delta = [this, i] { return capture_delta(i); };
-    spec.apply_delta = [&s](util::BytesView delta) { return s.dispatch.apply_delta(delta); };
-    spec.restore = [this, i](util::BytesView state) { return restore(i, state); };
     spec.wipe = [&s] { s.dispatch.reset_state(); };
     spec.apply_op = [&s](std::uint16_t kind, util::BytesView payload) {
       s.dispatch.apply_op(kind, payload);

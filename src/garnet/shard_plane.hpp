@@ -13,7 +13,8 @@
 //   * FilteringService + DispatchingService with shard-local StreamTable
 //     slices (dedup state, cursors, credit ledger);
 //   * Orphanage (unclaimed data + the quarantine stash);
-//   * checkpoint/delta stream (capture_full / capture_delta per shard).
+//   * checkpoint/delta stream (its dispatcher's capture_full /
+//     capture_delta, registered by register_recovery()).
 //
 // Shards share no mutable state, so a round of work — every shard
 // draining its batch to idle — runs the shards on pinned worker threads
@@ -196,19 +197,13 @@ class ShardedDispatchPlane {
 
   // --- checkpoints / recovery ---------------------------------------------
 
-  /// Per-shard checkpoint stream: shard-local full and delta frames
-  /// (core/dispatch capture surfaces). At N=1 these are byte-identical
-  /// to an unsharded DispatchingService's frames.
-  [[nodiscard]] util::Bytes capture_full(std::uint32_t shard);
-  [[nodiscard]] util::Bytes capture_delta(std::uint32_t shard);
-  [[nodiscard]] util::Status<util::DecodeError> restore(std::uint32_t shard,
-                                                        util::BytesView state);
-
   /// Registers every shard's dispatcher with the harness as
   /// "<prefix>.shard<i>", all under one re-anchor group: each shard
   /// checkpoints on the harness cadence (full/delta per its own dirty
   /// sets), and a promotion of any shard forces the next capture of
   /// *every* shard full, re-anchoring the plane as one logical state.
+  /// Each shard's frames are its dispatcher's own (dispatch(i)), so at
+  /// N=1 they are byte-identical to an unsharded DispatchingService's.
   void register_recovery(RecoveryHarness& harness,
                          const std::string& prefix = "dispatch-plane");
 

@@ -37,6 +37,8 @@ class ByteWriter {
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { out_.reserve(reserve); }
 
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v);
   void u24(std::uint32_t v);  ///< Low 24 bits only; high byte must be zero.

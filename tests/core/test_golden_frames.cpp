@@ -220,6 +220,23 @@ TEST(GoldenFrames, CheckpointBytesArePinned) {
 }
 
 // --- full + deltas == full, per service -------------------------------
+//
+// Every delta goes through ship_delta(): each proper prefix of it must be
+// rejected with the standby untouched (never partially applied), and the
+// intact delta must bring the standby byte-identical to the primary.
+
+template <typename Service>
+void ship_delta(Service& primary, Service& standby) {
+  const util::Bytes delta = primary.capture_delta();
+  const util::Bytes before = standby.capture_state();
+  for (std::size_t len = 0; len < delta.size(); ++len) {
+    EXPECT_FALSE(standby.apply_delta(util::BytesView(delta.data(), len)).ok())
+        << "accepted a " << len << "-byte delta prefix";
+    EXPECT_EQ(standby.capture_state(), before) << "partial apply at len " << len;
+  }
+  ASSERT_TRUE(standby.apply_delta(delta).ok());
+  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+}
 
 TEST(GoldenFrames, CatalogDeltaChainReproducesFullCapture) {
   const SimTime t = SimTime{} + Duration::millis(50);
@@ -235,12 +252,10 @@ TEST(GoldenFrames, CatalogDeltaChainReproducesFullCapture) {
   primary.note_message({2, 0}, t + Duration::millis(5));
   primary.advertise({9, 9}, "nine", "water-level");
   (void)primary.allocate_derived();
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 
   // Delta 2: only untouched state — an empty delta must also converge.
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 }
 
 TEST(GoldenFrames, FilteringDeltaChainReproducesFullCapture) {
@@ -255,23 +270,26 @@ TEST(GoldenFrames, FilteringDeltaChainReproducesFullCapture) {
 
   primary.note_seen({1, 0}, 8);        // existing stream advances
   primary.note_seen({3, 3}, 0);        // brand-new stream
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 
   primary.note_seen({2, 0}, 101);
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 }
 
 TEST(GoldenFrames, LocationDeltaChainReproducesFullCapture) {
+  const std::vector<wireless::Receiver> layout = {{.id = 1, .position = {0.0, 0.0}},
+                                                  {.id = 2, .position = {60.0, 0.0}},
+                                                  {.id = 3, .position = {0.0, 80.0}}};
   sim::Scheduler scheduler_a;
   net::MessageBus bus_a(scheduler_a, {});
   AuthService auth_a{{}};
   LocationService primary(bus_a, auth_a, {});
+  primary.set_receiver_layout(layout);
   sim::Scheduler scheduler_b;
   net::MessageBus bus_b(scheduler_b, {});
   AuthService auth_b{{}};
   LocationService standby(bus_b, auth_b, {});
+  standby.set_receiver_layout(layout);
 
   const SimTime t = SimTime{} + Duration::seconds(1);
   primary.observe({.sensor = 4, .receiver = 1, .rssi_dbm = -60.0, .heard_at = t});
@@ -288,8 +306,7 @@ TEST(GoldenFrames, LocationDeltaChainReproducesFullCapture) {
   hint.y = 34.0;
   hint.radius_m = 20.0;
   primary.hint(hint, t + Duration::millis(20));
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 }
 
 TEST(GoldenFrames, DispatchDeltaChainReproducesFullCapture) {
@@ -327,11 +344,9 @@ TEST(GoldenFrames, DispatchDeltaChainReproducesFullCapture) {
   msg.stream_id = {1, 0};
   msg.sequence = 4;
   primary.on_filtered(msg, scheduler_a.now());
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 
-  ASSERT_TRUE(standby.apply_delta(primary.capture_delta()).ok());
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 }
 
 // --- corrupt deltas never partially apply -----------------------------
@@ -345,16 +360,7 @@ TEST(GoldenFrames, TruncatedDeltaLeavesStateUntouched) {
 
   primary.advertise({2, 0}, "two", "temperature");
   primary.note_message({1, 0}, t);
-  const util::Bytes delta = primary.capture_delta();
-  const util::Bytes before = standby.capture_state();
-
-  for (std::size_t len = 0; len < delta.size(); ++len) {
-    EXPECT_FALSE(standby.apply_delta(util::BytesView(delta.data(), len)).ok())
-        << "accepted a " << len << "-byte delta prefix";
-    EXPECT_EQ(standby.capture_state(), before) << "partial apply at len " << len;
-  }
-  ASSERT_TRUE(standby.apply_delta(delta).ok());  // the intact delta still lands
-  EXPECT_EQ(standby.capture_state(), primary.capture_state());
+  ship_delta(primary, standby);
 }
 
 TEST(GoldenFrames, FilteringTruncatedDeltaLeavesStateUntouched) {
@@ -365,13 +371,7 @@ TEST(GoldenFrames, FilteringTruncatedDeltaLeavesStateUntouched) {
   ASSERT_TRUE(standby.restore_state(primary.capture_full()).ok());
   primary.note_seen({1, 0}, 2);
   primary.note_seen({4, 0}, 5);
-  const util::Bytes delta = primary.capture_delta();
-  const util::Bytes before = standby.capture_state();
-
-  for (std::size_t len = 0; len < delta.size(); ++len) {
-    EXPECT_FALSE(standby.apply_delta(util::BytesView(delta.data(), len)).ok());
-    EXPECT_EQ(standby.capture_state(), before);
-  }
+  ship_delta(primary, standby);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // reference stability across growth, tombstone reuse), the determinism
 // contract (for_each_sorted ascending and complete), and the
 // incremental-checkpoint surface (dirty/removal journals, clear_dirty
-// rebasing) — plus the strong-key types that keep a SensorId from being
+// rebasing, the full/delta section codec and apply) — plus the strong-key types that keep a SensorId from being
 // passed where a StreamKey belongs.
 #include "core/stream_table.hpp"
 
@@ -164,9 +164,6 @@ TEST(StreamTable, DirtyJournalTracksEveryMutationPath) {
   EXPECT_EQ(table.dirty_count(), 0u);
   (void)table.mutate(StreamKey(5, 0));  // mutating lookup dirties
   EXPECT_EQ(table.dirty_keys(), (std::vector<std::uint32_t>{5u << 8}));
-
-  table.mark_all_dirty();
-  EXPECT_EQ(table.dirty_count(), 2u);
 }
 
 TEST(StreamTable, RemovalJournalRecordsSortsAndDedupes) {
@@ -241,6 +238,103 @@ TEST(StreamTable, WorksWithAlternateKeyTypes) {
   flows.upsert(ConsumerKey(42)) = 1;
   EXPECT_TRUE(flows.contains(ConsumerKey(42)));
   EXPECT_FALSE(flows.contains(ConsumerKey(43)));
+}
+
+// --- table sections ---------------------------------------------------
+
+void encode_u64(util::ByteWriter& w, const std::uint64_t& value) { w.u64(value); }
+std::uint64_t decode_u64(StreamKey, util::ByteReader& r) { return r.u64(); }
+
+TEST(StreamTable, SectionsUseTheDocumentedLayout) {
+  StreamTable<std::uint64_t> table;
+  table.upsert(StreamKey(9, 0)) = 90;
+  table.upsert(StreamKey(2, 1)) = 21;
+  table.upsert(StreamKey(4, 0)) = 40;
+
+  util::ByteWriter full;
+  table.write_full(full, encode_u64);
+  util::ByteWriter want_full;
+  want_full.u32(3);
+  for (const auto& [key, value] : {std::pair{StreamKey(2, 1), 21u}, std::pair{StreamKey(4, 0), 40u},
+                                   std::pair{StreamKey(9, 0), 90u}}) {
+    want_full.u32(key.pack());
+    want_full.u64(value);
+  }
+  EXPECT_EQ(std::move(full).take(), std::move(want_full).take());
+
+  table.clear_dirty();
+  table.erase(StreamKey(9, 0));
+  table.erase(StreamKey(2, 1));
+  *table.mutate(StreamKey(4, 0)) = 41;
+  table.upsert(StreamKey(1, 0)) = 10;
+  util::ByteWriter delta;
+  table.write_delta(delta, encode_u64, 12);
+  util::ByteWriter want_delta;
+  want_delta.u32(2);  // removed, ascending
+  want_delta.u32(StreamKey(2, 1).pack());
+  want_delta.u32(StreamKey(9, 0).pack());
+  want_delta.u32(2);  // dirty, ascending
+  want_delta.u32(StreamKey(1, 0).pack());
+  want_delta.u64(10);
+  want_delta.u32(StreamKey(4, 0).pack());
+  want_delta.u64(41);
+  EXPECT_EQ(std::move(delta).take(), std::move(want_delta).take());
+}
+
+TEST(StreamTable, ApplyCommitsSectionsAndDropsWhatItReplaces) {
+  StreamTable<std::uint64_t> primary;
+  primary.upsert(StreamKey(1, 0)) = 1;
+  primary.upsert(StreamKey(2, 0)) = 2;
+  util::ByteWriter full;
+  primary.write_full(full, encode_u64);
+  primary.clear_dirty();
+
+  StreamTable<std::uint64_t> standby;
+  standby.upsert(StreamKey(7, 0)) = 7;  // replaced wholesale by the full section
+  const util::Bytes full_bytes = std::move(full).take();
+  util::ByteReader r(full_bytes);
+  auto section = StreamTable<std::uint64_t>::read_full(r, decode_u64);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(standby.size(), 1u);  // reading touches no table
+  std::vector<std::uint64_t> dropped;
+  const auto drop = [&dropped](std::uint64_t& value) { dropped.push_back(value); };
+  standby.apply(std::move(section), drop);
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(standby.sorted_keys(), primary.sorted_keys());
+  EXPECT_EQ(standby.dirty_count(), 0u);  // applied state is the new baseline
+
+  primary.erase(StreamKey(1, 0));
+  primary.upsert(StreamKey(2, 0)) = 20;
+  primary.upsert(StreamKey(3, 0)) = 3;
+  util::ByteWriter delta;
+  primary.write_delta(delta, encode_u64, 12);
+  const util::Bytes delta_bytes = std::move(delta).take();
+  util::ByteReader rd(delta_bytes);
+  auto delta_section = StreamTable<std::uint64_t>::read_delta(rd, decode_u64);
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ(rd.remaining(), 0u);
+  dropped.clear();
+  standby.apply(std::move(delta_section), drop);
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{1, 2}));  // removed 1, overwrote 2
+  EXPECT_EQ(standby.sorted_keys(), (std::vector<std::uint32_t>{2u << 8, 3u << 8}));
+  EXPECT_EQ(*standby.find(StreamKey(2, 0)), 20u);
+  EXPECT_EQ(*standby.find(StreamKey(3, 0)), 3u);
+  EXPECT_EQ(standby.dirty_count(), 0u);
+  EXPECT_TRUE(standby.removed_keys().empty());
+}
+
+TEST(StreamTable, ReadStopsAtTheFirstShortEntry) {
+  StreamTable<std::uint64_t> table;
+  for (std::uint32_t sensor = 1; sensor <= 3; ++sensor) table.upsert(StreamKey(sensor, 0)) = sensor;
+  util::ByteWriter w;
+  table.write_full(w, encode_u64);
+  const util::Bytes bytes = std::move(w).take();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    util::ByteReader r(util::BytesView(bytes.data(), len));
+    const auto section = StreamTable<std::uint64_t>::read_full(r, decode_u64);
+    EXPECT_FALSE(r.ok()) << "a " << len << "-byte prefix parsed";
+    EXPECT_EQ(section.entries.size(), len < 4 ? 0u : (len - 4) / 12);  // only whole entries
+  }
 }
 
 // Probe-length regression: a hash that clusters the packed ids (tag 0

@@ -133,156 +133,219 @@ TEST_P(CheckpointFuzz, DeltaFramesSurviveBitFlipsAndTruncation) {
   EXPECT_FALSE(checkpoint::decode(valid).ok());
 }
 
-TEST_P(CheckpointFuzz, FilteringApplyDeltaNeverPartiallyApplies) {
-  // Delta bodies face the same arbitrary bytes restore_state does; a
-  // rejected apply must leave the standby byte-identical, an accepted
-  // one must leave it in a state that still round-trips.
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  core::FilteringService standby(scheduler, {});
-  for (core::SequenceNo seq = 0; seq < 10; ++seq) standby.note_seen({3, 0}, seq);
-  const util::Bytes before = standby.capture_full();
+// --- every service's restore_state() and apply_delta() ---------------
+//
+// Each fixture holds one checkpointed service seeded with non-empty
+// state, and touch() changes some of it (what the next delta carries);
+// the properties below run against all four services.
 
-  for (int i = 0; i < 2000; ++i) {
-    if (!standby.apply_delta(random_bytes(rng, 128)).ok()) {
-      ASSERT_EQ(standby.capture_state(), before) << "partial apply at iteration " << i;
-    } else {
-      const util::Bytes again = standby.capture_state();
-      ASSERT_TRUE(standby.restore_state(again).ok());
-      ASSERT_TRUE(standby.restore_state(before).ok());
+struct FilteringFixture {
+  sim::Scheduler scheduler;
+  core::FilteringService service{scheduler, {}};
+  FilteringFixture() {
+    for (core::SequenceNo seq = 0; seq < 10; ++seq) service.note_seen({3, 0}, seq);
+    service.note_seen({17, 2}, 4);
+  }
+  void touch() {
+    service.note_seen({3, 0}, 10);
+    service.note_seen({8, 0}, 2);
+  }
+};
+
+struct CatalogFixture {
+  core::StreamCatalog service;
+  CatalogFixture() {
+    service.advertise({1, 0}, "one", "temperature");
+    service.note_message({2, 2}, util::SimTime{} + util::Duration::millis(3));
+  }
+  void touch() {
+    service.note_message({1, 0}, util::SimTime{} + util::Duration::millis(5));
+    service.advertise({9, 9}, "nine", "water-level");
+  }
+};
+
+struct LocationFixture {
+  sim::Scheduler scheduler;
+  net::MessageBus bus{scheduler, {}};
+  core::AuthService auth{{}};
+  core::LocationService service{bus, auth, {}};
+  const util::SimTime t = util::SimTime{} + util::Duration::seconds(1);
+  LocationFixture() {
+    service.set_receiver_layout({{.id = 1, .position = {0.0, 0.0}},
+                                 {.id = 2, .position = {50.0, 0.0}}});
+    service.observe({.sensor = 4, .receiver = 1, .rssi_dbm = -60.0, .heard_at = t});
+    service.observe({.sensor = 4, .receiver = 2, .rssi_dbm = -70.0, .heard_at = t});
+  }
+  void touch() {
+    const util::SimTime later = t + util::Duration::millis(10);
+    service.observe({.sensor = 4, .receiver = 2, .rssi_dbm = -65.0, .heard_at = later});
+    service.observe({.sensor = 6, .receiver = 1, .rssi_dbm = -80.0, .heard_at = later});
+  }
+};
+
+struct DispatchFixture {
+  sim::Scheduler scheduler;
+  net::MessageBus bus{scheduler, {}};
+  core::AuthService auth{{}};
+  core::StreamCatalog catalog;
+  core::DispatchingService service{bus, auth, catalog};
+  DispatchFixture() {
+    const net::Address subscriber = bus.add_endpoint("fuzz.consumer", [](net::Envelope) {});
+    service.subscribe(subscriber, core::StreamPattern::everything());
+    for (core::SequenceNo seq = 0; seq < 3; ++seq) {
+      send({static_cast<core::SensorId>(5 + seq), 0}, seq);
     }
   }
+  void touch() {
+    send({5, 0}, 3);
+    send({9, 1}, 0);
+  }
+  void send(core::StreamId id, core::SequenceNo seq) {
+    core::DataMessage msg;
+    msg.stream_id = id;
+    msg.sequence = seq;
+    msg.payload = util::to_bytes("x");
+    service.on_filtered(msg, scheduler.now());
+  }
+};
+
+const auto kRestore = [](auto& service, util::BytesView body) {
+  return service.restore_state(body);
+};
+const auto kApplyDelta = [](auto& service, util::BytesView body) {
+  return service.apply_delta(body);
+};
+
+/// Throws random bodies at `load` (restore_state or apply_delta). A
+/// rejected body must leave the service byte-identical; an accepted one
+/// must leave a state that still round-trips.
+template <typename Fixture, typename Load>
+void expect_random_bodies_never_partially_apply(std::uint64_t seed, Load load) {
+  util::Rng rng(seed);
+  Fixture fixture;
+  auto& service = fixture.service;
+  const util::Bytes before = service.capture_full();
+
+  for (int i = 0; i < 2000; ++i) {
+    if (!load(service, random_bytes(rng, 128)).ok()) {
+      ASSERT_EQ(service.capture_state(), before) << "partial apply at iteration " << i;
+    } else {
+      const util::Bytes again = service.capture_state();
+      ASSERT_TRUE(service.restore_state(again).ok());
+      ASSERT_TRUE(service.restore_state(before).ok());
+    }
+  }
+}
+
+/// A seeded service's full body, and the delta body its touch() makes.
+template <typename Fixture>
+util::Bytes full_body() {
+  return Fixture{}.service.capture_full();
+}
+template <typename Fixture>
+util::Bytes delta_body() {
+  Fixture primary;
+  (void)primary.service.capture_full();
+  primary.touch();
+  return primary.service.capture_delta();
+}
+
+/// Flips bytes inside a well-formed body (what a corrupted but
+/// CRC-colliding frame would hand over): parseable mutations may apply,
+/// since the frame CRC upstream is the integrity guard, but nothing may
+/// crash and a rejected body must not partially apply.
+template <typename Fixture, typename Load>
+void expect_flipped_bodies_never_partially_apply(std::uint64_t seed, Load load,
+                                                 const util::Bytes& valid) {
+  util::Rng rng(seed);
+  Fixture fixture;
+  auto& service = fixture.service;
+  const util::Bytes before = service.capture_full();
+
+  for (int i = 0; i < 3000; ++i) {
+    util::Bytes mutated = valid;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^= static_cast<std::byte>(1 + rng.below(255));
+    }
+    if (!load(service, mutated).ok()) {
+      ASSERT_EQ(service.capture_state(), before) << "partial apply at iteration " << i;
+    } else {
+      ASSERT_TRUE(service.restore_state(before).ok());
+    }
+  }
+}
+
+TEST_P(CheckpointFuzz, FilteringApplyDeltaNeverPartiallyApplies) {
+  expect_random_bodies_never_partially_apply<FilteringFixture>(GetParam(), kApplyDelta);
 }
 
 TEST_P(CheckpointFuzz, CatalogApplyDeltaNeverPartiallyApplies) {
-  util::Rng rng(GetParam());
-  core::StreamCatalog standby;
-  standby.advertise({1, 0}, "one", "temperature");
-  standby.note_message({2, 2}, util::SimTime{} + util::Duration::millis(3));
-  const util::Bytes before = standby.capture_full();
-
-  for (int i = 0; i < 2000; ++i) {
-    if (!standby.apply_delta(random_bytes(rng, 128)).ok()) {
-      ASSERT_EQ(standby.capture_state(), before) << "partial apply at iteration " << i;
-    } else {
-      ASSERT_TRUE(standby.restore_state(before).ok());
-    }
-  }
+  expect_random_bodies_never_partially_apply<CatalogFixture>(GetParam(), kApplyDelta);
 }
 
-TEST_P(CheckpointFuzz, MutatedValidDeltaBodiesNeverCorruptFiltering) {
-  // Flipped bytes inside an otherwise well-formed delta body: parseable
-  // mutations may apply (the frame CRC upstream is the integrity guard),
-  // but nothing may crash and rejections must not partially apply.
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  core::FilteringService primary(scheduler, {});
-  core::FilteringService standby(scheduler, {});
-  for (core::SequenceNo seq = 0; seq < 10; ++seq) primary.note_seen({5, 1}, seq);
-  ASSERT_TRUE(standby.restore_state(primary.capture_full()).ok());
-  primary.note_seen({5, 1}, 10);
-  primary.note_seen({8, 0}, 2);
-  const util::Bytes valid_delta = primary.capture_delta();
-  const util::Bytes before = standby.capture_state();
+TEST_P(CheckpointFuzz, LocationApplyDeltaNeverPartiallyApplies) {
+  expect_random_bodies_never_partially_apply<LocationFixture>(GetParam(), kApplyDelta);
+}
 
-  for (int i = 0; i < 3000; ++i) {
-    util::Bytes mutated = valid_delta;
-    const std::size_t flips = 1 + rng.below(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      mutated[rng.below(mutated.size())] ^= static_cast<std::byte>(1 + rng.below(255));
-    }
-    if (!standby.apply_delta(mutated).ok()) {
-      ASSERT_EQ(standby.capture_state(), before);
-    } else {
-      ASSERT_TRUE(standby.restore_state(before).ok());
-    }
-  }
+TEST_P(CheckpointFuzz, DispatchApplyDeltaNeverPartiallyApplies) {
+  expect_random_bodies_never_partially_apply<DispatchFixture>(GetParam(), kApplyDelta);
 }
 
 TEST_P(CheckpointFuzz, FilteringRestoreNeverPartiallyApplies) {
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  core::FilteringService filtering(scheduler, {});
-  for (core::SequenceNo seq = 0; seq < 10; ++seq) {
-    filtering.note_seen({static_cast<core::SensorId>(1 + rng.below(30)), 0}, seq);
-  }
-  const util::Bytes before = filtering.capture_state();
-
-  for (int i = 0; i < 2000; ++i) {
-    const util::Bytes junk = random_bytes(rng, 128);
-    if (!filtering.restore_state(junk).ok()) {
-      // Rejected input must leave the dedup state byte-identical.
-      ASSERT_EQ(filtering.capture_state(), before) << "partial apply at iteration " << i;
-    } else {
-      // Whatever was accepted must round-trip stably; then put the
-      // original back for the next iteration.
-      const util::Bytes again = filtering.capture_state();
-      ASSERT_TRUE(filtering.restore_state(again).ok());
-      ASSERT_TRUE(filtering.restore_state(before).ok());
-    }
-  }
+  expect_random_bodies_never_partially_apply<FilteringFixture>(GetParam(), kRestore);
 }
 
-TEST_P(CheckpointFuzz, DispatchRestoreNeverPartiallyApplies) {
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  net::MessageBus bus(scheduler, {});
-  core::AuthService auth{{}};
-  core::StreamCatalog catalog;
-  core::DispatchingService dispatch(bus, auth, catalog);
-  const net::Address subscriber = bus.add_endpoint("fuzz.consumer", [](net::Envelope) {});
-  dispatch.subscribe(subscriber, core::StreamPattern::everything());
-  const util::Bytes before = dispatch.capture_state();
-
-  for (int i = 0; i < 2000; ++i) {
-    const util::Bytes junk = random_bytes(rng, 128);
-    if (!dispatch.restore_state(junk).ok()) {
-      ASSERT_EQ(dispatch.capture_state(), before) << "partial apply at iteration " << i;
-    } else {
-      ASSERT_TRUE(dispatch.restore_state(before).ok());
-    }
-  }
+TEST_P(CheckpointFuzz, CatalogRestoreNeverPartiallyApplies) {
+  expect_random_bodies_never_partially_apply<CatalogFixture>(GetParam(), kRestore);
 }
 
 TEST_P(CheckpointFuzz, LocationRestoreNeverPartiallyApplies) {
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  net::MessageBus bus(scheduler, {});
-  core::AuthService auth{{}};
-  core::LocationService location(bus, auth, {});
-  const util::Bytes before = location.capture_state();
+  expect_random_bodies_never_partially_apply<LocationFixture>(GetParam(), kRestore);
+}
 
-  for (int i = 0; i < 2000; ++i) {
-    if (!location.restore_state(random_bytes(rng, 128)).ok()) {
-      ASSERT_EQ(location.capture_state(), before) << "partial apply at iteration " << i;
-    } else {
-      ASSERT_TRUE(location.restore_state(before).ok());
-    }
-  }
+TEST_P(CheckpointFuzz, DispatchRestoreNeverPartiallyApplies) {
+  expect_random_bodies_never_partially_apply<DispatchFixture>(GetParam(), kRestore);
+}
+
+TEST_P(CheckpointFuzz, MutatedValidDeltaBodiesNeverCorruptFiltering) {
+  expect_flipped_bodies_never_partially_apply<FilteringFixture>(GetParam(), kApplyDelta,
+                                                                delta_body<FilteringFixture>());
+}
+
+TEST_P(CheckpointFuzz, MutatedValidDeltaBodiesNeverCorruptCatalog) {
+  expect_flipped_bodies_never_partially_apply<CatalogFixture>(GetParam(), kApplyDelta,
+                                                              delta_body<CatalogFixture>());
+}
+
+TEST_P(CheckpointFuzz, MutatedValidDeltaBodiesNeverCorruptLocation) {
+  expect_flipped_bodies_never_partially_apply<LocationFixture>(GetParam(), kApplyDelta,
+                                                               delta_body<LocationFixture>());
+}
+
+TEST_P(CheckpointFuzz, MutatedValidDeltaBodiesNeverCorruptDispatch) {
+  expect_flipped_bodies_never_partially_apply<DispatchFixture>(GetParam(), kApplyDelta,
+                                                               delta_body<DispatchFixture>());
 }
 
 TEST_P(CheckpointFuzz, MutatedValidStateBodiesNeverCorruptFiltering) {
-  // Bodies lifted out of real frames, then flipped: these are the bytes
-  // a corrupted-but-CRC-colliding checkpoint would hand restore_state.
-  util::Rng rng(GetParam());
-  sim::Scheduler scheduler;
-  core::FilteringService filtering(scheduler, {});
-  for (core::SequenceNo seq = 0; seq < 20; ++seq) filtering.note_seen({7, 1}, seq);
-  const util::Bytes valid_body = filtering.capture_state();
-  const util::Bytes before = valid_body;
+  expect_flipped_bodies_never_partially_apply<FilteringFixture>(GetParam(), kRestore,
+                                                                full_body<FilteringFixture>());
+}
 
-  for (int i = 0; i < 3000; ++i) {
-    util::Bytes mutated = valid_body;
-    const std::size_t flips = 1 + rng.below(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      mutated[rng.below(mutated.size())] ^= static_cast<std::byte>(1 + rng.below(255));
-    }
-    if (!filtering.restore_state(mutated).ok()) {
-      ASSERT_EQ(filtering.capture_state(), before);
-    } else {
-      ASSERT_TRUE(filtering.restore_state(before).ok());
-    }
-  }
+TEST_P(CheckpointFuzz, MutatedValidStateBodiesNeverCorruptCatalog) {
+  expect_flipped_bodies_never_partially_apply<CatalogFixture>(GetParam(), kRestore,
+                                                              full_body<CatalogFixture>());
+}
+
+TEST_P(CheckpointFuzz, MutatedValidStateBodiesNeverCorruptLocation) {
+  expect_flipped_bodies_never_partially_apply<LocationFixture>(GetParam(), kRestore,
+                                                               full_body<LocationFixture>());
+}
+
+TEST_P(CheckpointFuzz, MutatedValidStateBodiesNeverCorruptDispatch) {
+  expect_flipped_bodies_never_partially_apply<DispatchFixture>(GetParam(), kRestore,
+                                                               full_body<DispatchFixture>());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(0xAAAAu, 0xBBBBu, 0xCCCCu));

@@ -233,7 +233,7 @@ TEST(ShardPlane, SingleShardCheckpointFramesMatchUnshardedDispatch) {
   }
   scheduler.run();
 
-  EXPECT_EQ(plane.capture_full(0), reference.capture_full());
+  EXPECT_EQ(plane.dispatch(0).capture_full(), reference.capture_full());
 
   // Deltas stay frame-identical too.
   plane.subscribe(pc, StreamPattern::exact({2, 0}));
@@ -245,7 +245,7 @@ TEST(ShardPlane, SingleShardCheckpointFramesMatchUnshardedDispatch) {
   reference.on_filtered(make_message({1, 0}, 4), scheduler.now());
   scheduler.run();
 
-  EXPECT_EQ(plane.capture_delta(0), reference.capture_delta());
+  EXPECT_EQ(plane.dispatch(0).capture_delta(), reference.capture_delta());
 }
 
 // --- recovery: grouped re-anchoring ----------------------------------------
