@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "garnet/report.hpp"
 #include "garnet/runtime.hpp"
+#include "obs/export.hpp"
+#include "util/crc32c.hpp"
 
 namespace garnet {
 namespace {
@@ -184,6 +187,73 @@ TEST(Telemetry, RegistryCarriesPushAndPullMetrics) {
   EXPECT_GT(snap.counter("garnet.bus.posted"), 0u);
   EXPECT_GE(snap.counter("garnet.bus.posted"), snap.counter("garnet.bus.delivered"));
   EXPECT_DOUBLE_EQ(snap.gauge("garnet.field.sensors"), 1.0);
+}
+
+// --- byte pin: every series and recorded trace of one seeded run --------
+//
+// A lossy field (frames nobody hears leave traces open until the active
+// cap abandons them), one firehose consumer, an actuation round trip and
+// a stream nobody subscribes to (its traces are discarded), with caps
+// small enough that abandonment and recorder eviction run. The tracer's
+// counters, the histogram series and the flight recorder's renderings
+// are pinned, so a telemetry rewrite that moves one observation fails.
+
+TEST(Telemetry, SeededRunOutputIsPinned) {
+  Runtime::Config config;
+  config.field.area = {{0, 0}, {600, 600}};
+  config.field.seed = 7;
+  config.field.radio.base_loss = 0.2;
+  config.field.radio.edge_loss = 0.5;
+  config.trace.max_active = 16;
+  config.trace.recorder_capacity = 8;
+  Runtime runtime(config);
+  runtime.deploy_receivers(4, 250);
+  runtime.deploy_transmitters(9, 250);
+  for (core::SensorId id = 1; id <= 5; ++id) {
+    deploy_sensor_at(runtime, id, {100.0 * id, 80.0 * id}, 100, /*receive_capable=*/id == 1);
+  }
+  deploy_sensor_at(runtime, 50, {320, 280}, 150);  // orphaned: nobody subscribes
+
+  core::Consumer consumer(runtime.bus(), "consumer.app");
+  runtime.provision(consumer, "app");
+  for (core::SensorId id = 1; id <= 5; ++id) consumer.subscribe(core::StreamPattern::all_of(id));
+  runtime.run_for(Duration::millis(20));
+  runtime.start_sensors();
+  runtime.run_for(Duration::seconds(3));
+  consumer.request_update({1, 0}, core::UpdateAction::kSetIntervalMs, 200, {});
+  runtime.run_for(Duration::seconds(3));
+  ASSERT_EQ(runtime.actuation().stats().acked, 1u);
+
+  const obs::Tracer::Stats& stats = runtime.telemetry().tracer.stats();
+  EXPECT_EQ(stats.started, 315u);
+  EXPECT_EQ(stats.completed, 220u);
+  EXPECT_EQ(stats.discarded, 37u);
+  EXPECT_EQ(stats.abandoned, 43u);
+  EXPECT_EQ(stats.spans, 1046u);
+
+  const auto expect_pinned = [](const std::string& text, std::size_t size, std::uint32_t crc,
+                                 const char* what) {
+    const std::uint32_t actual = util::crc32c(util::to_bytes(text));
+    EXPECT_EQ(text.size(), size) << what;
+    EXPECT_EQ(actual, crc) << what << " crc 0x" << std::hex << actual;
+  };
+  obs::MetricsSnapshot histograms = runtime.telemetry().registry.snapshot(
+      static_cast<std::uint64_t>(runtime.scheduler().now().ns));
+  std::erase_if(histograms.samples, [](const obs::Sample& sample) {
+    // The payload counters are process-wide; other tests move them.
+    return sample.kind != obs::InstrumentKind::kHistogram ||
+           sample.name.starts_with("garnet.bus.payload_");
+  });
+  expect_pinned(obs::render_json(histograms), 2399, 0x73397B55, "histogram series");
+
+  const std::vector<obs::Trace> recorded = runtime.telemetry().tracer.completed_snapshot();
+  std::string lines;
+  for (const obs::Trace& trace : recorded) {
+    lines += trace.to_string();
+    lines += '\n';
+  }
+  expect_pinned(lines, 621, 0x3EC532C4, "recorder lines");
+  expect_pinned(obs::render_traces_json(recorded), 2750, 0xF564DD01, "recorder json");
 }
 
 }  // namespace
