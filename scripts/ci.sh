@@ -97,14 +97,17 @@ done
 # and must stay off their shards. The wireless tree suites ride along:
 # the router is single-threaded by design, and running the formation,
 # churn and fuzz suites under TSan proves nothing in the forwarding or
-# repair path ever touches the worker threads' world.
+# repair path ever touches the worker threads' world. The telemetry
+# suites ride along: histograms are single-writer (relaxed load/store,
+# no locked RMW), and one test snapshots from a second thread while the
+# writer observes.
 cmake -B "$TSAN_BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGARNET_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" \
   --target garnet_gw_tests garnet_sim_tests garnet_runtime_tests garnet_net_tests \
-           garnet_wireless_tests garnet_integration_tests garnet_fuzz_tests
+           garnet_wireless_tests garnet_integration_tests garnet_fuzz_tests garnet_obs_tests
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  --tests-regex '(Gateway|GatewaySockets|LoopbackTransport|PosixTransport|WorkerPool|ShardPlane|Admission|Tree|RouterFixture)'
+  --tests-regex '(Gateway|GatewaySockets|LoopbackTransport|PosixTransport|WorkerPool|ShardPlane|Admission|Tree|RouterFixture|Histogram|Tracer|Registry|Snapshot)'
 
 echo "CI OK: tests green, bench reports in $PERF_BUILD_DIR/bench-results"

@@ -156,10 +156,7 @@ void ActuationService::on_ack(std::uint32_t request_id, SensorId sensor,
   ++stats_.acked;
   const util::Duration latency = observed_at - it->second.issued_at;
   bus_.scheduler().cancel(it->second.timer);
-  if (tracer_ != nullptr) {
-    tracer_->end_span(it->second.trace_key, "actuation", observed_at.ns);
-    tracer_->complete(it->second.trace_key, observed_at.ns);
-  }
+  if (tracer_ != nullptr) tracer_->complete(it->second.trace_key, observed_at.ns, "actuation");
   pending_.erase(it);
   if (completion_observer_) completion_observer_(request_id, true, latency);
 }

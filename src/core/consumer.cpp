@@ -51,16 +51,17 @@ net::CallOptions Consumer::options_for(bool idempotent) const {
 
 void Consumer::on_envelope(net::Envelope envelope) {
   if (envelope.type != kDataDelivery) return;
-  const auto decoded = decode_delivery_view(envelope.payload);
+  // The envelope is ours: the view takes over its payload reference.
+  const auto decoded = decode_delivery_view(std::move(envelope.payload));
   if (!decoded.ok()) return;
   ++received_;
   if (tracer_ != nullptr) {
-    // The first consumer to receive a copy completes the journey; for
-    // later copies the trace is already in the flight recorder.
+    // The first consumer to receive a copy closes "deliver" and completes
+    // the journey; for later copies the trace is already in the flight
+    // recorder, so this is one index probe that finds nothing.
     const DataMessageView& message = decoded.value().message;
     const obs::TraceKey trace_key{message.stream_id.packed(), message.sequence};
-    tracer_->end_span(trace_key, "deliver", bus_.now().ns);
-    tracer_->complete(trace_key, bus_.now().ns);
+    tracer_->complete(trace_key, bus_.now().ns, "deliver");
   }
   if (data_handler_) data_handler_(decoded.value());
   // The ack rides *behind* the handler: under flow control the credit

@@ -26,7 +26,7 @@ Orphanage::Orphanage(net::MessageBus& bus, Config config)
 
 void Orphanage::on_envelope(net::Envelope envelope) {
   if (envelope.type != kDataDelivery) return;
-  auto decoded = decode_delivery_view(envelope.payload);
+  auto decoded = decode_delivery_view(std::move(envelope.payload));
   if (!decoded.ok()) return;
   const DeliveryView& delivery = decoded.value();
 

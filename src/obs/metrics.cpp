@@ -43,21 +43,24 @@ Histogram::Histogram(Layout layout) : layout_(layout) {
 }
 
 void Histogram::observe(double v) noexcept {
+#ifndef NDEBUG
+  const bool overlapped = writing_.exchange(true, std::memory_order_acquire);
+  assert(!overlapped && "Histogram::observe has one writer thread");
+#endif
+  // One writer: each field is a relaxed load plus a relaxed store. A
+  // concurrent snapshot sees each field untorn, at most one observation
+  // behind the others.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto index = static_cast<std::size_t>(it - bounds_.begin());  // == size() -> overflow
-  counts_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double expected = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(expected, expected + v, std::memory_order_relaxed)) {
-  }
-  // Load, compare, and CAS only when `v` extends the range: the common
-  // observation adds two relaxed loads.
-  double low = min_.load(std::memory_order_relaxed);
-  while (v < low && !min_.compare_exchange_weak(low, v, std::memory_order_relaxed)) {
-  }
-  double high = max_.load(std::memory_order_relaxed);
-  while (v > high && !max_.compare_exchange_weak(high, v, std::memory_order_relaxed)) {
-  }
+  std::atomic<std::uint64_t>& bucket = counts_[index];
+  bucket.store(bucket.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  count_.store(count_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  sum_.store(sum_.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+  if (v < min_.load(std::memory_order_relaxed)) min_.store(v, std::memory_order_relaxed);
+  if (v > max_.load(std::memory_order_relaxed)) max_.store(v, std::memory_order_relaxed);
+#ifndef NDEBUG
+  writing_.store(false, std::memory_order_release);
+#endif
 }
 
 HistogramSnapshot Histogram::snapshot() const {

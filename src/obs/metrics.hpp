@@ -5,8 +5,8 @@
 //
 //   * Counter   — monotonically increasing uint64, lock-free increments;
 //   * Gauge     — settable double (inventory sizes, battery levels);
-//   * Histogram — fixed-bucket log-scale distribution with atomic
-//                 per-bucket increments and quantile estimation on read.
+//   * Histogram — fixed-bucket log-scale distribution with quantile
+//                 estimation on read; one writer thread, any readers.
 //
 // Instruments are identified by (name, labels). Registering the same
 // identity twice returns the same instrument; re-registering under a
@@ -17,6 +17,18 @@
 // current value into a MetricsSnapshot, then runs the registered
 // collectors — pull-style adapters that let pre-existing plain-struct
 // service counters surface through the same exposition path.
+//
+// Single-writer histograms. Histogram::observe is a read-modify-write
+// built from relaxed loads and stores, not locked RMWs, so every
+// histogram has exactly one writer thread (snapshots may come from any
+// thread and see untorn values). Every push-style histogram in the
+// middleware is observed only by its owner's thread: the message bus
+// (transit, envelope sizes), the radio medium (hop delay, frame sizes),
+// the tracer (stage latencies) and the gateway (frame sizes, delivery
+// latency), each of which is single-threaded by design. The sharded
+// dispatch plane's per-shard buses bind no registry; the plane exports
+// through a collector that runs at snapshot time. Assert builds check
+// the contract: two overlapping observe() calls on one histogram abort.
 #pragma once
 
 #include <atomic>
@@ -95,8 +107,8 @@ struct HistogramSnapshot {
 /// (bound[i-1], bound[i]] with bound[i] = first_bound * growth^i; values
 /// above the last bound land in a final overflow bucket, values at or
 /// below first_bound in bucket 0. observe() is a bounded binary search
-/// plus relaxed atomic increments — no locks, no allocation; the min/max
-/// it tracks cost a CAS only when an observation extends them.
+/// plus relaxed atomic loads and stores — no locked RMW, no allocation.
+/// One thread observes (see the file comment); any thread may read.
 class Histogram {
  public:
   struct Layout {
@@ -130,6 +142,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  /// Set while an observe() runs; assert builds use it to catch a second
+  /// writer. Present in every build so the layout never depends on NDEBUG.
+  std::atomic<bool> writing_{false};
 };
 
 /// One instrument's value at snapshot time.

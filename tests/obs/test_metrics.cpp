@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -162,6 +164,44 @@ TEST(Histogram, QuantilesClampToObservedRange) {
   bare.counts = {0, 2, 0};
   bare.count = 2;
   EXPECT_DOUBLE_EQ(bare.quantile(1.0), 100.0);
+}
+
+TEST(Histogram, SnapshotsFromAnotherThreadSeeOneWriterExactly) {
+  // The single-writer contract: one thread observes, another snapshots
+  // in a loop. Each field is read untorn, so counts never run backwards,
+  // and the writer's relaxed load/store updates lose nothing.
+  Histogram h(Histogram::Layout::latency_ns());
+  constexpr std::uint64_t kObservations = 1'000'000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kObservations; ++i) {
+      h.observe(static_cast<double>(i % 1000) * 1000.0);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  HistogramSnapshot previous = h.snapshot();
+  bool monotone = true;
+  while (!done.load(std::memory_order_acquire)) {
+    HistogramSnapshot snap = h.snapshot();
+    monotone = monotone && snap.count >= previous.count && snap.sum >= previous.sum;
+    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
+      monotone = monotone && snap.counts[i] >= previous.counts[i];
+    }
+    previous = std::move(snap);
+  }
+  writer.join();
+  EXPECT_TRUE(monotone);
+
+  const HistogramSnapshot last = h.snapshot();
+  EXPECT_EQ(last.count, kObservations);
+  // 1000 rounds of 0 + 1000 + ... + 999000: every partial sum is an
+  // integer below 2^53, so the double sum is exact.
+  EXPECT_EQ(last.sum, 1000.0 * (999.0 * 1000.0 / 2.0) * 1000.0);
+  std::uint64_t bucketed = 0;
+  for (const std::uint64_t c : last.counts) bucketed += c;
+  EXPECT_EQ(bucketed, kObservations);
+  EXPECT_EQ(last.min, 0.0);
+  EXPECT_EQ(last.max, 999000.0);
 }
 
 TEST(Snapshot, CollectorsAppendSamples) {

@@ -107,6 +107,93 @@ TEST(Tracer, ActiveCapAbandonsOldest) {
   EXPECT_FALSE(tracer.active({1, 0}));  // oldest went first
   EXPECT_FALSE(tracer.active({1, 1}));
   EXPECT_TRUE(tracer.active({1, 4}));
+
+  // A completion in the middle of the order leaves the rest in place:
+  // with A, B, C active and B completed, the cap abandons A, then C.
+  Tracer middle(config);
+  const TraceKey a{2, 1};
+  const TraceKey b{2, 2};
+  const TraceKey c{2, 3};
+  for (const TraceKey key : {a, b, c}) middle.begin_span(key, "radio", 0);
+  middle.complete(b, 5);
+  middle.begin_span({2, 4}, "radio", 10);  // fills the freed room
+  middle.begin_span({2, 5}, "radio", 11);  // at the cap: A goes
+  EXPECT_FALSE(middle.active(a));
+  EXPECT_TRUE(middle.active(c));
+  middle.begin_span({2, 6}, "radio", 12);  // then C
+  EXPECT_FALSE(middle.active(c));
+  EXPECT_TRUE(middle.active({2, 4}));
+  EXPECT_EQ(middle.stats().abandoned, 2u);
+  EXPECT_EQ(middle.active_count(), 3u);
+
+  // A key begun again after completion starts a fresh trace.
+  Tracer again(config);
+  again.begin_span(a, "radio", 0);
+  again.end_span(a, "radio", 10);
+  again.complete(a, 10);
+  again.begin_span(a, "filter", 20);
+  EXPECT_TRUE(again.active(a));
+  EXPECT_EQ(again.stats().started, 2u);
+  again.complete(a, 30);
+  const Trace* fresh = again.find_completed(a);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->begin_ns, 20);
+  ASSERT_EQ(fresh->spans.size(), 1u);
+  EXPECT_STREQ(fresh->spans[0].stage, "filter");
+}
+
+TEST(Tracer, ManyActiveTracesStayFindableThroughChurn) {
+  // Enough concurrent keys to double the index several times, with
+  // completions and discards punching holes all through it.
+  Tracer::Config config;
+  config.max_active = 1000;
+  Tracer tracer(config);
+  for (std::uint16_t seq = 0; seq < 900; ++seq) tracer.begin_span({7, seq}, "radio", seq);
+  for (std::uint16_t seq = 0; seq < 900; seq += 3) tracer.complete({7, seq}, 1000);
+  for (std::uint16_t seq = 1; seq < 900; seq += 3) tracer.discard({7, seq});
+  EXPECT_EQ(tracer.active_count(), 300u);
+  for (std::uint16_t seq = 0; seq < 900; ++seq) {
+    EXPECT_EQ(tracer.active({7, seq}), seq % 3 == 2) << seq;
+  }
+  EXPECT_EQ(tracer.stats().completed, 300u);
+  EXPECT_EQ(tracer.stats().discarded, 300u);
+}
+
+TEST(Tracer, SpansPastCapacityAreCountedNotRecorded) {
+  Tracer tracer;
+  const TraceKey key{3, 3};
+  const char* stages[] = {"radio", "filter", "dispatch", "deliver", "extra"};
+  for (const char* stage : stages) tracer.begin_span(key, stage, 10);
+  tracer.end_span(key, "extra", 20);  // never recorded: nothing to close
+  tracer.complete(key, 30);
+  const Trace* trace = tracer.find_completed(key);
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->spans.size(), SpanList::kCapacity);
+  EXPECT_STREQ(trace->spans[3].stage, "deliver");
+  EXPECT_EQ(tracer.stats().spans, 5u);
+  EXPECT_EQ(tracer.stats().spans_dropped, 1u);
+}
+
+TEST(Tracer, CompleteClosesTheNamedSpanLikeEndSpan) {
+  MetricsRegistry registry;
+  Tracer tracer;
+  tracer.bind_metrics(&registry);
+  const TraceKey key{4, 4};
+  tracer.begin_span(key, "radio", 0);
+  tracer.begin_span(key, "deliver", 100);
+  tracer.complete(key, 350, "deliver");
+  const Trace* trace = tracer.find_completed(key);
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->spans[1].duration_ns(), 250);
+  EXPECT_EQ(trace->spans[0].end_ns, 350);  // closed by completion
+  const MetricsSnapshot snap = registry.snapshot();
+  const HistogramSnapshot* h = snap.histogram(kStageLatencyMetric, {{"stage", "deliver"}});
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1u);
+  EXPECT_DOUBLE_EQ(h->sum, 250.0);
+  EXPECT_EQ(snap.histogram(kStageLatencyMetric, {{"stage", "radio"}}), nullptr);
+  tracer.complete(key, 400, "deliver");  // already recorded: a no-op
+  EXPECT_EQ(tracer.stats().completed, 1u);
 }
 
 TEST(Tracer, DisabledTracerDoesNothing) {

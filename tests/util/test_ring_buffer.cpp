@@ -79,6 +79,24 @@ TEST(RingBuffer, ClearResets) {
   EXPECT_EQ(rb.front(), 9);
 }
 
+TEST(RingBuffer, FillsLazilyAndKeepsOrderAcrossPops) {
+  // Storage grows with the pushes; pops before the buffer is full move
+  // the head, and the growth that follows must keep oldest-first order.
+  RingBuffer<int> rb(5);
+  EXPECT_EQ(rb.capacity(), 5u);
+  rb.push(1);
+  rb.push(2);
+  rb.push(3);
+  rb.pop();  // head now past the first slot
+  EXPECT_FALSE(rb.push(4));
+  EXPECT_FALSE(rb.push(5));
+  EXPECT_FALSE(rb.push(6));
+  EXPECT_TRUE(rb.full());
+  EXPECT_TRUE(rb.push(7));  // at capacity: evicts 2
+  ASSERT_EQ(rb.size(), 5u);
+  for (std::size_t i = 0; i < rb.size(); ++i) EXPECT_EQ(rb.at(i), static_cast<int>(i) + 3);
+}
+
 TEST(RingBuffer, MoveOnlyFriendly) {
   RingBuffer<std::unique_ptr<int>> rb(2);
   rb.push(std::make_unique<int>(5));
