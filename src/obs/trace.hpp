@@ -82,7 +82,6 @@ class SpanList {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] Span& operator[](std::size_t i) noexcept { return spans_[i]; }
   [[nodiscard]] const Span& operator[](std::size_t i) const noexcept { return spans_[i]; }
   [[nodiscard]] Span* begin() noexcept { return spans_.data(); }

@@ -21,6 +21,10 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+/// Out of line, so the compiler never pairs an inlined `new` expression
+/// with a bare free() and warns about a mismatch.
+[[gnu::noinline]] void plain_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -35,12 +39,12 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return co
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counted_malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { plain_free(p); }
+void operator delete[](void* p) noexcept { plain_free(p); }
+void operator delete(void* p, std::size_t) noexcept { plain_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { plain_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { plain_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { plain_free(p); }
 
 namespace garnet::obs {
 namespace {
