@@ -27,8 +27,10 @@
 // the tracer (stage latencies) and the gateway (frame sizes, delivery
 // latency), each of which is single-threaded by design. The sharded
 // dispatch plane's per-shard buses bind no registry; the plane exports
-// through a collector that runs at snapshot time. Assert builds check
-// the contract: two overlapping observe() calls on one histogram abort.
+// through a collector that runs at snapshot time, and the benchmarks
+// bind their registries to buses driven by one thread. Assert builds
+// check the contract: two overlapping observe() calls on one histogram
+// abort.
 #pragma once
 
 #include <atomic>
