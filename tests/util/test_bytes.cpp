@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace garnet::util {
 namespace {
@@ -109,6 +114,74 @@ TEST(ByteWriter, ConsumedTracksPosition) {
   (void)r.u32();
   EXPECT_EQ(r.consumed(), 4u);
   EXPECT_EQ(r.remaining(), 4u);
+}
+
+// Every fixed-width read, truncated at every possible shortfall, after a
+// prefix the reader has already consumed: the failed read leaves ok()
+// false and consumed() at the end of the input, and every later read of
+// any width returns 0 without moving the cursor.
+TEST(ByteReader, TruncatedFixedWidthReadsFailAtTheEndOfInput) {
+  struct Read {
+    const char* name;
+    std::size_t width;
+    std::function<std::uint64_t(ByteReader&)> read;
+  };
+  const std::vector<Read> reads = {
+      {"u8", 1, [](ByteReader& r) { return std::uint64_t{r.u8()}; }},
+      {"u16", 2, [](ByteReader& r) { return std::uint64_t{r.u16()}; }},
+      {"u24", 3, [](ByteReader& r) { return std::uint64_t{r.u24()}; }},
+      {"u32", 4, [](ByteReader& r) { return std::uint64_t{r.u32()}; }},
+      {"u64", 8, [](ByteReader& r) { return r.u64(); }},
+      {"i64", 8, [](ByteReader& r) { return static_cast<std::uint64_t>(r.i64()); }},
+      {"f64", 8, [](ByteReader& r) { return std::bit_cast<std::uint64_t>(r.f64()); }},
+  };
+  for (const Read& truncated : reads) {
+    for (std::size_t prefix = 0; prefix <= 3; ++prefix) {
+      for (std::size_t available = 0; available < truncated.width; ++available) {
+        const Bytes input(prefix + available, std::byte{0xA5});
+        SCOPED_TRACE(std::string(truncated.name) + " prefix=" + std::to_string(prefix) +
+                     " available=" + std::to_string(available));
+        ByteReader r(input);
+        for (std::size_t i = 0; i < prefix; ++i) EXPECT_EQ(r.u8(), 0xA5u);
+        ASSERT_TRUE(r.ok());
+        (void)truncated.read(r);
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(r.consumed(), input.size());
+        EXPECT_EQ(r.remaining(), 0u);
+        for (const Read& later : reads) {
+          SCOPED_TRACE(std::string("then ") + later.name);
+          EXPECT_EQ(later.read(r), 0u);
+          EXPECT_FALSE(r.ok());
+          EXPECT_EQ(r.consumed(), input.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(ByteWriter, EveryWidthIsBigEndian) {
+  ByteWriter w;
+  w.u8(0x01);
+  w.u16(0x0203);
+  w.u24(0x040506);
+  w.u32(0x0708090A);
+  w.u64(0x0B0C0D0E0F101112ull);
+  w.i64(-2);
+  w.f64(1.0);
+  const std::vector<unsigned> expected = {
+      0x01,                                            // u8
+      0x02, 0x03,                                      // u16
+      0x04, 0x05, 0x06,                                // u24
+      0x07, 0x08, 0x09, 0x0A,                          // u32
+      0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x10, 0x11, 0x12,  // u64
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE,  // i64 -2
+      0x3F, 0xF0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // f64 1.0
+  };
+  const BytesView out = w.view();
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(static_cast<unsigned>(out[i]), expected[i]) << "byte " << i;
+  }
 }
 
 }  // namespace
