@@ -138,13 +138,21 @@ void BM_Selectivity(benchmark::State& state) {
 BENCHMARK(BM_Selectivity)->Arg(1)->Arg(16)->Arg(256)->Arg(1024)->ArgName("matching");
 
 /// Wildcard subscriptions force a scan; this prices that design choice.
+/// Non-matching wildcards beside one exact hit. all_of(sensor) patterns
+/// on other sensors (stream_only=0) are filed by sensor, so the message
+/// never looks at them; stream-only patterns on other streams
+/// (stream_only=1) have no sensor to file under and are scanned for every
+/// message, which is the cost this case prices.
 void BM_WildcardScan(benchmark::State& state) {
   const auto wildcards = static_cast<std::size_t>(state.range(0));
+  const bool stream_only = state.range(1) != 0;
   DispatchRig rig;
   for (std::size_t i = 0; i < wildcards; ++i) {
-    // Wildcards on other sensors: scanned but never matching.
-    rig.dispatch.subscribe(rig.add_consumer("w" + std::to_string(i)),
-                           core::StreamPattern::all_of(static_cast<core::SensorId>(100 + i)));
+    const core::StreamPattern pattern =
+        stream_only
+            ? core::StreamPattern{std::nullopt, static_cast<core::InternalStreamId>(1 + i % 255)}
+            : core::StreamPattern::all_of(static_cast<core::SensorId>(100 + i));
+    rig.dispatch.subscribe(rig.add_consumer("w" + std::to_string(i)), pattern);
   }
   rig.dispatch.subscribe(rig.add_consumer("hit"), core::StreamPattern::exact({1, 0}));
   util::Rng rng(1);
@@ -157,7 +165,9 @@ void BM_WildcardScan(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_WildcardScan)->Arg(0)->Arg(16)->Arg(256)->Arg(1024)->ArgName("wildcards");
+BENCHMARK(BM_WildcardScan)
+    ->ArgsProduct({{0, 16, 256, 1024}, {0, 1}})
+    ->ArgNames({"wildcards", "stream_only"});
 
 /// Ablation A1 — churn. Garnet's address-free StreamID routing means a
 /// consumer joining/leaving touches one table entry; a sensor-addressed

@@ -87,6 +87,18 @@ for workload in field fanout gw_socket; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0
 done
 
+# Count gate: a traced seed-1 run of field and fanout must reproduce the
+# pinned per-message counts exactly (scheduler events, bus posts,
+# histogram observations, payload allocs/copies, radio copies per frame,
+# op-log entries, delta bytes per capture). These carry no timing noise,
+# so any change fails unless the pins in scripts/perf_counts_seed1.json
+# move with it. gw_socket is left out: its counts follow socket timing.
+for workload in field fanout; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 1 \
+    > "$PERF_BUILD_DIR/perf_counts_$workload.txt"
+  scripts/check_perf_counts.py "$workload" "$PERF_BUILD_DIR/perf_counts_$workload.txt"
+done
+
 # Leg 3 — data races: TSan over the two places real threads exist.
 # The gateway suite crosses kernel sockets (PosixTransport) and the
 # loopback seam in one process and must stay single-threaded around

@@ -19,19 +19,49 @@ StreamPattern StreamPattern::from_packed(std::uint64_t v) {
   return p;
 }
 
+namespace {
+
+/// Erases the entries `drop` selects from every bucket of `buckets`, and
+/// the buckets it empties; returns how many entries went.
+template <typename Buckets, typename Drop>
+std::size_t erase_where(Buckets& buckets, Drop drop) {
+  std::size_t removed = 0;
+  for (auto it = buckets.begin(); it != buckets.end();) {
+    removed += std::erase_if(it->second, drop);
+    it = it->second.empty() ? buckets.erase(it) : std::next(it);
+  }
+  return removed;
+}
+
+/// Erases the entries `drop` selects from the bucket at `key`, and the
+/// bucket if that empties it.
+template <typename Buckets, typename Key, typename Drop>
+void erase_from(Buckets& buckets, const Key& key, Drop drop) {
+  const auto bucket = buckets.find(key);
+  if (bucket == buckets.end()) return;
+  std::erase_if(bucket->second, drop);
+  if (bucket->second.empty()) buckets.erase(bucket);
+}
+
+}  // namespace
+
+void SubscriptionTable::place(const Entry& entry) {
+  const StreamPattern& pattern = entry.pattern;
+  if (pattern.is_exact()) {
+    exact_[StreamId{*pattern.sensor, *pattern.stream}].push_back(entry);
+  } else if (pattern.sensor) {
+    by_sensor_[*pattern.sensor].push_back(entry);
+  } else {
+    wildcards_.push_back(entry);
+  }
+  index_.emplace(entry.id, pattern);
+  ++count_;
+}
+
 SubscriptionId SubscriptionTable::add(net::Address consumer, StreamPattern pattern,
                                       SubscribeOptions qos) {
   const SubscriptionId id = next_id_++;
-  Entry entry{id, consumer, pattern, qos, util::SimTime{-1}};
-  if (pattern.is_exact()) {
-    const StreamId stream{*pattern.sensor, *pattern.stream};
-    exact_[stream].push_back(entry);
-    index_.emplace(id, stream);
-  } else {
-    wildcards_.push_back(entry);
-    index_.emplace(id, std::nullopt);
-  }
-  ++count_;
+  place(Entry{id, consumer, pattern, qos, util::SimTime{-1}});
   return id;
 }
 
@@ -39,14 +69,14 @@ bool SubscriptionTable::remove(SubscriptionId id) {
   const auto where = index_.find(id);
   if (where == index_.end()) return false;
 
-  if (where->second) {
-    const auto bucket = exact_.find(*where->second);
-    if (bucket != exact_.end()) {
-      std::erase_if(bucket->second, [id](const Entry& e) { return e.id == id; });
-      if (bucket->second.empty()) exact_.erase(bucket);
-    }
+  const StreamPattern& pattern = where->second;
+  const auto drop = [id](const Entry& e) { return e.id == id; };
+  if (pattern.is_exact()) {
+    erase_from(exact_, StreamId{*pattern.sensor, *pattern.stream}, drop);
+  } else if (pattern.sensor) {
+    erase_from(by_sensor_, *pattern.sensor, drop);
   } else {
-    std::erase_if(wildcards_, [id](const Entry& e) { return e.id == id; });
+    std::erase_if(wildcards_, drop);
   }
   index_.erase(where);
   --count_;
@@ -54,21 +84,13 @@ bool SubscriptionTable::remove(SubscriptionId id) {
 }
 
 std::size_t SubscriptionTable::remove_consumer(net::Address consumer) {
-  std::size_t removed = 0;
-  for (auto& [stream, entries] : exact_) {
-    for (const Entry& e : entries) {
-      if (e.consumer == consumer) index_.erase(e.id);
-    }
-    const auto before = entries.size();
-    std::erase_if(entries, [consumer](const Entry& e) { return e.consumer == consumer; });
-    removed += before - entries.size();
-  }
-  for (const Entry& e : wildcards_) {
-    if (e.consumer == consumer) index_.erase(e.id);
-  }
-  const auto before = wildcards_.size();
-  std::erase_if(wildcards_, [consumer](const Entry& e) { return e.consumer == consumer; });
-  removed += before - wildcards_.size();
+  const auto drop = [this, consumer](const Entry& e) {
+    if (e.consumer != consumer) return false;
+    index_.erase(e.id);
+    return true;
+  };
+  const std::size_t removed =
+      erase_where(exact_, drop) + erase_where(by_sensor_, drop) + std::erase_if(wildcards_, drop);
   count_ -= removed;
   return removed;
 }
@@ -95,13 +117,17 @@ bool SubscriptionTable::qos_admits(Entry& entry, const DeliveryContext& context)
 void SubscriptionTable::collect(StreamId id, const DeliveryContext& context,
                                 std::vector<net::Address>& out) {
   const std::size_t start = out.size();
+  const auto admit = [&](Entry& e) {
+    if (qos_admits(e, context)) out.push_back(e.consumer);
+  };
   if (const auto it = exact_.find(id); it != exact_.end()) {
-    for (Entry& e : it->second) {
-      if (qos_admits(e, context)) out.push_back(e.consumer);
-    }
+    for (Entry& e : it->second) admit(e);
+  }
+  if (const auto it = by_sensor_.find(id.sensor); it != by_sensor_.end()) {
+    for (Entry& e : it->second) admit(e);
   }
   for (Entry& e : wildcards_) {
-    if (e.pattern.matches(id) && qos_admits(e, context)) out.push_back(e.consumer);
+    if (e.pattern.matches(id)) admit(e);
   }
   // Deduplicate newly appended addresses (consumer may match twice).
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
@@ -111,6 +137,9 @@ void SubscriptionTable::collect(StreamId id, const DeliveryContext& context,
 void SubscriptionTable::collect(StreamId id, std::vector<net::Address>& out) {
   const std::size_t start = out.size();
   if (const auto it = exact_.find(id); it != exact_.end()) {
+    for (const Entry& e : it->second) out.push_back(e.consumer);
+  }
+  if (const auto it = by_sensor_.find(id.sensor); it != by_sensor_.end()) {
     for (const Entry& e : it->second) out.push_back(e.consumer);
   }
   for (const Entry& e : wildcards_) {
@@ -124,6 +153,9 @@ void SubscriptionTable::capture(util::ByteWriter& w) const {
   std::vector<const Entry*> entries;
   entries.reserve(count_);
   for (const auto& [stream, bucket] : exact_) {
+    for (const Entry& e : bucket) entries.push_back(&e);
+  }
+  for (const auto& [sensor, bucket] : by_sensor_) {
     for (const Entry& e : bucket) entries.push_back(&e);
   }
   for (const Entry& e : wildcards_) entries.push_back(&e);
@@ -164,6 +196,7 @@ util::Status<util::DecodeError> SubscriptionTable::restore(util::ByteReader& r) 
   if (!r.ok()) return util::Err{util::DecodeError::kTruncated};
 
   exact_.clear();
+  by_sensor_.clear();
   wildcards_.clear();
   index_.clear();
   count_ = 0;
@@ -176,30 +209,24 @@ util::Status<util::DecodeError> SubscriptionTable::restore(util::ByteReader& r) 
 void SubscriptionTable::restore_entry(SubscriptionId id, net::Address consumer,
                                       StreamPattern pattern, SubscribeOptions qos) {
   if (index_.contains(id)) return;
-  Entry entry{id, consumer, pattern, qos, util::SimTime{-1}};
-  if (pattern.is_exact()) {
-    const StreamId stream{*pattern.sensor, *pattern.stream};
-    exact_[stream].push_back(entry);
-    index_.emplace(id, stream);
-  } else {
-    wildcards_.push_back(entry);
-    index_.emplace(id, std::nullopt);
-  }
-  ++count_;
+  place(Entry{id, consumer, pattern, qos, util::SimTime{-1}});
   if (id >= next_id_) next_id_ = id + 1;
 }
 
 bool SubscriptionTable::anyone_wants(StreamId id) const {
-  if (const auto it = exact_.find(id); it != exact_.end() && !it->second.empty()) return true;
+  if (exact_.contains(id) || by_sensor_.contains(id.sensor)) return true;
   return std::any_of(wildcards_.begin(), wildcards_.end(),
                      [id](const Entry& e) { return e.pattern.matches(id); });
 }
 
 bool SubscriptionTable::subscribes(net::Address consumer, StreamId id) const {
-  if (const auto it = exact_.find(id); it != exact_.end()) {
-    for (const Entry& entry : it->second) {
-      if (entry.consumer == consumer) return true;
-    }
+  const auto held = [consumer](const std::vector<Entry>& bucket) {
+    return std::any_of(bucket.begin(), bucket.end(),
+                       [consumer](const Entry& e) { return e.consumer == consumer; });
+  };
+  if (const auto it = exact_.find(id); it != exact_.end() && held(it->second)) return true;
+  if (const auto it = by_sensor_.find(id.sensor); it != by_sensor_.end() && held(it->second)) {
+    return true;
   }
   return std::any_of(wildcards_.begin(), wildcards_.end(), [&](const Entry& entry) {
     return entry.consumer == consumer && entry.pattern.matches(id);

@@ -127,13 +127,20 @@ class SubscriptionTable {
   /// True if this entry's QoS admits the delivery; updates rate state.
   bool qos_admits(Entry& entry, const DeliveryContext& context);
 
-  // Exact subscriptions indexed by stream for O(1) fan-out lookup;
-  // wildcard subscriptions scanned linearly (they are few in practice —
-  // the ablation in bench_dispatch quantifies this choice). A reverse
-  // index keeps unsubscribe O(bucket) instead of O(table).
+  /// Files a new entry in the bucket its pattern selects (add and
+  /// restore_entry).
+  void place(const Entry& entry);
+
+  // Exact subscriptions are filed by stream and all_of(sensor) ones by
+  // sensor, so a message finds both with one lookup each. Only patterns
+  // without a sensor (stream-only and everything()) are scanned linearly;
+  // they are few in practice, and bench_dispatch's BM_WildcardScan prices
+  // the scan. Buckets are erased when they empty. A reverse index keeps
+  // unsubscribe O(bucket) instead of O(table).
   std::unordered_map<StreamId, std::vector<Entry>> exact_;
+  std::unordered_map<SensorId, std::vector<Entry>> by_sensor_;
   std::vector<Entry> wildcards_;
-  std::unordered_map<SubscriptionId, std::optional<StreamId>> index_;  // id -> bucket
+  std::unordered_map<SubscriptionId, StreamPattern> index_;  // id -> pattern (its bucket)
   SubscriptionId next_id_ = 1;
   std::size_t count_ = 0;
   QosStats qos_stats_;

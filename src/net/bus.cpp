@@ -9,7 +9,7 @@
 namespace garnet::net {
 
 MessageBus::MessageBus(sim::Scheduler& scheduler, Config config)
-    : scheduler_(scheduler), config_(std::move(config)) {
+    : scheduler_(scheduler), config_(std::move(config)), endpoints_(1) {
   if (config_.faults.enabled()) {
     injector_ = std::make_unique<FaultInjector>(scheduler_, config_.faults);
   }
@@ -21,22 +21,22 @@ MessageBus::MessageBus(sim::Scheduler& scheduler, Config config)
 Address MessageBus::add_endpoint(std::string name, Handler handler) {
   assert(handler);
   assert(!names_.contains(name) && "endpoint names must be unique");
-  const Address address{next_address_++};
+  const Address address{static_cast<std::uint32_t>(endpoints_.size())};
   names_.emplace(name, address.value);
-  EndpointEntry entry{std::move(name), std::move(handler), nullptr};
-  const auto override_it = config_.inboxes.find(entry.name);
+  auto entry = std::make_unique<EndpointEntry>(std::move(name), std::move(handler), nullptr);
+  const auto override_it = config_.inboxes.find(entry->name);
   const InboxConfig inbox =
       override_it != config_.inboxes.end() ? override_it->second : config_.default_inbox;
-  if (inbox.active()) entry.inbox = std::make_unique<Inbox>(inbox);
-  endpoints_.emplace(address.value, std::move(entry));
+  if (inbox.active()) entry->inbox = std::make_unique<Inbox>(inbox);
+  endpoints_.push_back(std::move(entry));
   return address;
 }
 
 void MessageBus::remove_endpoint(Address address) {
-  const auto it = endpoints_.find(address.value);
-  if (it == endpoints_.end()) return;
-  names_.erase(it->second.name);
-  endpoints_.erase(it);
+  EndpointEntry* entry = find(address);
+  if (entry == nullptr) return;
+  names_.erase(entry->name);
+  endpoints_[address.value].reset();
 }
 
 std::optional<Address> MessageBus::lookup(const std::string& name) const {
@@ -46,23 +46,23 @@ std::optional<Address> MessageBus::lookup(const std::string& name) const {
 }
 
 void MessageBus::set_inbox(Address address, InboxConfig config) {
-  const auto it = endpoints_.find(address.value);
-  if (it == endpoints_.end()) return;
+  EndpointEntry* entry = find(address);
+  if (entry == nullptr) return;
   if (!config.active()) {
-    it->second.inbox.reset();
+    entry->inbox.reset();
     return;
   }
-  if (it->second.inbox) {
-    it->second.inbox->config = config;
+  if (entry->inbox) {
+    entry->inbox->config = config;
   } else {
-    it->second.inbox = std::make_unique<Inbox>(config);
+    entry->inbox = std::make_unique<Inbox>(config);
   }
 }
 
 void MessageBus::set_endpoint_down(const std::string& name, bool down) {
   const auto it = names_.find(name);
   if (it == names_.end()) return;
-  EndpointEntry& entry = endpoints_.at(it->second);
+  EndpointEntry& entry = *endpoints_[it->second];
   entry.down = down;
   if (down && entry.inbox) {
     // Queued-but-unserved envelopes lived in the dead process's memory.
@@ -75,7 +75,7 @@ void MessageBus::set_endpoint_down(const std::string& name, bool down) {
 bool MessageBus::endpoint_down(const std::string& name) const {
   const auto it = names_.find(name);
   if (it == names_.end()) return false;
-  return endpoints_.at(it->second).down;
+  return endpoints_[it->second]->down;
 }
 
 TrafficClass MessageBus::classify(MessageType type) const {
@@ -148,10 +148,10 @@ void MessageBus::collect(obs::SnapshotBuilder& out) const {
               {{"class", "control"}, {"policy", "reject_nack"}});
   out.counter("garnet.bus.nacks", shed_stats_.nacks_sent);
   out.gauge("garnet.bus.inbox_depth", static_cast<double>(total_inbox_depth()));
-  for (const auto& [address, entry] : endpoints_) {
-    if (!entry.inbox) continue;
-    out.gauge("garnet.bus.inbox_depth", static_cast<double>(entry.inbox->depth()),
-              {{"endpoint", entry.name}});
+  for (const auto& entry : endpoints_) {
+    if (!entry || !entry->inbox) continue;
+    out.gauge("garnet.bus.inbox_depth", static_cast<double>(entry->inbox->depth()),
+              {{"endpoint", entry->name}});
   }
 
   out.counter("garnet.rpc.calls", rpc_stats_.calls);
@@ -166,20 +166,20 @@ void MessageBus::collect(obs::SnapshotBuilder& out) const {
 
 const std::string& MessageBus::name_of(Address address) const {
   static const std::string kUnknown;
-  const auto it = endpoints_.find(address.value);
-  return it != endpoints_.end() ? it->second.name : kUnknown;
+  const EndpointEntry* entry = find(address);
+  return entry != nullptr ? entry->name : kUnknown;
 }
 
 std::size_t MessageBus::inbox_depth(Address address) const {
-  const auto it = endpoints_.find(address.value);
-  if (it == endpoints_.end() || !it->second.inbox) return 0;
-  return it->second.inbox->depth();
+  const EndpointEntry* entry = find(address);
+  if (entry == nullptr || !entry->inbox) return 0;
+  return entry->inbox->depth();
 }
 
 std::size_t MessageBus::total_inbox_depth() const {
   std::size_t total = 0;
-  for (const auto& [address, entry] : endpoints_) {
-    if (entry.inbox) total += entry.inbox->depth();
+  for (const auto& entry : endpoints_) {
+    if (entry && entry->inbox) total += entry->inbox->depth();
   }
   return total;
 }
@@ -263,18 +263,18 @@ void MessageBus::serve(EndpointEntry& entry, Envelope envelope) {
 }
 
 void MessageBus::service_done(Address address) {
-  const auto it = endpoints_.find(address.value);
-  if (it == endpoints_.end() || !it->second.inbox) return;
-  Inbox& inbox = *it->second.inbox;
+  EndpointEntry* entry = find(address);
+  if (entry == nullptr || !entry->inbox) return;
+  Inbox& inbox = *entry->inbox;
   // Priority dequeue: every queued control envelope goes before any data.
   if (!inbox.control.empty()) {
     Envelope next = std::move(inbox.control.front());
     inbox.control.pop_front();
-    serve(it->second, std::move(next));
+    serve(*entry, std::move(next));
   } else if (!inbox.data.empty()) {
     Envelope next = std::move(inbox.data.front());
     inbox.data.pop_front();
-    serve(it->second, std::move(next));
+    serve(*entry, std::move(next));
   } else {
     inbox.busy = false;
   }
@@ -321,12 +321,12 @@ void MessageBus::enqueue(EndpointEntry& entry, Envelope envelope) {
 }
 
 void MessageBus::arrive(Envelope envelope) {
-  const auto it = endpoints_.find(envelope.to.value);
-  if (it == endpoints_.end()) {
+  EndpointEntry* found = find(envelope.to);
+  if (found == nullptr) {
     ++stats_.dropped_no_endpoint;
     return;
   }
-  EndpointEntry& entry = it->second;
+  EndpointEntry& entry = *found;
   if (entry.down) {
     ++stats_.dropped_endpoint_down;
     return;

@@ -260,15 +260,21 @@ class MessageBus {
   void service_done(Address address);
   void shed(const Envelope& envelope, TrafficClass cls, OverflowPolicy policy);
   void nack(const Envelope& envelope);
+  [[nodiscard]] EndpointEntry* find(Address address) const noexcept {
+    return address.value < endpoints_.size() ? endpoints_[address.value].get() : nullptr;
+  }
   [[nodiscard]] const std::string& name_of(Address address) const;
   void collect(obs::SnapshotBuilder& out) const;
 
   sim::Scheduler& scheduler_;
   Config config_;
   std::unordered_set<std::uint16_t> control_types_;
-  std::unordered_map<std::uint32_t, EndpointEntry> endpoints_;
+  /// Indexed by Address::value. Addresses are handed out in sequence and
+  /// never reused, so slot 0 (the invalid address) and removed endpoints
+  /// stay null. Entries are boxed because a handler may add an endpoint
+  /// while its own entry is running.
+  std::vector<std::unique_ptr<EndpointEntry>> endpoints_;
   std::unordered_map<std::string, std::uint32_t> names_;
-  std::uint32_t next_address_ = 1;
   std::uint64_t jitter_state_ = 0x6A1B2C3D4E5F6071ull;
   BusStats stats_;
   RpcStats rpc_stats_;

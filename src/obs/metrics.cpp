@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -40,6 +41,30 @@ Histogram::Histogram(Layout layout) : layout_(layout) {
     bound *= layout.growth;
   }
   counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
+
+  // Bounds ascend and are positive, and so are their bit patterns, so the
+  // cells between the first and last bound's cover every value that can
+  // land in a bucket other than 0 or the overflow. A bound is at or above
+  // a cell's lowest value exactly when the bound's cell is at or past it,
+  // so each cell gets the first bucket whose bound's cell reaches it.
+  const auto cell_of = [](double v) { return std::bit_cast<std::uint64_t>(v) >> kCellShift; };
+  first_cell_ = cell_of(bounds_.front());
+  cells_.resize(cell_of(bounds_.back()) - first_cell_ + 1);
+  std::size_t k = 0;
+  for (std::size_t bucket = 0; bucket < bounds_.size(); ++bucket) {
+    const std::uint64_t reached = cell_of(bounds_[bucket]) - first_cell_;
+    for (; k <= reached; ++k) cells_[k] = static_cast<std::uint32_t>(bucket);
+  }
+}
+
+std::size_t Histogram::bucket_of(double v) const noexcept {
+  if (!(v > bounds_.front())) return 0;  // also ±0, negatives, -inf and NaN
+  if (v > bounds_.back()) return bounds_.size();
+  // Every bound below cells_[k] is below the cell's lowest value, and the
+  // last bound is >= v, so the scan stops inside the array.
+  std::size_t i = cells_[(std::bit_cast<std::uint64_t>(v) >> kCellShift) - first_cell_];
+  while (bounds_[i] < v) ++i;
+  return i;
 }
 
 void Histogram::observe(double v) noexcept {
@@ -50,9 +75,7 @@ void Histogram::observe(double v) noexcept {
   // One writer: each field is a relaxed load plus a relaxed store. A
   // concurrent snapshot sees each field untorn, at most one observation
   // behind the others.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto index = static_cast<std::size_t>(it - bounds_.begin());  // == size() -> overflow
-  std::atomic<std::uint64_t>& bucket = counts_[index];
+  std::atomic<std::uint64_t>& bucket = counts_[bucket_of(v)];
   bucket.store(bucket.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   count_.store(count_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   sum_.store(sum_.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);

@@ -108,9 +108,10 @@ struct HistogramSnapshot {
 /// Fixed-bucket log-scale histogram. Bucket i covers
 /// (bound[i-1], bound[i]] with bound[i] = first_bound * growth^i; values
 /// above the last bound land in a final overflow bucket, values at or
-/// below first_bound in bucket 0. observe() is a bounded binary search
-/// plus relaxed atomic loads and stores — no locked RMW, no allocation.
-/// One thread observes (see the file comment); any thread may read.
+/// below first_bound (and NaN) in bucket 0. observe() is a table lookup
+/// and a short forward scan to find the bucket, plus relaxed atomic loads
+/// and stores — no locked RMW, no allocation. One thread observes (see
+/// the file comment); any thread may read.
 class Histogram {
  public:
   struct Layout {
@@ -137,8 +138,23 @@ class Histogram {
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
  private:
+  /// Index of the bucket `v` lands in: the first bound >= v, or
+  /// bounds_.size() for the overflow bucket — what std::lower_bound over
+  /// bounds_ returns, for every double.
+  [[nodiscard]] std::size_t bucket_of(double v) const noexcept;
+
+  /// A cell is one value of a positive double's bits shifted right by
+  /// this much: its binary exponent plus the top two mantissa bits, so a
+  /// cell spans at most 1/4 of its value and, at growth >= 1.25, holds at
+  /// most one bound.
+  static constexpr int kCellShift = 50;
+
   Layout layout_;
   std::vector<double> bounds_;
+  /// cells_[k] is the first bucket a value in cell first_cell_ + k can
+  /// land in; the cells run from the first bound's to the last bound's.
+  std::uint64_t first_cell_ = 0;
+  std::vector<std::uint32_t> cells_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size() + 1.
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};

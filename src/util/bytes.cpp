@@ -1,34 +1,9 @@
 #include "util/bytes.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace garnet::util {
-
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u24(std::uint32_t v) {
-  assert((v >> 24) == 0 && "u24 value exceeds 24 bits");
-  u8(static_cast<std::uint8_t>(v >> 16));
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::raw(BytesView data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
@@ -57,38 +32,6 @@ bool ByteReader::take(std::size_t n) {
   }
   return true;
 }
-
-std::uint8_t ByteReader::u8() {
-  if (!take(1)) return 0;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t ByteReader::u16() {
-  const auto hi = u8();
-  const auto lo = u8();
-  return static_cast<std::uint16_t>((hi << 8) | lo);
-}
-
-std::uint32_t ByteReader::u24() {
-  const std::uint32_t hi = u8();
-  const std::uint32_t mid = u8();
-  const std::uint32_t lo = u8();
-  return (hi << 16) | (mid << 8) | lo;
-}
-
-std::uint32_t ByteReader::u32() {
-  const std::uint32_t hi = u16();
-  const std::uint32_t lo = u16();
-  return (hi << 16) | lo;
-}
-
-std::uint64_t ByteReader::u64() {
-  const std::uint64_t hi = u32();
-  const std::uint64_t lo = u32();
-  return (hi << 32) | lo;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 Bytes ByteReader::raw(std::size_t n) {
   if (!take(n)) return {};

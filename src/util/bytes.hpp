@@ -4,6 +4,8 @@
 // widths; the codec in core/message builds on these big-endian primitives.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -40,12 +42,16 @@ class ByteWriter {
   void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v);
-  void u24(std::uint32_t v);  ///< Low 24 bits only; high byte must be zero.
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put<2>(v); }
+  /// Low 24 bits only; high byte must be zero.
+  void u24(std::uint32_t v) {
+    assert((v >> 24) == 0 && "u24 value exceeds 24 bits");
+    put<3>(v);
+  }
+  void u32(std::uint32_t v) { put<4>(v); }
+  void u64(std::uint64_t v) { put<8>(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void raw(BytesView data);
   void str(std::string_view s);  ///< u16 length prefix + bytes.
 
@@ -54,6 +60,15 @@ class ByteWriter {
   [[nodiscard]] Bytes take() && { return std::move(out_); }
 
  private:
+  /// Appends the low N bytes of v, most significant first.
+  template <std::size_t N>
+  void put(std::uint64_t v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + N);
+    std::byte* p = out_.data() + at;
+    for (std::size_t i = 0; i < N; ++i) p[i] = static_cast<std::byte>(v >> (8 * (N - 1 - i)));
+  }
+
   Bytes out_;
 };
 
@@ -69,19 +84,20 @@ enum class DecodeError : std::uint8_t {
 
 /// Consumes big-endian primitives from a byte view, tracking truncation.
 ///
-/// All reads after the first failure keep failing; callers may batch reads
-/// and check ok() once at the end.
+/// All reads after the first failure keep failing and return 0; callers
+/// may batch reads and check ok() once at the end. A fixed-width read
+/// that runs out of input fails with the cursor at the end of the input.
 class ByteReader {
  public:
   explicit ByteReader(BytesView data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u24();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(fixed<1>()); }
+  [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(fixed<2>()); }
+  [[nodiscard]] std::uint32_t u24() { return static_cast<std::uint32_t>(fixed<3>()); }
+  [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(fixed<4>()); }
+  [[nodiscard]] std::uint64_t u64() { return fixed<8>(); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64();
+  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] Bytes raw(std::size_t n);
   /// Zero-copy read: a view of the next n bytes, aliasing the reader's
   /// underlying buffer (valid for that buffer's lifetime). Empty on
@@ -95,6 +111,21 @@ class ByteReader {
 
  private:
   [[nodiscard]] bool take(std::size_t n);
+
+  /// Reads N big-endian bytes with one bounds check.
+  template <std::size_t N>
+  [[nodiscard]] std::uint64_t fixed() {
+    if (failed_ || data_.size() - pos_ < N) [[unlikely]] {
+      if (!failed_) pos_ = data_.size();
+      failed_ = true;
+      return 0;
+    }
+    const std::byte* p = data_.data() + pos_;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+    pos_ += N;
+    return v;
+  }
 
   BytesView data_;
   std::size_t pos_ = 0;

@@ -6,11 +6,17 @@
 // elides from Figure 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/bytes.hpp"
 
 namespace garnet::util {
+
+/// With SSE4.2, buffers of at least three times this many bytes are
+/// checksummed as three interleaved lanes of this many bytes each; the
+/// result is the same CRC-32C.
+inline constexpr std::size_t kCrc32cLaneBytes = 256;
 
 /// One-shot CRC-32C over a byte view.
 [[nodiscard]] std::uint32_t crc32c(BytesView data);

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -98,6 +102,61 @@ TEST(Histogram, BucketBoundaries) {
   EXPECT_EQ(snap.counts[3], 1u);
   EXPECT_EQ(snap.count, 6u);
   EXPECT_NEAR(snap.sum, 10.0 + 10.001 + 100.0 + 1000.0 + 1001.0 + 0.5, 1e-9);
+}
+
+// The bucket a value lands in is exactly what std::lower_bound over the
+// bounds picks, for every kind of double: each bound and its neighbours,
+// zeros, negatives, infinities, NaNs and seeded random values (log-spread
+// over the layout and raw bit patterns).
+TEST(Histogram, BucketMatchesLowerBoundForEveryDouble) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Histogram::Layout layout :
+       {Histogram::Layout::latency_ns(), Histogram::Layout::bytes(),
+        Histogram::Layout{10.0, 10.0, 3}}) {
+    Histogram h(layout);
+    const std::vector<double> bounds = h.snapshot().bounds;
+    std::vector<double> values = {0.0,
+                                  -0.0,
+                                  -1.0,
+                                  -1e300,
+                                  -std::numeric_limits<double>::denorm_min(),
+                                  std::numeric_limits<double>::denorm_min(),
+                                  std::numeric_limits<double>::min(),
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::lowest(),
+                                  kInf,
+                                  -kInf,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  -std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::signaling_NaN()};
+    for (const double bound : bounds) {
+      values.push_back(bound);
+      values.push_back(std::nextafter(bound, -kInf));
+      values.push_back(std::nextafter(bound, kInf));
+    }
+    util::Rng rng(7);
+    const double decades = std::log10(bounds.back() / bounds.front());
+    for (int i = 0; i < 100000; ++i) {
+      if (i % 2 == 0) {
+        values.push_back(bounds.front() * std::pow(10.0, rng.uniform(-1.0, decades + 1.0)));
+      } else {
+        values.push_back(std::bit_cast<double>(rng.next()));
+      }
+    }
+
+    std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+    for (const double v : values) {
+      const auto index = static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      ++expected[index];
+      h.observe(v);
+      const HistogramSnapshot snap = h.snapshot();
+      ASSERT_EQ(snap.counts[index], expected[index])
+          << "value " << v << " (bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+          << std::dec << ") should land in bucket " << index;
+    }
+    EXPECT_EQ(h.snapshot().counts, expected);
+  }
 }
 
 TEST(Histogram, QuantilesTrackExactGroundTruth) {
