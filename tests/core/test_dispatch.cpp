@@ -232,7 +232,8 @@ TEST_F(DispatchFixture, MalformedDerivedPublishRejected) {
 /// Flow-control harness: a real Orphanage serves as the quarantine stash
 /// so resume rounds exercise the genuine kFetchBacklog wire path.
 struct FlowFixture : DispatchFixture {
-  Orphanage orphanage{bus, {}};
+  // Deep enough to hold a multi-batch backlog on one stream.
+  Orphanage orphanage{bus, {.retention_per_stream = 128}};
 
   void enable_flow(std::uint32_t window, std::uint32_t resume_threshold = 0) {
     dispatch.set_orphan_sink(orphanage.address());
@@ -411,6 +412,83 @@ TEST_F(FlowFixture, ReexhaustionDuringResumeRestashesTheRemainder) {
   }
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
+}
+
+TEST_F(FlowFixture, ResumeFetchesABacklogDeeperThanTwoBatches) {
+  // 80 shed frames on one stream take three kFetchBacklog rounds
+  // (32 + 32 + 16): a full batch fetches again, the short one ends the
+  // stream. Every shed frame comes back exactly once, in order.
+  enable_flow(/*window=*/100, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+
+  for (SequenceNo seq = 0; seq < 180; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 80u);
+
+  send_credits(consumer.address, 100);
+
+  std::vector<SequenceNo> expected;
+  for (SequenceNo seq = 0; seq < 180; ++seq) expected.push_back(seq);
+  EXPECT_EQ(sequences(consumer), expected);
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.credits(consumer.address), 20u);
+  EXPECT_EQ(dispatch.stats().resumes, 1u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 80u);
+  EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
+  EXPECT_EQ(dispatch.stats().resume_returned, 0u);
+  EXPECT_TRUE(orphanage.claim({1, 0}).empty());
+}
+
+TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
+  // With the stash unreachable, kFetchBacklog fails after its retries.
+  // Both the quarantine resume and the post-restore sweep skip the
+  // stream and finish instead of stalling.
+  enable_flow(/*window=*/2, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 5; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
+  bus.set_endpoint_down(Orphanage::kEndpointName, true);
+
+  // Resume: the fetch fails, the stream is skipped, the flow is released
+  // with what was shed lost.
+  send_credits(consumer.address, 2);
+  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1}));
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.credits(consumer.address), 2u);
+  EXPECT_EQ(dispatch.stats().resumes, 1u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
+  EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
+  EXPECT_EQ(dispatch.stats().resume_returned, 0u);
+
+  // Quarantine again, then crash and restore: the flow comes back
+  // quarantined with a full window, so the sweep's finish kicks a resume.
+  for (SequenceNo seq = 5; seq < 9; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
+  const util::Bytes state = dispatch.capture_state();
+  dispatch.reset_state();
+  ASSERT_TRUE(dispatch.restore_state(state).ok());
+
+  dispatch.replay_stash();
+  scheduler.run();
+  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 5, 6}));
+  EXPECT_EQ(dispatch.stats().recovery_replayed, 0u);
+  EXPECT_EQ(dispatch.stats().recovery_returned, 0u);
+  EXPECT_EQ(dispatch.stats().resumes, 2u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.credits(consumer.address), 2u);
+  EXPECT_EQ(orphanage.total_received(), 3u);
 }
 
 TEST_F(FlowFixture, SubscribeReplyCarriesTheCreditWindow) {
