@@ -59,18 +59,18 @@ struct FloodOutcome {
 FloodOutcome run_flood(std::int64_t message_interval_us, std::int64_t slow_service_us,
                        std::string* json_out = nullptr) {
   Runtime::Config config;
-  config.overload.credit_window = 32;
-  config.overload.shed_journal_limit = 1 << 14;
+  config.flow.credit_window = 32;
+  config.bus.shed_journal_limit = 1 << 14;
   {
     net::InboxConfig fast;
     fast.capacity = 64;
     fast.policy = net::OverflowPolicy::kDropOldest;
     fast.service_time = Duration::micros(20);
-    config.overload.inboxes["consumer.fast"] = fast;
+    config.bus.inboxes["consumer.fast"] = fast;
     net::InboxConfig slow = fast;
     slow.capacity = 8;
     slow.service_time = Duration::micros(slow_service_us);
-    config.overload.inboxes["consumer.slow"] = slow;
+    config.bus.inboxes["consumer.slow"] = slow;
   }
   Runtime runtime(config);
 
@@ -170,13 +170,13 @@ ProbeOutcome run_probe(std::int64_t payload_bytes, bool probing, std::uint32_t t
   config.admission.probe.max_concurrency = 64;
   config.admission.probe.interval = Duration::millis(10);
   config.admission.probe.lease = Duration::micros(500);
-  config.overload.shed_journal_limit = 1 << 12;
+  config.bus.shed_journal_limit = 1 << 12;
   {
     net::InboxConfig sink;
     sink.capacity = 16;
     sink.policy = net::OverflowPolicy::kDropNewest;
     sink.service_time = Duration::nanos(40 * payload_bytes);
-    config.overload.inboxes["consumer.sink"] = sink;
+    config.bus.inboxes["consumer.sink"] = sink;
   }
   Runtime runtime(config);
 

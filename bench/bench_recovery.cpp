@@ -76,7 +76,7 @@ FilteringCrashOutcome run_filtering_crash(std::int64_t heartbeat_ms) {
     net::FaultPlan::CrashSpec crash;
     crash.service = "filtering";
     crash.at = crash_at;
-    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
   Runtime runtime(config);
   runtime.deploy_receivers(1, 5000);  // one receiver covering the field
@@ -142,12 +142,12 @@ RecoveryOutcome run_crash_cycle(std::int64_t checkpoint_ms, std::uint32_t miss_t
   config.recovery.checkpoint_interval = Duration::millis(checkpoint_ms);
   config.recovery.heartbeat_interval = Duration::millis(100);
   config.recovery.miss_threshold = miss_threshold;
-  config.overload.credit_window = 64;
+  config.flow.credit_window = 64;
   {
     net::FaultPlan::CrashSpec crash;
     crash.service = "dispatch";
     crash.at = SimTime{} + Duration::millis(520);
-    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
   Runtime runtime(config);
 

@@ -73,7 +73,7 @@ TierResult run_tier(std::int64_t streams) {
   core::AuthService auth{{}};
   core::StreamCatalog catalog;
   core::FilteringService filtering(scheduler, {});
-  core::LocationService location(bus, auth, {});
+  core::LocationService location(bus, auth);
   core::DispatchingService dispatch(bus, auth, catalog);
 
   const net::Address consumer = bus.add_endpoint("scale.consumer", [](net::Envelope) {});

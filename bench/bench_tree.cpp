@@ -68,7 +68,7 @@ void schedule_churn(Runtime::Config& config, const std::vector<core::SensorId>& 
       fault.node = id;
       fault.at = SimTime{} + Duration::millis(at);
       fault.restart_after = Duration::millis(kRestartMs);
-      config.faults.relay_faults.push_back(fault);
+      config.bus.faults.relay_faults.push_back(fault);
       down_until[id] = at + kRestartMs + 2000;
       any = true;
     }
@@ -78,7 +78,7 @@ void schedule_churn(Runtime::Config& config, const std::vector<core::SensorId>& 
     fault.node = relays.back();
     fault.at = SimTime{} + Duration::millis(kRunMs / 2);
     fault.restart_after = Duration::millis(kRestartMs);
-    config.faults.relay_faults.push_back(fault);
+    config.bus.faults.relay_faults.push_back(fault);
   }
 }
 
@@ -99,7 +99,7 @@ TreeOutcome run_tree_cell(int depth, bool churn, Duration step,
   config.field.tree_beacons = true;
   config.field.tree.beacon_interval = Duration::millis(100);
   config.field.tree_journal_limit = 8192;
-  config.faults.journal_limit = 8192;
+  config.bus.faults.journal_limit = 8192;
 
   std::vector<core::SensorId> relays;
   for (int hop = 1; hop < depth; ++hop) relays.push_back(static_cast<core::SensorId>(hop));

@@ -37,7 +37,7 @@ int main() {
     net::FaultPlan::CrashSpec crash;
     crash.service = "filtering";
     crash.at = crash_at;
-    config.faults.crashes.push_back(crash);  // no restart: the watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: the watchdog promotes
   }
   Runtime runtime(config);
   runtime.deploy_receivers(4, 300);  // overlapping coverage: duplicate copies

@@ -17,6 +17,9 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 
 # Leg 1 — correctness: sanitizers on, asserts on, every test.
+# First, every field of every *Config struct under src/ must be written
+# somewhere in the tree: an option nothing sets is a constant in disguise.
+scripts/check_config_knobs.py
 cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGARNET_SANITIZE=address,undefined

@@ -3,6 +3,15 @@
 #include "util/log.hpp"
 
 namespace garnet::core {
+namespace {
+
+/// Resource Manager approval call: the per-attempt deadline must cover
+/// the manager's deliberation delay plus two bus transits. Retries back
+/// off from the CallOptions default (5 ms).
+constexpr std::uint32_t kApprovalRetries = 3;
+constexpr util::Duration kApprovalTimeout = util::Duration::millis(20);
+
+}  // namespace
 
 ActuationService::ActuationService(net::MessageBus& bus, AuthService& auth,
                                    MessageReplicator& replicator, Config config)
@@ -55,11 +64,8 @@ void ActuationService::request_update(ConsumerToken token, StreamId target, Upda
 
   // Approval execution is guarded by the callee's at-most-once cache, so
   // a retried request never deliberates (or records a demand) twice.
-  net::CallOptions options;
-  options.timeout = config_.approval_timeout;
-  options.retries = config_.approval_retries;
-  options.backoff = config_.approval_backoff;
-  node_.call(*manager, ResourceManager::kEvaluate, std::move(w).take(), options,
+  node_.call(*manager, ResourceManager::kEvaluate, std::move(w).take(),
+             net::CallOptions::reliable(kApprovalRetries, kApprovalTimeout),
              [this, token, target, action, on_outcome = std::move(on_outcome)](
                  net::RpcResult result) mutable {
                if (!result.ok()) {

@@ -55,11 +55,6 @@ class ActuationService {
   struct Config {
     util::Duration ack_timeout = util::Duration::seconds(3);
     std::uint32_t max_retries = 2;
-    /// Resource Manager approval call: per-attempt deadline must cover
-    /// the manager's deliberation delay plus two bus transits.
-    util::Duration approval_timeout = util::Duration::millis(20);
-    std::uint32_t approval_retries = 3;
-    util::Duration approval_backoff = util::Duration::millis(5);
   };
 
   ActuationService(net::MessageBus& bus, AuthService& auth, MessageReplicator& replicator,

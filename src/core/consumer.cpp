@@ -44,7 +44,7 @@ net::Address Consumer::resolve(const char* name) {
 }
 
 net::CallOptions Consumer::options_for(bool idempotent) const {
-  net::CallOptions options = call_options_;
+  net::CallOptions options = default_call_options();
   options.idempotent = idempotent;
   return options;
 }

@@ -55,12 +55,6 @@ class Consumer {
   [[nodiscard]] const ConsumerIdentity& identity() const noexcept { return identity_; }
   [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
 
-  /// Base reliability contract for every control-plane RPC this consumer
-  /// issues (per-call idempotency is set by the operation). The default
-  /// retries a few times with exponential backoff before degrading.
-  void set_call_options(net::CallOptions options) { call_options_ = options; }
-  [[nodiscard]] const net::CallOptions& call_options() const noexcept { return call_options_; }
-
   // --- data plane ---------------------------------------------------------
 
   /// Handlers receive a zero-copy view whose payload aliases the wire
@@ -143,7 +137,6 @@ class Consumer {
   net::RpcNode node_;
   ConsumerIdentity identity_;
   DataHandler data_handler_;
-  net::CallOptions call_options_ = default_call_options();
   ConsumerNetStats net_stats_;
   std::unordered_map<std::uint32_t, SequenceNo> derived_sequences_;
   std::uint64_t received_ = 0;
@@ -153,6 +146,9 @@ class Consumer {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::CollectorId collector_id_ = 0;
 
+  /// Base reliability contract for every control-plane RPC this consumer
+  /// issues (per-call idempotency is set by the operation): a few retries
+  /// with exponential backoff before degrading.
   [[nodiscard]] static net::CallOptions default_call_options() {
     net::CallOptions options;
     options.retries = 4;

@@ -15,6 +15,15 @@ namespace {
   return static_cast<std::int16_t>(static_cast<std::uint16_t>(seq - floor)) >= 0;
 }
 
+/// Backlog messages fetched per kFetchBacklog round-trip.
+constexpr std::uint16_t kFetchBatch = 32;
+
+/// Reliability contract for the stash-fetch RPCs. kFetchBacklog drains
+/// the stash, so a re-executed fetch would see an empty ring and the
+/// drained frames would ride the lost response: never idempotent (the
+/// CallOptions default), always through the at-most-once cache.
+const net::CallOptions kFetchOptions = net::CallOptions::reliable(2);
+
 }  // namespace
 
 DispatchStats& DispatchStats::operator+=(const DispatchStats& other) noexcept {
@@ -294,78 +303,84 @@ void DispatchingService::replay_stash() {
   fetch_stash(plan);
 }
 
+void DispatchingService::fetch_backlog(const std::shared_ptr<BacklogSweep>& sweep,
+                                       std::function<void(util::SharedBytes)> on_frame,
+                                       std::function<void()> next) {
+  util::ByteWriter w(6);
+  w.u32(sweep->streams[sweep->index]);
+  w.u16(kFetchBatch);
+  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), kFetchOptions,
+             [sweep, on_frame = std::move(on_frame), next = std::move(next)](
+                 net::RpcResult result) {
+               if (!result.ok()) {
+                 ++sweep->index;
+                 next();
+                 return;
+               }
+               const util::SharedBytes reply(std::move(result).value());
+               util::ByteReader r(reply);
+               const std::uint16_t count = r.u16();
+               for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
+                 const std::uint16_t length = r.u16();
+                 const std::size_t offset = r.consumed();
+                 if (r.view(length).empty() && length > 0) break;  // truncated reply
+                 on_frame(reply.view(offset, length));
+               }
+               // A full batch may mean more frames remain for this stream;
+               // an undersized one means the stash is drained for it.
+               if (count < kFetchBatch) ++sweep->index;
+               next();
+             });
+}
+
 void DispatchingService::fetch_stash(const std::shared_ptr<StashReplay>& plan) {
   if (plan->index >= plan->streams.size()) {
     finish_stash_replay();
     return;
   }
-  util::ByteWriter w(6);
-  w.u32(plan->streams[plan->index]);
-  w.u16(flow_.fetch_batch);
-  // Same contract as the quarantine resume: kFetchBacklog drains, so the
-  // call must go through the at-most-once cache, never retried blind.
-  net::CallOptions options = flow_.fetch_options;
-  options.idempotent = false;
-  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), options,
-             [this, plan](net::RpcResult result) {
-               if (!result.ok()) {
-                 ++plan->index;
-                 fetch_stash(plan);
-                 return;
-               }
-               on_stash_backlog(plan, util::SharedBytes(std::move(result).value()));
-             });
+  fetch_backlog(
+      plan, [this, plan](util::SharedBytes frame) { on_stash_frame(*plan, std::move(frame)); },
+      [this, plan] { fetch_stash(plan); });
 }
 
-void DispatchingService::on_stash_backlog(const std::shared_ptr<StashReplay>& plan,
-                                          util::SharedBytes reply) {
-  util::ByteReader r(reply);
-  const std::uint16_t count = r.u16();
+void DispatchingService::on_stash_frame(StashReplay& plan, util::SharedBytes frame) {
+  const auto decoded = decode_delivery_view(frame);
+  if (!decoded.ok()) return;
+  const DeliveryView& delivery = decoded.value();
+  const StreamKey stream_key{delivery.message.stream_id};
+  const SequenceNo seq = delivery.message.sequence;
   const ReplayWindow* fetched =
-      plan->windows.find(StreamKey::from_packed(plan->streams[plan->index]));
+      plan.windows.find(StreamKey::from_packed(plan.streams[plan.index]));
   const SequenceNo plan_floor = fetched != nullptr ? fetched->floor : 0;
-  for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
-    const std::uint16_t length = r.u16();
-    const std::size_t offset = r.consumed();
-    if (r.view(length).empty() && length > 0) break;  // truncated reply
-    util::SharedBytes frame = reply.view(offset, length);
-    const auto decoded = decode_delivery_view(frame);
-    if (!decoded.ok()) continue;
-    const DeliveryView& delivery = decoded.value();
-    const StreamKey stream_key{delivery.message.stream_id};
-    const SequenceNo seq = delivery.message.sequence;
-    // The sweep races live traffic, and deliver() re-stashes
-    // quarantine-shed copies that later rounds fetch back. A frame is
-    // replayed only inside the crash window: at or past the crash-time
-    // cursor (floor), below the first live post-promotion delivery
-    // (ceiling), and strictly above what this sweep already delivered.
-    const ReplayWindow* window = plan->windows.find(stream_key);
-    const bool before_crash = !at_or_past(seq, plan_floor);
-    const bool live_copy =
-        window != nullptr && window->has_ceiling && at_or_past(seq, window->ceiling);
-    const bool already_replayed =
-        window != nullptr && window->has_replayed &&
-        !at_or_past(seq, static_cast<SequenceNo>(window->replayed + 1));
-    if (before_crash || live_copy || already_replayed) {
-      // Already processed — an orphan or a quarantine shed. Back to the
-      // stash for the resume path and late claimants.
-      ++stats_.recovery_returned;
-      node_.post(orphan_sink_, kDataDelivery, frame);
-      continue;
-    }
-    // The crashed primary never saw this frame (it reached the stash via
-    // the runtime's crash redirect): run it through the normal fan-out,
-    // which re-advances the cursor and re-stashes it if unclaimed.
-    ++stats_.recovery_replayed;
-    ReplayWindow& mark = plan->windows.upsert(stream_key);
-    mark.has_replayed = true;
-    mark.replayed = seq;
-    stash_replay_delivering_ = true;
-    deliver(delivery.message, delivery.first_heard);
-    stash_replay_delivering_ = false;
+  // The sweep races live traffic, and deliver() re-stashes
+  // quarantine-shed copies that later rounds fetch back. A frame is
+  // replayed only inside the crash window: at or past the crash-time
+  // cursor (floor), below the first live post-promotion delivery
+  // (ceiling), and strictly above what this sweep already delivered.
+  const ReplayWindow* window = plan.windows.find(stream_key);
+  const bool before_crash = !at_or_past(seq, plan_floor);
+  const bool live_copy =
+      window != nullptr && window->has_ceiling && at_or_past(seq, window->ceiling);
+  const bool already_replayed =
+      window != nullptr && window->has_replayed &&
+      !at_or_past(seq, static_cast<SequenceNo>(window->replayed + 1));
+  if (before_crash || live_copy || already_replayed) {
+    // Already processed — an orphan or a quarantine shed. Back to the
+    // stash for the resume path and late claimants.
+    ++stats_.recovery_returned;
+    node_.post(orphan_sink_, kDataDelivery, frame);
+    return;
   }
-  if (count < flow_.fetch_batch) ++plan->index;
-  fetch_stash(plan);
+  // The crashed primary never saw this frame (it reached the stash via
+  // the runtime's crash redirect): run it through the normal fan-out,
+  // which re-advances the cursor and re-stashes it if unclaimed.
+  ++stats_.recovery_replayed;
+  ReplayWindow& mark = plan.windows.upsert(stream_key);
+  mark.has_replayed = true;
+  mark.replayed = seq;
+  stash_replay_delivering_ = true;
+  deliver(delivery.message, delivery.first_heard);
+  stash_replay_delivering_ = false;
 }
 
 void DispatchingService::finish_stash_replay() {
@@ -478,82 +493,51 @@ void DispatchingService::fetch_next(const std::shared_ptr<ResumePlan>& plan) {
     finish_resume(plan);
     return;
   }
-  util::ByteWriter w(6);
-  w.u32(plan->streams[plan->index]);
-  w.u16(flow_.fetch_batch);
-  // kFetchBacklog drains the stash, so a re-executed fetch would see an
-  // empty ring and the drained frames would ride the lost response:
-  // never idempotent, always through the at-most-once cache.
-  net::CallOptions options = flow_.fetch_options;
-  options.idempotent = false;
-  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), options,
-             [this, plan](net::RpcResult result) {
-               if (!result.ok()) {
-                 // Stash unreachable for this stream; skip it rather than
-                 // stall the whole replay.
-                 ++plan->index;
-                 fetch_next(plan);
-                 return;
-               }
-               on_backlog(plan, util::SharedBytes(std::move(result).value()));
-             });
+  fetch_backlog(
+      plan, [this, plan](util::SharedBytes frame) { on_backlog_frame(*plan, std::move(frame)); },
+      [this, plan] { fetch_next(plan); });
 }
 
-void DispatchingService::on_backlog(const std::shared_ptr<ResumePlan>& plan,
-                                    util::SharedBytes reply) {
-  util::ByteReader r(reply);
-  const std::uint16_t count = r.u16();
-  for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
-    const std::uint16_t length = r.u16();
-    const std::size_t offset = r.consumed();
-    if (r.view(length).empty() && length > 0) break;  // truncated reply
-    // Zero-copy: each stashed frame is a sub-view of the one reply buffer.
-    util::SharedBytes frame = reply.view(offset, length);
-
-    Flow* flow = flow_if_current(*plan);
-    if (flow == nullptr || flow->credits == 0) {
-      // Consumer dropped mid-replay, or its window re-exhausted: the
-      // frame goes back to the stash so it is neither lost nor delivered
-      // out of contract. (For a live flow the floor re-forms, so the
-      // next resume round picks it up.)
-      ++stats_.resume_returned;
-      node_.post(orphan_sink_, kDataDelivery, frame);
-      if (flow != nullptr) {
-        auto decoded = decode_delivery_view(frame);
-        if (decoded.ok()) {
-          const DataMessageView& message = decoded.value().message;
-          flow->shed.insert(shed_key(message.stream_id.packed(), message.sequence));
-        }
+void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes frame) {
+  Flow* flow = flow_if_current(plan);
+  if (flow == nullptr || flow->credits == 0) {
+    // Consumer dropped mid-replay, or its window re-exhausted: the
+    // frame goes back to the stash so it is neither lost nor delivered
+    // out of contract. (For a live flow the floor re-forms, so the
+    // next resume round picks it up.)
+    ++stats_.resume_returned;
+    node_.post(orphan_sink_, kDataDelivery, frame);
+    if (flow != nullptr) {
+      auto decoded = decode_delivery_view(frame);
+      if (decoded.ok()) {
+        const DataMessageView& message = decoded.value().message;
+        flow->shed.insert(shed_key(message.stream_id.packed(), message.sequence));
       }
-      continue;
     }
-
-    auto decoded = decode_delivery_view(frame);
-    if (!decoded.ok()) {
-      ++stats_.resume_discarded;
-      continue;
-    }
-    const DataMessageView& message = decoded.value().message;
-    // Duplicate-freedom: redeliver exactly what was shed from THIS
-    // consumer. The shared stash also holds copies shed for other
-    // consumers, pre-quarantine orphans, and — after a crash — sweep
-    // leftovers interleaving old and new sequences; membership in the
-    // flow's shed set is the only test that rejects all of them.
-    if (plan->shed.count(shed_key(message.stream_id.packed(), message.sequence)) == 0 ||
-        !table_.subscribes(plan->consumer, message.stream_id)) {
-      ++stats_.resume_discarded;
-      continue;
-    }
-    ++stats_.resume_redelivered;
-    ++stats_.copies_delivered;
-    --flow->credits;
-    if (flow->credits == 0) ++stats_.credits_exhausted;
-    bus_.post(node_.address(), plan->consumer, kDataDelivery, std::move(frame));
+    return;
   }
-  // A full batch may mean more frames remain for this stream; an
-  // undersized one means the stash is drained for it.
-  if (count < flow_.fetch_batch) ++plan->index;
-  fetch_next(plan);
+
+  auto decoded = decode_delivery_view(frame);
+  if (!decoded.ok()) {
+    ++stats_.resume_discarded;
+    return;
+  }
+  const DataMessageView& message = decoded.value().message;
+  // Duplicate-freedom: redeliver exactly what was shed from THIS
+  // consumer. The shared stash also holds copies shed for other
+  // consumers, pre-quarantine orphans, and — after a crash — sweep
+  // leftovers interleaving old and new sequences; membership in the
+  // flow's shed set is the only test that rejects all of them.
+  if (plan.shed.count(shed_key(message.stream_id.packed(), message.sequence)) == 0 ||
+      !table_.subscribes(plan.consumer, message.stream_id)) {
+    ++stats_.resume_discarded;
+    return;
+  }
+  ++stats_.resume_redelivered;
+  ++stats_.copies_delivered;
+  --flow->credits;
+  if (flow->credits == 0) ++stats_.credits_exhausted;
+  bus_.post(node_.address(), plan.consumer, kDataDelivery, std::move(frame));
 }
 
 void DispatchingService::finish_resume(const std::shared_ptr<ResumePlan>& plan) {

@@ -80,10 +80,6 @@ struct FlowControlConfig {
   /// Credits required before a quarantined consumer's backlog replay
   /// starts. 0 = half the window (at least 1).
   std::uint32_t resume_threshold = 0;
-  /// Backlog messages fetched per kFetchBacklog round-trip.
-  std::uint16_t fetch_batch = 32;
-  /// Reliability contract for the stash-fetch RPCs.
-  net::CallOptions fetch_options = net::CallOptions::reliable(2);
 
   [[nodiscard]] bool enabled() const noexcept { return credit_window > 0; }
 };
@@ -112,7 +108,6 @@ class DispatchingService {
   /// Enables (or reconfigures) credit-based backpressure. Existing
   /// consumers' windows are re-primed to the new size.
   void set_flow_control(FlowControlConfig config);
-  [[nodiscard]] const FlowControlConfig& flow_control() const noexcept { return flow_; }
 
   /// True while `consumer` is quarantined (flow control only).
   [[nodiscard]] bool quarantined(net::Address consumer) const;
@@ -236,14 +231,18 @@ class DispatchingService {
     std::unordered_set<std::uint64_t> shed;
   };
 
-  /// One backlog-replay round for one quarantined consumer; fetches the
-  /// stashed streams sequentially from the Orphanage.
-  struct ResumePlan {
+  /// A walk over stashed streams, fetched one kFetchBacklog batch at a
+  /// time from the Orphanage (fetch_backlog()).
+  struct BacklogSweep {
+    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
+    std::size_t index = 0;               ///< Stream being fetched.
+  };
+
+  /// One backlog-replay round for one quarantined consumer.
+  struct ResumePlan : BacklogSweep {
     net::Address consumer;
     std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
     std::unordered_set<std::uint64_t> shed;  ///< Moved from the flow (see Flow::shed).
-    std::size_t index = 0;
   };
 
   /// Key for Flow::shed / ResumePlan::shed.
@@ -270,10 +269,8 @@ class DispatchingService {
   /// quarantine-shed copies the next round can fetch back. One
   /// ReplayWindow per stream replaces what used to be three parallel
   /// std::maps keyed by the same packed id.
-  struct StashReplay {
-    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
+  struct StashReplay : BacklogSweep {
     StreamTable<ReplayWindow> windows;
-    std::size_t index = 0;
   };
 
   using FlowTable = StreamTable<Flow, ConsumerKey>;
@@ -286,8 +283,16 @@ class DispatchingService {
   [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
   void deliver(const DataMessageView& message, util::SimTime first_heard);
   void advance_cursor(StreamId id, SequenceNo seq);
+  /// One kFetchBacklog round-trip for the sweep's current stream. Each
+  /// stashed frame in the reply reaches `on_frame` as a sub-view of the
+  /// one reply buffer. The sweep moves to its next stream when the call
+  /// fails (stash unreachable: skip rather than stall) or the batch comes
+  /// back short (drained); then `next` runs.
+  void fetch_backlog(const std::shared_ptr<BacklogSweep>& sweep,
+                     std::function<void(util::SharedBytes)> on_frame,
+                     std::function<void()> next);
   void fetch_stash(const std::shared_ptr<StashReplay>& plan);
-  void on_stash_backlog(const std::shared_ptr<StashReplay>& plan, util::SharedBytes reply);
+  void on_stash_frame(StashReplay& plan, util::SharedBytes frame);
   void finish_stash_replay();
   Flow& flow_for(net::Address consumer);
   [[nodiscard]] Flow* flow_if_current(const ResumePlan& plan);
@@ -296,7 +301,7 @@ class DispatchingService {
   void maybe_resume(net::Address consumer);
   void start_resume(net::Address consumer, Flow& flow);
   void fetch_next(const std::shared_ptr<ResumePlan>& plan);
-  void on_backlog(const std::shared_ptr<ResumePlan>& plan, util::SharedBytes reply);
+  void on_backlog_frame(ResumePlan& plan, util::SharedBytes frame);
   void finish_resume(const std::shared_ptr<ResumePlan>& plan);
 
   net::MessageBus& bus_;

@@ -7,10 +7,9 @@
 
 namespace garnet::core {
 
-LocationService::LocationService(net::MessageBus& bus, AuthService& auth, Config config)
+LocationService::LocationService(net::MessageBus& bus, AuthService& auth)
     : bus_(bus),
       auth_(auth),
-      config_(config),
       node_(bus, kEndpointName, [this](net::Envelope e) { on_envelope(std::move(e)); }) {
   node_.expose(kQuery, [this](net::Address, util::BytesView args) -> net::RpcResult {
     util::ByteReader r(args);
@@ -43,7 +42,7 @@ void LocationService::observe(const ReceptionEvent& event) {
   track.observations.push_back({event.receiver, event.rssi_dbm, event.heard_at});
 
   // Trim anything outside the window.
-  const util::SimTime cutoff = event.heard_at - config_.observation_window;
+  const util::SimTime cutoff = event.heard_at - kObservationWindow;
   while (!track.observations.empty() && track.observations.front().at < cutoff) {
     track.observations.pop_front();
   }
@@ -72,7 +71,7 @@ std::optional<LocationEstimate> LocationService::estimate(SensorId sensor) {
   const util::SimTime now = bus_.scheduler().now();
 
   // Drop observations that have aged out since the last touch.
-  const util::SimTime cutoff = now - config_.observation_window;
+  const util::SimTime cutoff = now - kObservationWindow;
   while (!track.observations.empty() && track.observations.front().at < cutoff) {
     track.observations.pop_front();
   }
@@ -81,9 +80,9 @@ std::optional<LocationEstimate> LocationService::estimate(SensorId sensor) {
 
   // A fresh hint competes with inference; a stale one is ignored.
   std::optional<LocationEstimate> hinted;
-  if (track.hint && now - track.hint->at <= config_.hint_ttl) {
+  if (track.hint && now - track.hint->at <= kHintTtl) {
     const double age_frac =
-        static_cast<double>((now - track.hint->at).ns) / static_cast<double>(config_.hint_ttl.ns);
+        static_cast<double>((now - track.hint->at).ns) / static_cast<double>(kHintTtl.ns);
     hinted = LocationEstimate{track.hint->position, track.hint->radius_m,
                               std::max(0.0, 1.0 - age_frac), now, LocationEstimate::Source::kHint};
   }
@@ -147,9 +146,9 @@ std::optional<LocationEstimate> LocationService::infer(SensorTrack& track) {
 
   LocationEstimate est;
   est.position = centroid;
-  est.radius_m = std::max(config_.base_radius_m, spread);
+  est.radius_m = std::max(kBaseRadiusM, spread);
   est.confidence = std::min(1.0, static_cast<double>(distinct.size()) /
-                                     static_cast<double>(config_.full_confidence_receivers));
+                                     static_cast<double>(kFullConfidenceReceivers));
   est.computed_at = track.observations.back().at;
   est.source = LocationEstimate::Source::kInferred;
   return est;

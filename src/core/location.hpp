@@ -56,16 +56,16 @@ class LocationService {
 
   static constexpr const char* kEndpointName = "garnet.location";
 
-  struct Config {
-    util::Duration observation_window = util::Duration::seconds(15);
-    util::Duration hint_ttl = util::Duration::seconds(60);
-    /// Evidence from fewer distinct receivers than this caps confidence.
-    std::size_t full_confidence_receivers = 3;
-    /// Floor of the uncertainty radius (one receiver zone's worth).
-    double base_radius_m = 75.0;
-  };
+  /// Observations older than this drop out of a sensor's track.
+  static constexpr util::Duration kObservationWindow = util::Duration::seconds(15);
+  /// A hint's weight decays linearly to zero over this span.
+  static constexpr util::Duration kHintTtl = util::Duration::seconds(60);
+  /// Evidence from fewer distinct receivers than this caps confidence.
+  static constexpr std::size_t kFullConfidenceReceivers = 3;
+  /// Floor of the uncertainty radius (one receiver zone's worth).
+  static constexpr double kBaseRadiusM = 75.0;
 
-  LocationService(net::MessageBus& bus, AuthService& auth, Config config);
+  LocationService(net::MessageBus& bus, AuthService& auth);
 
   /// Tells the service where the receivers are (deployment knowledge).
   void set_receiver_layout(const std::vector<wireless::Receiver>& receivers);
@@ -144,7 +144,6 @@ class LocationService {
 
   net::MessageBus& bus_;
   AuthService& auth_;
-  Config config_;
   net::RpcNode node_;
   std::unordered_map<wireless::ReceiverId, wireless::Receiver> receivers_;
   Table tracks_;

@@ -5,6 +5,14 @@
 #include "util/log.hpp"
 
 namespace garnet::core {
+namespace {
+
+/// Pre-armed decisions expire after this long: a prediction is a
+/// statement about the *near* future, and the ledger it was computed
+/// against drifts as other consumers act.
+constexpr util::Duration kPrearmTtl = util::Duration::seconds(60);
+
+}  // namespace
 
 std::string_view to_string(ConflictPolicy p) {
   switch (p) {
@@ -66,8 +74,7 @@ void ResourceManager::evaluate(ConsumerToken token, StreamId target, UpdateActio
                                std::uint32_t value, std::function<void(Decision)> on_decision) {
   const PrearmKey key{token, target.packed(), static_cast<std::uint8_t>(action)};
   if (const auto it = prearmed_.find(key); it != prearmed_.end()) {
-    const bool fresh =
-        bus_.scheduler().now() - it->second.armed_at <= config_.prearm_ttl;
+    const bool fresh = bus_.scheduler().now() - it->second.armed_at <= kPrearmTtl;
     const Decision decision = it->second.decision;
     prearmed_.erase(it);
     if (fresh) {

@@ -93,10 +93,6 @@ class ResourceManager {
     bool allow_trusted_override = true;
     /// Demands idle longer than this stop influencing mediation.
     util::Duration demand_ttl = util::Duration::seconds(300);
-    /// Pre-armed decisions expire after this long: a prediction is a
-    /// statement about the *near* future, and the ledger it was computed
-    /// against drifts as other consumers act.
-    util::Duration prearm_ttl = util::Duration::seconds(60);
   };
 
   ResourceManager(net::MessageBus& bus, AuthService& auth, Config config);

@@ -27,7 +27,7 @@ RecoveryHarness::~RecoveryHarness() {
 
 void RecoveryHarness::manage(Service service) {
   std::string name = service.name;
-  services_.emplace(std::move(name), Managed(std::move(service), config_.oplog_capacity));
+  services_.emplace(std::move(name), Managed(std::move(service)));
 }
 
 void RecoveryHarness::arm_heartbeat() {

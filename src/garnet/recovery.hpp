@@ -67,8 +67,6 @@ struct RecoveryConfig {
   /// (services must provide the capture_delta/apply_delta hooks; ones
   /// that don't always get full frames). 1 disables deltas entirely.
   std::uint32_t full_checkpoint_interval = 1;
-  /// Replicated op-log bound per service (oldest evicted first).
-  std::size_t oplog_capacity = 4096;
 };
 
 /// Recovery counters. Surfaced as garnet.recovery.* / garnet.checkpoint.*
@@ -168,6 +166,9 @@ class RecoveryHarness {
   [[nodiscard]] const RecoveryStats& stats() const noexcept { return stats_; }
 
  private:
+  /// Replicated op-log bound per service (oldest evicted first).
+  static constexpr std::size_t kOplogCapacity = 4096;
+
   struct Managed {
     Service spec;
     bool is_crashed = false;
@@ -192,8 +193,7 @@ class RecoveryHarness {
     core::checkpoint::OpLog log;
     std::uint64_t inputs_lost = 0;
 
-    explicit Managed(Service s, std::size_t oplog_capacity)
-        : spec(std::move(s)), log(oplog_capacity) {}
+    explicit Managed(Service s) : spec(std::move(s)), log(kOplogCapacity) {}
   };
 
   void arm_heartbeat();

@@ -6,16 +6,11 @@ namespace garnet {
 
 namespace {
 
+/// Per-sensor floor between two location-stream messages.
+constexpr util::Duration kLocationPublishInterval = util::Duration::seconds(1);
+
 net::MessageBus::Config bus_config(const Runtime::Config& config) {
   net::MessageBus::Config bus = config.bus;
-  if (config.faults.enabled()) bus.faults = config.faults;
-  // Fold the overload layer in: inbox shapes, breaker contract, journal.
-  if (config.overload.default_inbox.active()) bus.default_inbox = config.overload.default_inbox;
-  for (const auto& [name, inbox] : config.overload.inboxes) bus.inboxes[name] = inbox;
-  if (config.overload.breaker.enabled()) bus.breaker = config.overload.breaker;
-  if (config.overload.shed_journal_limit > 0) {
-    bus.shed_journal_limit = config.overload.shed_journal_limit;
-  }
   // Control-plane app types: actuation/coordination state, location
   // hints, and the flow-control credits themselves — shedding credits
   // under load would deadlock the very mechanism that relieves it.
@@ -43,21 +38,16 @@ Runtime::Runtime(Config config)
       field_(scheduler_, config.field),
       bus_(scheduler_, bus_config(config)),
       auth_(config.auth),
-      filtering_(scheduler_, config.filtering),
+      filtering_(scheduler_, {}),
       dispatch_(bus_, auth_, catalog_),
       orphanage_(bus_, config.orphanage),
-      location_(bus_, auth_, config.location),
+      location_(bus_, auth_),
       resource_(bus_, auth_, config.resource),
-      replicator_(field_.medium(), location_, config.replicator),
+      replicator_(field_.medium(), location_, {}),
       actuation_(bus_, auth_, replicator_, config.actuation),
-      coordinator_(bus_, auth_, resource_, config.coordinator),
+      coordinator_(bus_, auth_, resource_, {}),
       catalog_service_(bus_, auth_, catalog_) {
-  if (config_.overload.credit_window > 0) {
-    core::FlowControlConfig flow;
-    flow.credit_window = config_.overload.credit_window;
-    flow.resume_threshold = config_.overload.resume_threshold;
-    dispatch_.set_flow_control(flow);
-  }
+  if (config_.flow.enabled()) dispatch_.set_flow_control(config_.flow);
   if (config_.admission.enabled) {
     admission_ = std::make_unique<net::AdmissionGate>(config_.admission);
     admission_->set_metrics(telemetry_.registry);
@@ -69,11 +59,11 @@ Runtime::Runtime(Config config)
       delivered = dispatch_.stats().copies_delivered;
       wasted = bus_.shed_stats().data_total() + dispatch_.stats().quarantine_sheds;
     });
-    if (config_.admission.derive_credit_window && config_.overload.credit_window > 0) {
+    if (config_.flow.enabled()) {
+      // The credit window follows the probed data-pool size.
       admission_->set_resize_listener([this](std::uint32_t size) {
-        core::FlowControlConfig flow;
+        core::FlowControlConfig flow = config_.flow;
         flow.credit_window = size;
-        flow.resume_threshold = config_.overload.resume_threshold;
         dispatch_.set_flow_control(flow);
       });
     }
@@ -360,7 +350,7 @@ void Runtime::publish_location(core::SensorId sensor, const core::LocationEstima
   const util::SimTime now = scheduler_.now();
   const auto last = last_location_publish_.find(sensor);
   if (last != last_location_publish_.end() &&
-      now - last->second < config_.location_publish_interval) {
+      now - last->second < kLocationPublishInterval) {
     return;
   }
   last_location_publish_[sensor] = now;

@@ -17,7 +17,6 @@
 // transmitters / sensors, provision consumers, and run the scheduler.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -42,42 +41,24 @@
 
 namespace garnet {
 
-/// Overload-control knobs folded into the bus and dispatcher at
-/// construction. Everything defaults off: a Runtime without an
-/// OverloadConfig behaves exactly as before the overload layer existed.
-struct OverloadConfig {
-  /// Bounded inbox applied to every bus endpoint without an override.
-  net::InboxConfig default_inbox;
-  /// Per-endpoint inbox overrides, keyed by endpoint name.
-  std::map<std::string, net::InboxConfig> inboxes;
-  /// Circuit-breaker contract inherited by every RpcNode on the bus.
-  net::BreakerConfig breaker;
-  /// Dispatch credit window per subscriber; 0 disables backpressure.
-  std::uint32_t credit_window = 0;
-  /// Credits required before a quarantined consumer resumes (0 = window/2).
-  std::uint32_t resume_threshold = 0;
-  /// Record the first N shed events in the bus's byte-comparable journal.
-  std::size_t shed_journal_limit = 0;
-};
-
 class Runtime {
  public:
   struct Config {
     wireless::SensorField::Config field;
+    /// Bus latency and jitter, deterministic network chaos (`faults`:
+    /// drops, duplicates, delays, partitions, crashes), bounded inboxes,
+    /// the circuit-breaker contract and the shed journal. The runtime
+    /// appends core's control-plane message types to `control_types`.
     net::MessageBus::Config bus;
-    /// Deterministic network chaos (drops, duplicates, delays,
-    /// partitions). A non-empty plan here overrides `bus.faults`.
-    net::FaultPlan faults;
-    /// Overload control (bounded inboxes, breakers, backpressure).
-    /// Inbox/breaker fields override their `bus` counterparts.
-    OverloadConfig overload;
+    /// Dispatch credit-based backpressure; a zero window disables it.
+    core::FlowControlConfig flow;
     /// Adaptive admission control (net/admission.hpp): throughput-probed
     /// ticket pools gating the data-ingest door (radio uplinks and
-    /// inject_external). Off by default. When enabled alongside
-    /// overload.credit_window and derive_credit_window, the dispatch
-    /// credit window tracks the probed data-pool size instead of staying
-    /// a hand-tuned constant. Control-plane traffic (heartbeats, breaker
-    /// probes, credits) never touches the data pool.
+    /// inject_external). Off by default. When enabled alongside a
+    /// flow.credit_window, the dispatch credit window tracks the probed
+    /// data-pool size instead of staying a hand-tuned constant.
+    /// Control-plane traffic (heartbeats, breaker probes, credits) never
+    /// touches the data pool.
     net::AdmissionConfig admission;
     /// Crash recovery: checkpoints + replicated op-logs for the stateful
     /// services (filtering, dispatch, location, catalog). Off by default;
@@ -85,20 +66,15 @@ class Runtime {
     /// mid-run and the harness restores state and replays the gap.
     RecoveryConfig recovery;
     core::AuthService::Config auth;
-    core::FilteringService::Config filtering;
     core::Orphanage::Config orphanage;
-    core::LocationService::Config location;
     core::ResourceManager::Config resource;
-    core::MessageReplicator::Config replicator;
     core::ActuationService::Config actuation;
-    core::SuperCoordinator::Config coordinator;
     obs::Tracer::Config trace;
 
     /// Re-publish location estimates as a subscribable derived stream
-    /// (paper §2 treats location as "any other data stream").
+    /// (paper §2 treats location as "any other data stream"), at most
+    /// one message per sensor per second.
     bool publish_location_stream = false;
-    /// Per-sensor floor between two location-stream messages.
-    util::Duration location_publish_interval = util::Duration::seconds(1);
   };
 
   Runtime() : Runtime(Config{}) {}

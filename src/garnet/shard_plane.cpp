@@ -9,6 +9,10 @@
 namespace garnet {
 namespace {
 
+/// Virtual-time spacing between consecutive injected arrivals on the
+/// plane-global timeline.
+constexpr util::Duration kInjectTick = util::Duration::micros(10);
+
 /// splitmix64 finaliser over the packed StreamKey. The packed id is
 /// sensor<<8|tag, so taking it modulo a power-of-two shard count would
 /// select on the tag bits alone and alias every single-stream sensor
@@ -35,12 +39,11 @@ namespace {
 }  // namespace
 
 ShardedDispatchPlane::Shard::Shard(const net::MessageBus::Config& bus_config,
-                                   const core::FilteringService::Config& filtering_config,
                                    const core::Orphanage::Config& orphanage_config)
     : bus(scheduler, bus_config),
       auth(core::AuthService::Config{}),
       catalog(),
-      filtering(scheduler, filtering_config),
+      filtering(scheduler, {}),
       dispatch(bus, auth, catalog),
       orphanage(bus, orphanage_config) {}
 
@@ -50,7 +53,7 @@ ShardedDispatchPlane::ShardedDispatchPlane(ShardPlaneConfig config)
   const net::MessageBus::Config bus_config = shard_bus_config(config_);
   shards_.reserve(config_.shards);
   for (std::uint32_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(bus_config, config_.filtering, config_.orphanage);
+    auto shard = std::make_unique<Shard>(bus_config, config_.orphanage);
     Shard& s = *shard;
     s.filtering.set_message_sink([&s](const core::DataMessage& message,
                                       util::SimTime first_heard) {
@@ -75,7 +78,7 @@ ShardedDispatchPlane::ShardedDispatchPlane(ShardPlaneConfig config)
                   shard->dispatch.stats().quarantine_sheds;
       }
     });
-    if (config_.admission.derive_credit_window && config_.flow.enabled()) {
+    if (config_.flow.enabled()) {
       // Every shard's credit ledger resizes to the probed pool size in
       // the same probe tick — lockstep by construction.
       gate_->set_resize_listener([this](std::uint32_t size) {
@@ -193,7 +196,7 @@ void ShardedDispatchPlane::inject(const core::DataMessage& message) {
   // so the accepted arrivals' stamps — and everything downstream of
   // them — are identical at any shard count.
   const util::SimTime at =
-      timeline_ + config_.inject_tick * static_cast<std::int64_t>(inject_seq_ + 1);
+      timeline_ + kInjectTick * static_cast<std::int64_t>(inject_seq_ + 1);
   if (gate_ && !gate_->admit_data(at)) return;
   ++inject_seq_;
   Shard& s = *shards_[shard_of(message.stream_id)];
@@ -210,7 +213,7 @@ void ShardedDispatchPlane::ingest(const wireless::ReceptionReport& report) {
       core::decode_view(util::BytesView(report.frame), core::ChecksumPolicy::kTrusted);
   if (decoded.ok()) shard = shard_of(decoded.value().stream_id);
   const util::SimTime at =
-      timeline_ + config_.inject_tick * static_cast<std::int64_t>(inject_seq_ + 1);
+      timeline_ + kInjectTick * static_cast<std::int64_t>(inject_seq_ + 1);
   if (gate_ && !gate_->admit_data(at)) return;
   ++inject_seq_;
   Shard& s = *shards_[shard];
@@ -280,10 +283,6 @@ void ShardedDispatchPlane::merge_round() {
 }
 
 util::SimTime ShardedDispatchPlane::now() const { return timeline_; }
-
-util::SimTime ShardedDispatchPlane::shard_now(std::uint32_t shard) const {
-  return shards_.at(shard)->scheduler.now();
-}
 
 std::string ShardedDispatchPlane::merged_shed_journal() const {
   std::vector<const net::ShedRecord*> records;

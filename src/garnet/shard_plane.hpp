@@ -84,14 +84,10 @@ struct ShardPlaneConfig {
   /// one core (the execution mode is invisible to the merge products).
   bool use_workers = true;
   bool pin_threads = true;
-  /// Virtual-time spacing between consecutive injected arrivals on the
-  /// plane-global timeline.
-  util::Duration inject_tick = util::Duration::micros(10);
   /// Per-shard bus template: latency, inbox shapes, control types, shed
   /// journal limit. Jitter is forced to zero — shard event chains must
   /// be pure functions of arrival times for the merge to reproduce.
   net::MessageBus::Config bus;
-  core::FilteringService::Config filtering;
   core::Orphanage::Config orphanage;
   /// Per-shard credit ledger (dispatch flow control). Window semantics
   /// are per (consumer, shard): a consumer subscribed on two shards
@@ -185,7 +181,6 @@ class ShardedDispatchPlane {
 
   /// The merged virtual clock (every shard sits here after a round).
   [[nodiscard]] util::SimTime now() const;
-  [[nodiscard]] util::SimTime shard_now(std::uint32_t shard) const;
 
   /// Every shard's shed journal, merged under the deterministic total
   /// order (net::shed_merge_before) and rendered with the bus's own
@@ -263,7 +258,6 @@ class ShardedDispatchPlane {
     std::size_t last_round_events = 0;   ///< Events executed last round.
 
     Shard(const net::MessageBus::Config& bus_config,
-          const core::FilteringService::Config& filtering_config,
           const core::Orphanage::Config& orphanage_config);
   };
 
@@ -292,7 +286,7 @@ class ShardedDispatchPlane {
   std::vector<sim::WorkerPool::Task> round_tasks_;
 
   /// Plane-global injection timeline: arrival k of the current round is
-  /// stamped timeline_ + k * inject_tick, re-based at every merge.
+  /// stamped timeline_ + k * kInjectTick, re-based at every merge.
   util::SimTime timeline_;
   std::uint64_t inject_seq_ = 0;
 

@@ -10,6 +10,11 @@ namespace garnet::gw {
 
 namespace {
 
+/// Longest accepted text-protocol line; a peer exceeding it is cut.
+constexpr std::size_t kMaxLineBytes = 512;
+/// Transport read chunk.
+constexpr std::size_t kReadChunk = 16 * 1024;
+
 constexpr std::string_view kSubPrefix = "SUB ";
 constexpr std::string_view kGetPrefix = "GET ";
 
@@ -59,7 +64,7 @@ Gateway::Gateway(Runtime& runtime, Transport& transport, GatewayConfig config)
       transport_(transport),
       config_(std::move(config)),
       consumer_(runtime.bus(), config_.endpoint_name) {
-  scratch_.resize(config_.read_chunk);
+  scratch_.resize(kReadChunk);
   runtime_.provision(consumer_, config_.consumer_name);
   consumer_.set_data_handler([this](const core::DeliveryView& d) { on_delivery(d); });
   consumer_.subscribe(core::StreamPattern::everything());
@@ -191,7 +196,7 @@ void Gateway::on_text_chunk(Conn& conn, util::BytesView chunk) {
       if (conn.dead || conn.close_when_drained) return;
       continue;
     }
-    if (conn.line.size() >= config_.max_line_bytes) {
+    if (conn.line.size() >= kMaxLineBytes) {
       ++stats_.bad_requests;
       close_conn(conn);
       return;

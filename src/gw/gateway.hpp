@@ -83,10 +83,6 @@ struct GatewayConfig {
   /// What to do with the data frame that does not fit. kRejectNack has
   /// no TCP meaning and degrades to kDropNewest.
   net::OverflowPolicy shed_policy = net::OverflowPolicy::kDropNewest;
-  /// Longest accepted text-protocol line; a peer exceeding it is cut.
-  std::size_t max_line_bytes = 512;
-  /// Transport read chunk.
-  std::size_t read_chunk = 16 * 1024;
 };
 
 struct GatewayStats {

@@ -32,12 +32,15 @@ std::string_view to_string(Listener listener) {
 
 namespace {
 
+/// Pending-connection queue of each listening socket.
+constexpr int kListenBacklog = 64;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-int listen_on(std::uint16_t port, int backlog, std::uint16_t& bound) {
+int listen_on(std::uint16_t port, std::uint16_t& bound) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("gw: socket() failed");
   const int one = 1;
@@ -47,7 +50,7 @@ int listen_on(std::uint16_t port, int backlog, std::uint16_t& bound) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, backlog) < 0) {
+      ::listen(fd, kListenBacklog) < 0) {
     ::close(fd);
     throw std::runtime_error("gw: cannot listen on port " + std::to_string(port));
   }
@@ -64,7 +67,7 @@ PosixTransport::PosixTransport(const Config& config) {
   const std::uint16_t requested[kListenerCount] = {config.ingest_port, config.stream_port,
                                                    config.cache_port};
   for (std::size_t i = 0; i < kListenerCount; ++i) {
-    listener_fds_[i] = listen_on(requested[i], config.backlog, ports_[i]);
+    listener_fds_[i] = listen_on(requested[i], ports_[i]);
   }
 }
 

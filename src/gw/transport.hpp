@@ -89,7 +89,6 @@ class PosixTransport final : public Transport {
     std::uint16_t ingest_port = 0;
     std::uint16_t stream_port = 0;
     std::uint16_t cache_port = 0;
-    int backlog = 64;
   };
 
   explicit PosixTransport(const Config& config);

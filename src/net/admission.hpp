@@ -95,9 +95,6 @@ struct AdmissionConfig {
   std::uint32_t control_tickets = 64;
   /// Record the first N probe decisions in the byte-comparable journal.
   std::size_t journal_limit = 0;
-  /// Derive the PR-4 credit window from the live data-pool size (the
-  /// embedder installs the listener; this just gates it).
-  bool derive_credit_window = true;
 
   [[nodiscard]] bool active() const noexcept { return enabled; }
 };
@@ -276,7 +273,6 @@ class AdmissionGate {
   [[nodiscard]] const TicketPool& data_pool() const noexcept { return data_; }
   [[nodiscard]] const TicketPool& control_pool() const noexcept { return control_; }
   [[nodiscard]] std::uint32_t data_pool_size() const noexcept { return data_.size(); }
-  [[nodiscard]] double probe_ewma() const noexcept { return probe_.ewma(); }
   [[nodiscard]] const AdmissionConfig& config() const noexcept { return config_; }
 
   /// PR-4 ledger derivation: the credit window a subscriber should be

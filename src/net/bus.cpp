@@ -24,10 +24,10 @@ Address MessageBus::add_endpoint(std::string name, Handler handler) {
   const Address address{static_cast<std::uint32_t>(endpoints_.size())};
   names_.emplace(name, address.value);
   auto entry = std::make_unique<EndpointEntry>(std::move(name), std::move(handler), nullptr);
-  const auto override_it = config_.inboxes.find(entry->name);
-  const InboxConfig inbox =
-      override_it != config_.inboxes.end() ? override_it->second : config_.default_inbox;
-  if (inbox.active()) entry->inbox = std::make_unique<Inbox>(inbox);
+  const auto it = config_.inboxes.find(entry->name);
+  if (it != config_.inboxes.end() && it->second.active()) {
+    entry->inbox = std::make_unique<Inbox>(it->second);
+  }
   endpoints_.push_back(std::move(entry));
   return address;
 }
@@ -43,20 +43,6 @@ std::optional<Address> MessageBus::lookup(const std::string& name) const {
   const auto it = names_.find(name);
   if (it == names_.end()) return std::nullopt;
   return Address{it->second};
-}
-
-void MessageBus::set_inbox(Address address, InboxConfig config) {
-  EndpointEntry* entry = find(address);
-  if (entry == nullptr) return;
-  if (!config.active()) {
-    entry->inbox.reset();
-    return;
-  }
-  if (entry->inbox) {
-    entry->inbox->config = config;
-  } else {
-    entry->inbox = std::make_unique<Inbox>(config);
-  }
 }
 
 void MessageBus::set_endpoint_down(const std::string& name, bool down) {

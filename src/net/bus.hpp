@@ -132,11 +132,9 @@ class MessageBus {
     /// Deterministic chaos regime; default-constructed = fully reliable.
     FaultPlan faults;
 
-    /// Inbox applied to every endpoint without a per-name override. The
-    /// default is inactive: direct delivery, no queueing, no shedding.
-    InboxConfig default_inbox;
-    /// Per-endpoint inbox overrides, keyed by endpoint name (stable
-    /// across runs, like FaultPlan links).
+    /// Bounded inboxes, keyed by endpoint name (stable across runs, like
+    /// FaultPlan links). An endpoint without an entry has none: direct
+    /// delivery, no queueing, no shedding.
     std::map<std::string, InboxConfig> inboxes;
     /// App-level message types scheduled as control plane in addition to
     /// the substrate types (< kAppBase), e.g. actuation and credit
@@ -159,7 +157,7 @@ class MessageBus {
 
   /// Registers a named endpoint; the name supports discovery. Names must
   /// be unique. Returns the new address. The endpoint's inbox comes from
-  /// Config::inboxes[name], falling back to Config::default_inbox.
+  /// Config::inboxes[name].
   Address add_endpoint(std::string name, Handler handler);
 
   void remove_endpoint(Address address);
@@ -173,10 +171,6 @@ class MessageBus {
   /// (when configured) may drop, delay, or duplicate it; links are
   /// identified by endpoint names, so plans are stable across runs.
   void post(Address from, Address to, MessageType type, util::SharedBytes payload);
-
-  /// Installs (or replaces) an endpoint's inbox at runtime; queued
-  /// envelopes are preserved. Used by tests and operator tooling.
-  void set_inbox(Address address, InboxConfig config);
 
   /// Marks a named endpoint down (crashed) or back up. While down, the
   /// endpoint keeps its name and address — discovery still resolves, and

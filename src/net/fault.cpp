@@ -217,12 +217,6 @@ FaultInjector::Verdict FaultInjector::decide(const std::string& from, const std:
   return verdict;
 }
 
-void FaultInjector::open_partition(std::string_view name) {
-  for (PartitionState& partition : partitions_) {
-    if (partition.spec.name == name) partition.open = true;
-  }
-}
-
 void FaultInjector::heal_partition(std::string_view name) {
   for (PartitionState& partition : partitions_) {
     if (partition.spec.name == name) partition.open = false;

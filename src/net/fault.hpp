@@ -195,8 +195,7 @@ class FaultInjector {
     beacon_fault_handler_ = std::move(handler);
   }
 
-  /// Manual partition control (sim-time control comes from the plan).
-  void open_partition(std::string_view name);
+  /// Manual partition heal (sim-time control comes from the plan).
   void heal_partition(std::string_view name);
   [[nodiscard]] bool partition_open(std::string_view name) const;
 

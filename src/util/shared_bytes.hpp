@@ -73,12 +73,6 @@ class SharedBytes {
   [[nodiscard]] BytesView span() const noexcept { return {data_, length_}; }
   operator BytesView() const noexcept { return span(); }  // NOLINT
 
-  /// Scatter-gather descriptor aliasing this allocation — the zero-copy
-  /// bridge to writev-style transports: the kernel reads straight from
-  /// the shared buffer, so no copy is counted between encode and the
-  /// socket. The caller must keep a handle alive until the write lands.
-  [[nodiscard]] IoSlice io_slice() const noexcept { return {data_, length_}; }
-
   /// Materialises an owned copy of the bytes (for callers that must
   /// mutate or outlive every handle). Counts one copy.
   [[nodiscard]] Bytes to_owned_copy() const;

@@ -184,14 +184,14 @@ bool RadioMedium::copy_survives(double dist, double range) {
 
 double RadioMedium::rssi_for(double dist) {
   const double d = std::max(dist, 1.0);
-  return config_.tx_power_dbm - 10.0 * config_.path_loss_exponent * std::log10(d) +
-         rng_.normal(0.0, config_.rssi_noise_stddev);
+  return kTxPowerDbm - 10.0 * kPathLossExponent * std::log10(d) +
+         rng_.normal(0.0, kRssiNoiseStddev);
 }
 
 util::Duration RadioMedium::delivery_delay() {
   const auto jitter_ns = static_cast<std::int64_t>(
       rng_.uniform() * static_cast<double>(config_.max_jitter.ns));
-  return config_.hop_latency + util::Duration::nanos(jitter_ns);
+  return kHopLatency + util::Duration::nanos(jitter_ns);
 }
 
 void RadioMedium::set_metrics(obs::MetricsRegistry& registry) {

@@ -68,19 +68,21 @@ struct RadioStats {
 
 class RadioMedium {
  public:
+  /// Fixed propagation/processing latency per hop.
+  static constexpr util::Duration kHopLatency = util::Duration::micros(500);
+  /// Free-space-style RSSI model: rssi = tx_power - 10 n log10(d) plus
+  /// Gaussian noise of this standard deviation.
+  static constexpr double kTxPowerDbm = 0.0;
+  static constexpr double kPathLossExponent = 2.4;
+  static constexpr double kRssiNoiseStddev = 1.5;
+
   struct Config {
     /// Probability a frame copy is lost even in perfect range.
     double base_loss = 0.02;
     /// Additional loss grows with (distance/range)^2 up to this at the edge.
     double edge_loss = 0.35;
-    /// Fixed propagation/processing latency per hop.
-    util::Duration hop_latency = util::Duration::micros(500);
-    /// Uniform extra jitter bound added per delivery.
+    /// Uniform extra jitter bound added on top of kHopLatency.
     util::Duration max_jitter = util::Duration::millis(4);
-    /// Free-space-style RSSI model: rssi = tx_power - 10 n log10(d).
-    double tx_power_dbm = 0.0;
-    double path_loss_exponent = 2.4;
-    double rssi_noise_stddev = 1.5;
   };
 
   RadioMedium(sim::Scheduler& scheduler, Config config, util::Rng rng);

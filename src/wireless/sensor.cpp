@@ -168,7 +168,6 @@ UpdateOutcome SensorNode::apply_update(const core::StreamUpdateRequest& request)
     } else {
       ++updates_rejected_;
     }
-    if (update_observer_) update_observer_(request, outcome);
     return outcome;
   };
 
@@ -184,7 +183,6 @@ UpdateOutcome SensorNode::apply_update(const core::StreamUpdateRequest& request)
         // Re-acknowledge (the earlier ack may have been lost) but do not
         // re-apply.
         pending_ack_ = request.request_id;
-        if (update_observer_) update_observer_(request, UpdateOutcome::kDuplicate);
         return UpdateOutcome::kDuplicate;
       }
     }

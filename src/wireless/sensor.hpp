@@ -97,7 +97,6 @@ class SensorNode {
     std::vector<StreamSpec> streams;
     double battery_joules = 1e9;          ///< Effectively infinite by default.
     double tx_cost_joules_per_byte = 50e-6;
-    double downlink_listen_range_m = 1e9; ///< Receiver sensitivity bound.
     double relay_overhear_range_m = 150;  ///< Peer-overhearing radius.
     tree::TreeConfig tree;                ///< Routing knobs (relay_capable only).
   };
@@ -147,11 +146,6 @@ class SensorNode {
   /// call it to model out-of-band configuration).
   UpdateOutcome apply_update(const core::StreamUpdateRequest& request);
 
-  /// Test/diagnostic hook: called with every update outcome.
-  void set_update_observer(std::function<void(const core::StreamUpdateRequest&, UpdateOutcome)> fn) {
-    update_observer_ = std::move(fn);
-  }
-
   /// Message traces originate here: each uplink sample opens a "radio"
   /// span keyed by its (StreamID, sequence). Relayed frames are not
   /// traced (the origin sensor already opened the trace).
@@ -184,7 +178,6 @@ class SensorNode {
   std::uint64_t updates_applied_ = 0;
   std::uint64_t updates_rejected_ = 0;
   std::unique_ptr<tree::TreeRouter> router_;  ///< Set iff relay_capable.
-  std::function<void(const core::StreamUpdateRequest&, UpdateOutcome)> update_observer_;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -10,6 +10,19 @@ namespace garnet::wireless::tree {
 
 namespace {
 
+/// A same-depth challenger must beat the parent's smoothed RSSI by this
+/// margin before a re-parent happens (damps flapping on RSSI noise).
+constexpr double kHysteresisDb = 6.0;
+/// Parent declared lost after this many beacon intervals of silence.
+constexpr std::int64_t kMissedBeacons = 3;
+/// Exponential re-attach backoff: base * 2^(losses-1), capped.
+constexpr util::Duration kReattachBackoff = util::Duration::millis(200);
+constexpr util::Duration kReattachBackoffMax = util::Duration::seconds(5);
+/// After this long attached to one parent, the backoff counter resets.
+constexpr util::Duration kStablePeriod = util::Duration::seconds(4);
+/// EWMA weight of a new RSSI sample against the smoothed neighbour value.
+constexpr double kRssiSmoothing = 0.3;
+
 constexpr std::size_t kBeaconBytes = 2 + 4 + 2 + 4 + 4;
 constexpr std::size_t kDataHeaderBytes = 2 + 1 + 1 + 4 + 4 + 2;
 
@@ -184,8 +197,7 @@ void TreeRouter::stop() {
 }
 
 util::Duration TreeRouter::parent_timeout() const {
-  return util::Duration::nanos(config_.beacon_interval.ns *
-                               static_cast<std::int64_t>(config_.missed_beacons));
+  return util::Duration::nanos(config_.beacon_interval.ns * kMissedBeacons);
 }
 
 void TreeRouter::on_frame(util::BytesView frame, double rssi_dbm) {
@@ -216,7 +228,7 @@ void TreeRouter::on_beacon(const Beacon& beacon, double rssi_dbm) {
   if (beacon.origin == self_key_) return;  // own beacon echoed back
   // Implausible depth: deeper than the TTL budget can ever serve — and a
   // forged 0xFFFF would wrap hop+1 to 0, hijacking parent selection.
-  if (beacon.hop >= config_.max_ttl) {
+  if (beacon.hop >= kMaxTtl) {
     ++stats_.corrupt_dropped;
     return;
   }
@@ -242,8 +254,8 @@ void TreeRouter::on_beacon(const Beacon& beacon, double rssi_dbm) {
     fresh.rssi_dbm = rssi_dbm;
     it = neighbors_.emplace(beacon.origin, fresh).first;
   } else {
-    it->second.rssi_dbm = it->second.rssi_dbm * (1.0 - config_.rssi_smoothing) +
-                          rssi_dbm * config_.rssi_smoothing;
+    it->second.rssi_dbm = it->second.rssi_dbm * (1.0 - kRssiSmoothing) +
+                          rssi_dbm * kRssiSmoothing;
   }
   it->second.hop = beacon.hop;
   it->second.root = beacon.root;
@@ -264,7 +276,7 @@ void TreeRouter::on_beacon(const Beacon& beacon, double rssi_dbm) {
       parent_it != neighbors_.end() ? parent_it->second.rssi_dbm : -120.0;
   const bool better = candidate_depth < depth_ ||
                       (candidate_depth == depth_ &&
-                       it->second.rssi_dbm > parent_rssi + config_.hysteresis_db);
+                       it->second.rssi_dbm > parent_rssi + kHysteresisDb);
   if (better) attach_to(beacon.origin);
 }
 
@@ -314,13 +326,13 @@ void TreeRouter::detach() {
   const util::SimTime now = scheduler_.now();
   // A long stable attachment forgives past churn; otherwise the backoff
   // exponent keeps growing so a flapping parent is courted ever slower.
-  if ((now - parent_since_).ns >= config_.stable_period.ns) losses_ = 0;
+  if ((now - parent_since_).ns >= kStablePeriod.ns) losses_ = 0;
   ++losses_;
-  std::int64_t backoff = config_.reattach_backoff.ns;
-  for (std::uint32_t i = 1; i < losses_ && backoff < config_.reattach_backoff_max.ns; ++i) {
+  std::int64_t backoff = kReattachBackoff.ns;
+  for (std::uint32_t i = 1; i < losses_ && backoff < kReattachBackoffMax.ns; ++i) {
     backoff *= 2;
   }
-  backoff = std::min(backoff, config_.reattach_backoff_max.ns);
+  backoff = std::min(backoff, kReattachBackoffMax.ns);
   reattach_at_ = now + util::Duration::nanos(backoff);
 
   neighbors_.erase(parent_);
@@ -354,7 +366,7 @@ void TreeRouter::maintenance_tick() {
                       (now - it->second.last_heard).ns > parent_timeout().ns;
     if (lost) {
       detach();
-    } else if ((now - parent_since_).ns >= config_.stable_period.ns) {
+    } else if ((now - parent_since_).ns >= kStablePeriod.ns) {
       losses_ = 0;
     }
   }
@@ -382,7 +394,7 @@ void TreeRouter::send_own(util::Bytes frame) {
       // depth-1 node behaves exactly like the pre-tree single-hop radio.
       transmit_(std::move(frame));
     } else {
-      transmit_(encode_data(DataFrame{config_.max_ttl, static_cast<std::uint8_t>(depth_),
+      transmit_(encode_data(DataFrame{kMaxTtl, static_cast<std::uint8_t>(depth_),
                                       parent_, self_key_, frame}));
     }
     return;
@@ -401,7 +413,7 @@ void TreeRouter::send_own(util::Bytes frame) {
     transmit_(std::move(spill.inner));
   }
   ++stats_.buffered;
-  orphans_.push_back(Orphan{std::move(frame), config_.max_ttl});
+  orphans_.push_back(Orphan{std::move(frame), kMaxTtl});
 }
 
 bool TreeRouter::seen_before(std::uint64_t fingerprint) {
@@ -455,7 +467,7 @@ void TreeRouter::on_tree_data(const DataFrame& frame) {
   }
   // Clamp forged TTLs before spending the budget: a hostile 0xFF must
   // not buy more hops than the configured maximum.
-  const std::uint8_t ttl = std::min(frame.ttl, config_.max_ttl);
+  const std::uint8_t ttl = std::min(frame.ttl, kMaxTtl);
   if (ttl == 0) {
     ++stats_.ttl_dropped;
     return;
@@ -490,7 +502,7 @@ void TreeRouter::on_plain_frame(util::BytesView frame) {
   util::Bytes out = encode_relayed(msg);
   ++stats_.proxied;
   if (attached_ && !is_root_key(parent_)) {
-    transmit_(encode_data(DataFrame{config_.max_ttl, static_cast<std::uint8_t>(depth_),
+    transmit_(encode_data(DataFrame{kMaxTtl, static_cast<std::uint8_t>(depth_),
                                     parent_, self_key_, out}));
   } else {
     transmit_(std::move(out));

@@ -108,7 +108,6 @@ class TreeJournal {
  public:
   explicit TreeJournal(std::size_t limit = 0) : limit_(limit) {}
 
-  void set_limit(std::size_t limit) { limit_ = limit; }
   void record(util::SimTime at, std::string_view event, std::uint32_t node,
               std::uint32_t parent);
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -130,23 +129,13 @@ class TreeJournal {
 /// "root-<id>" or "sensor-<id>" rendering used by the repair journal.
 [[nodiscard]] std::string key_name(std::uint32_t key);
 
+/// Hop budget for forwarded data frames; ingress clamps forged values.
+/// Also the deepest a node may attach (a beacon at this hop is ignored).
+inline constexpr std::uint8_t kMaxTtl = 8;
+
 struct TreeConfig {
   /// Beacon cadence of attached nodes; also the maintenance-tick period.
   util::Duration beacon_interval = util::Duration::millis(400);
-  /// Hop budget for forwarded data frames; ingress clamps forged values.
-  std::uint8_t max_ttl = 8;
-  /// A same-depth challenger must beat the parent's smoothed RSSI by this
-  /// margin before a re-parent happens (damps flapping on RSSI noise).
-  double hysteresis_db = 6.0;
-  /// Parent declared lost after this many beacon intervals of silence.
-  std::uint32_t missed_beacons = 3;
-  /// Exponential re-attach backoff: base * 2^(losses-1), capped.
-  util::Duration reattach_backoff = util::Duration::millis(200);
-  util::Duration reattach_backoff_max = util::Duration::seconds(5);
-  /// After this long attached to one parent, the backoff counter resets.
-  util::Duration stable_period = util::Duration::seconds(4);
-  /// EWMA weight of a new RSSI sample against the smoothed neighbour value.
-  double rssi_smoothing = 0.3;
   std::size_t orphan_capacity = 32;    ///< Frames buffered while orphaned.
   std::size_t dedup_capacity = 256;    ///< (sensor, seq) fingerprints kept.
   std::size_t neighbor_capacity = 32;  ///< Beacon sources tracked.

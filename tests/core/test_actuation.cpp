@@ -24,7 +24,7 @@ struct ActuationFixture : ::testing::Test {
   }
 
   wireless::RadioMedium medium{scheduler, perfect_radio(), util::Rng(1)};
-  LocationService location{bus, auth, {}};
+  LocationService location{bus, auth};
   ResourceManager resource{bus, auth,
                            {.policy = ConflictPolicy::kMostDemandingWins,
                             .evaluation_delay = Duration::millis(5),

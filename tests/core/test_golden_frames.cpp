@@ -167,7 +167,7 @@ TEST(GoldenFrames, CheckpointBytesArePinned) {
     sim::Scheduler scheduler;
     net::MessageBus bus(scheduler, {});
     AuthService auth{{}};
-    LocationService location(bus, auth, {});
+    LocationService location(bus, auth);
     location.set_receiver_layout({{.id = 1, .position = {0.0, 0.0}},
                                   {.id = 2, .position = {60.0, 0.0}},
                                   {.id = 3, .position = {0.0, 80.0}}});
@@ -283,12 +283,12 @@ TEST(GoldenFrames, LocationDeltaChainReproducesFullCapture) {
   sim::Scheduler scheduler_a;
   net::MessageBus bus_a(scheduler_a, {});
   AuthService auth_a{{}};
-  LocationService primary(bus_a, auth_a, {});
+  LocationService primary(bus_a, auth_a);
   primary.set_receiver_layout(layout);
   sim::Scheduler scheduler_b;
   net::MessageBus bus_b(scheduler_b, {});
   AuthService auth_b{{}};
-  LocationService standby(bus_b, auth_b, {});
+  LocationService standby(bus_b, auth_b);
   standby.set_receiver_layout(layout);
 
   const SimTime t = SimTime{} + Duration::seconds(1);

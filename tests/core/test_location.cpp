@@ -12,7 +12,7 @@ struct LocationFixture : ::testing::Test {
   sim::Scheduler scheduler;
   net::MessageBus bus{scheduler, {}};
   AuthService auth{{}};
-  LocationService location{bus, auth, {}};
+  LocationService location{bus, auth};
 
   LocationFixture() {
     std::vector<wireless::Receiver> receivers = {
@@ -39,7 +39,7 @@ TEST_F(LocationFixture, SingleReceiverEstimateCentersOnIt) {
   ASSERT_TRUE(est.has_value());
   EXPECT_NEAR(est->position.x, 200.0, 1e-6);
   EXPECT_NEAR(est->position.y, 0.0, 1e-6);
-  EXPECT_GE(est->radius_m, LocationService::Config{}.base_radius_m);
+  EXPECT_GE(est->radius_m, LocationService::kBaseRadiusM);
   EXPECT_EQ(est->source, LocationEstimate::Source::kInferred);
 }
 
@@ -70,7 +70,7 @@ TEST_F(LocationFixture, ConfidenceGrowsWithReceivers) {
   const double c3 = location.estimate(1)->confidence;
   EXPECT_LT(c1, c2);
   EXPECT_LT(c2, c3);
-  EXPECT_DOUBLE_EQ(c3, 1.0);  // full_confidence_receivers = 3
+  EXPECT_DOUBLE_EQ(c3, 1.0);  // kFullConfidenceReceivers = 3
 }
 
 TEST_F(LocationFixture, ObservationsAgeOut) {

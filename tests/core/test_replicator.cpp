@@ -15,7 +15,7 @@ struct ReplicatorFixture : ::testing::Test {
   sim::Scheduler scheduler;
   net::MessageBus bus{scheduler, {}};
   AuthService auth{{}};
-  LocationService location{bus, auth, {}};
+  LocationService location{bus, auth};
   obs::MetricsRegistry registry;
 
   wireless::RadioMedium::Config perfect_radio() {

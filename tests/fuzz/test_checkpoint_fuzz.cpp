@@ -168,7 +168,7 @@ struct LocationFixture {
   sim::Scheduler scheduler;
   net::MessageBus bus{scheduler, {}};
   core::AuthService auth{{}};
-  core::LocationService service{bus, auth, {}};
+  core::LocationService service{bus, auth};
   const util::SimTime t = util::SimTime{} + util::Duration::seconds(1);
   LocationFixture() {
     service.set_receiver_layout({{.id = 1, .position = {0.0, 0.0}},

@@ -110,14 +110,14 @@ TEST_P(OverloadFuzzSeeds, RuntimeUnderOverloadSurvivesHostileEnvelopes) {
   // — including random kDeliveryCredit frames from an unknown sender,
   // which must be ignored rather than minting credit state.
   Runtime::Config config;
-  config.overload.credit_window = 16;
+  config.flow.credit_window = 16;
   {
     net::InboxConfig inbox;
     inbox.capacity = 32;
     inbox.policy = net::OverflowPolicy::kDropOldest;
     inbox.service_time = Duration::micros(50);
-    config.overload.inboxes[core::DispatchingService::kEndpointName] = inbox;
-    config.overload.inboxes[core::Orphanage::kEndpointName] = inbox;
+    config.bus.inboxes[core::DispatchingService::kEndpointName] = inbox;
+    config.bus.inboxes[core::Orphanage::kEndpointName] = inbox;
   }
   Runtime runtime(config);
   runtime.deploy_receivers(4, 300);
@@ -158,13 +158,13 @@ TEST_P(OverloadFuzzSeeds, AdmissionWireSurfaceSurvivesForgedFramesAtFullInboxes)
   // neither crash, nor leak tickets, nor let the forgery starve the
   // control class.
   Runtime::Config config;
-  config.overload.credit_window = 16;
+  config.flow.credit_window = 16;
   {
     net::InboxConfig inbox;
     inbox.capacity = 32;
     inbox.policy = net::OverflowPolicy::kDropOldest;
     inbox.service_time = Duration::micros(50);
-    config.overload.inboxes[core::DispatchingService::kEndpointName] = inbox;
+    config.bus.inboxes[core::DispatchingService::kEndpointName] = inbox;
   }
   config.admission.enabled = true;
   config.admission.probing = true;

@@ -132,7 +132,7 @@ TEST_P(TreeFuzzSeeds, RouterSurvivesHostileFrameStream) {
     if (router.attached()) {
       // A forged hop can never install an implausible depth.
       ASSERT_GE(router.depth(), 1);
-      ASSERT_LE(router.depth(), config.max_ttl);
+      ASSERT_LE(router.depth(), kMaxTtl);
     }
   }
 

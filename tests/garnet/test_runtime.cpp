@@ -177,7 +177,7 @@ TEST(RuntimeAdmission, CreditWindowTracksTheProbedPoolSize) {
   // window is no longer the hand-tuned constant but follows the probed
   // data-pool size through the resize listener.
   Runtime::Config config;
-  config.overload.credit_window = 16;
+  config.flow.credit_window = 16;
   config.admission.enabled = true;
   config.admission.probing = true;
   config.admission.probe.initial_concurrency = 8;

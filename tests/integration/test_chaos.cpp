@@ -169,9 +169,9 @@ TEST(Chaos, RuntimeChaosRunsAreReplayable) {
   const auto run_once = [] {
     Runtime::Config config;
     config.field.seed = 77;
-    config.faults.seed = 0xBEEF;
-    config.faults.global.drop = 0.25;
-    config.faults.global.duplicate = 0.10;
+    config.bus.faults.seed = 0xBEEF;
+    config.bus.faults.global.drop = 0.25;
+    config.bus.faults.global.duplicate = 0.10;
     Runtime runtime(config);
     runtime.deploy_receivers(4, 400);
     runtime.deploy_transmitters(1, 900);
@@ -219,14 +219,14 @@ TEST(Chaos, FailoverDetectsDeadPrimaryThroughSaturatedWatchdogInbox) {
     inbox.capacity = 4;
     inbox.policy = net::OverflowPolicy::kDropOldest;
     inbox.service_time = Duration::millis(1);
-    config.overload.inboxes[RecoveryHarness::kReplicaEndpointName] = inbox;
+    config.bus.inboxes[RecoveryHarness::kReplicaEndpointName] = inbox;
   }
   const SimTime crash_at = SimTime{} + Duration::millis(1000);
   {
     net::FaultPlan::CrashSpec crash;
     crash.service = "filtering";
     crash.at = crash_at;
-    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
   Runtime runtime(config);
   runtime.deploy_receivers(1, 5000);  // one receiver covering the field
@@ -307,7 +307,7 @@ TEST(Chaos, UnreachableResourceManagerDegradesToDenial) {
     partition.name = "rm-island";
     partition.members = {core::ResourceManager::kEndpointName};
     partition.opens_at = SimTime{};  // open immediately
-    config.faults.partitions.push_back(partition);
+    config.bus.faults.partitions.push_back(partition);
   }
   Runtime runtime(config);
 

@@ -66,25 +66,25 @@ TEST(CrashRecovery, DispatchCrashMidFloodKeepsOverloadAndDeliveryInvariants) {
   // overload layer's contract (control-plane never shed) must hold
   // across the promotion.
   Runtime::Config config;
-  config.overload.credit_window = 32;
-  config.overload.shed_journal_limit = 1 << 14;
+  config.flow.credit_window = 32;
+  config.bus.shed_journal_limit = 1 << 14;
   {
     net::InboxConfig fast;
     fast.capacity = 64;
     fast.policy = net::OverflowPolicy::kDropOldest;
     fast.service_time = Duration::micros(20);
-    config.overload.inboxes["consumer.fast"] = fast;
+    config.bus.inboxes["consumer.fast"] = fast;
     net::InboxConfig slow = fast;
     slow.capacity = 8;
     slow.service_time = Duration::millis(2);
-    config.overload.inboxes["consumer.slow"] = slow;
+    config.bus.inboxes["consumer.slow"] = slow;
   }
   config.recovery.enabled = true;
   {
     net::FaultPlan::CrashSpec crash;
     crash.service = "dispatch";
     crash.at = SimTime{} + Duration::millis(520);
-    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
   Runtime runtime(config);
   ASSERT_NE(runtime.recovery(), nullptr);
@@ -155,16 +155,16 @@ struct ChaosOutcome {
 ChaosOutcome run_all_services_chaos(std::uint64_t seed) {
   Runtime::Config config;
   config.field.seed = seed;
-  config.faults.seed = 0xD15EA5E;
-  config.faults.journal_limit = 1 << 14;
-  config.overload.shed_journal_limit = 1 << 14;
+  config.bus.faults.seed = 0xD15EA5E;
+  config.bus.faults.journal_limit = 1 << 14;
+  config.bus.shed_journal_limit = 1 << 14;
   config.recovery.enabled = true;
   const auto schedule_crash = [&](const char* service, std::int64_t at_ms) {
     net::FaultPlan::CrashSpec crash;
     crash.service = service;
     crash.at = SimTime{} + Duration::millis(at_ms);
     crash.restart_after = Duration::millis(180);  // rejoin before the watchdog
-    config.faults.crashes.push_back(crash);
+    config.bus.faults.crashes.push_back(crash);
   };
   schedule_crash("filtering", 330);
   schedule_crash("dispatch", 730);
@@ -257,7 +257,7 @@ TEST(CrashRecovery, RestartBeforeDetectionRejoinsWithoutPromotion) {
     crash.service = "filtering";
     crash.at = SimTime{} + Duration::millis(200);
     crash.restart_after = Duration::millis(150);
-    config.faults.crashes.push_back(crash);
+    config.bus.faults.crashes.push_back(crash);
   }
   Runtime runtime(config);
   runtime.run_for(Duration::seconds(1));
@@ -282,7 +282,7 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
     crash.service = "filtering";
     crash.at = SimTime{} + Duration::millis(100);
     crash.restart_after = Duration::millis(200);
-    config.faults.crashes.push_back(crash);
+    config.bus.faults.crashes.push_back(crash);
   }
   Runtime runtime(config);
   runtime.deploy_receivers(1, 5000);  // one receiver covering the field
@@ -320,7 +320,7 @@ TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
     net::FaultPlan::CrashSpec crash;
     crash.service = "filtering";
     crash.at = crash_at;
-    config.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
   }
   Runtime runtime(config);
   runtime.deploy_receivers(1, 5000);  // one receiver covering the field

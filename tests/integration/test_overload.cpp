@@ -41,18 +41,18 @@ struct FloodOutcome {
 /// are injected straight into the dispatcher on a fixed schedule.
 FloodOutcome run_flood(Duration message_interval, bool with_slow_consumer) {
   Runtime::Config config;
-  config.overload.credit_window = 32;
-  config.overload.shed_journal_limit = 1 << 16;
+  config.flow.credit_window = 32;
+  config.bus.shed_journal_limit = 1 << 16;
   {
     net::InboxConfig fast;
     fast.capacity = 64;
     fast.policy = net::OverflowPolicy::kDropOldest;
     fast.service_time = Duration::micros(20);  // healthy: keeps up with the flood
-    config.overload.inboxes["consumer.fast"] = fast;
+    config.bus.inboxes["consumer.fast"] = fast;
     net::InboxConfig slow = fast;
     slow.capacity = 8;
     slow.service_time = Duration::millis(2);  // 100x slower per message
-    config.overload.inboxes["consumer.slow"] = slow;
+    config.bus.inboxes["consumer.slow"] = slow;
   }
   Runtime runtime(config);
 

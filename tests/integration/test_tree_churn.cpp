@@ -53,7 +53,7 @@ Runtime::Config chain_config(std::uint64_t seed) {
   config.field.tree_beacons = true;
   config.field.tree.beacon_interval = Duration::millis(100);
   config.field.tree_journal_limit = 4096;
-  config.faults.journal_limit = 4096;
+  config.bus.faults.journal_limit = 4096;
   return config;
 }
 
@@ -92,7 +92,7 @@ TEST(TreeChurn, RelayCrashMidForwardDeliversExactlyOnce) {
     fault.node = id;
     fault.at = SimTime{} + Duration::seconds(4);
     fault.restart_after = Duration::millis(2500);
-    config.faults.relay_faults.push_back(fault);
+    config.bus.faults.relay_faults.push_back(fault);
   }
   Runtime runtime(config);
   deploy_chain(runtime, config);
@@ -144,7 +144,7 @@ TEST(TreeChurn, RecoveryPromotionOverlappingReparentStaysExactlyOnce) {
     net::FaultPlan::CrashSpec crash;
     crash.service = "filtering";
     crash.at = SimTime{} + Duration::seconds(4);
-    config.faults.crashes.push_back(crash);
+    config.bus.faults.crashes.push_back(crash);
   }
   for (core::SensorId id : {kRelayA, kRelayB}) {
     // ...while, in the same window, the wireless tree is re-forming.
@@ -152,7 +152,7 @@ TEST(TreeChurn, RecoveryPromotionOverlappingReparentStaysExactlyOnce) {
     fault.node = id;
     fault.at = SimTime{} + Duration::millis(3900);
     fault.restart_after = Duration::millis(1200);
-    config.faults.relay_faults.push_back(fault);
+    config.bus.faults.relay_faults.push_back(fault);
   }
   Runtime runtime(config);
   ASSERT_NE(runtime.recovery(), nullptr);
@@ -194,20 +194,20 @@ ChurnOutcome run_churn(std::uint64_t seed, util::Duration step) {
   Runtime::Config config = chain_config(seed);
   // Link noise draws from the injector's rng on every envelope; relay and
   // beacon faults are pure time triggers riding the same journal.
-  config.faults.global.drop = 0.02;
+  config.bus.faults.global.drop = 0.02;
   {
     net::FaultPlan::RelayFaultSpec fault;
     fault.node = kRelayA;
     fault.at = SimTime{} + Duration::seconds(3);
     fault.restart_after = Duration::millis(1500);
-    config.faults.relay_faults.push_back(fault);
+    config.bus.faults.relay_faults.push_back(fault);
   }
   {
     net::FaultPlan::BeaconFaultSpec fault;
     fault.node = kSource;
     fault.at = SimTime{} + Duration::seconds(7);
     fault.restore_after = Duration::millis(1500);
-    config.faults.beacon_faults.push_back(fault);
+    config.bus.faults.beacon_faults.push_back(fault);
   }
   Runtime runtime(config);
   deploy_chain(runtime, config);

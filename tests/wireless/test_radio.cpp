@@ -38,7 +38,7 @@ TEST_F(RadioFixture, DeliversToReceiverInRange) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].receiver, 1u);
   EXPECT_EQ(util::to_string(reports[0].frame), "frame");
-  EXPECT_GE(reports[0].received_at.ns, perfect_radio().hop_latency.ns);
+  EXPECT_GE(reports[0].received_at.ns, RadioMedium::kHopLatency.ns);
 }
 
 TEST_F(RadioFixture, OutOfRangeFrameUnheard) {
@@ -310,12 +310,12 @@ std::vector<Copy> reference_uplink(const std::vector<Receiver>& receivers,
     if (dist > rx.range_m) continue;
     const double frac = rx.range_m > 0 ? std::min(dist / rx.range_m, 1.0) : 1.0;
     if (rng.chance(config.base_loss + config.edge_loss * frac * frac)) continue;
-    const double rssi = config.tx_power_dbm -
-                        10.0 * config.path_loss_exponent * std::log10(std::max(dist, 1.0)) +
-                        rng.normal(0.0, config.rssi_noise_stddev);
+    const double rssi = RadioMedium::kTxPowerDbm -
+                        10.0 * RadioMedium::kPathLossExponent * std::log10(std::max(dist, 1.0)) +
+                        rng.normal(0.0, RadioMedium::kRssiNoiseStddev);
     const auto jitter_ns = static_cast<std::int64_t>(
         rng.uniform() * static_cast<double>(config.max_jitter.ns));
-    copies.emplace_back(rx.id, rssi, (config.hop_latency + Duration::nanos(jitter_ns)).ns);
+    copies.emplace_back(rx.id, rssi, (RadioMedium::kHopLatency + Duration::nanos(jitter_ns)).ns);
   }
   std::stable_sort(copies.begin(), copies.end(),
                    [](const Copy& a, const Copy& b) { return std::get<2>(a) < std::get<2>(b); });

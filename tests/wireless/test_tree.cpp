@@ -153,7 +153,7 @@ TEST_F(RouterFixture, SendOwnWrapsTowardRelayParent) {
   ASSERT_TRUE(data.has_value());
   EXPECT_EQ(data->next_hop, 9u);
   EXPECT_EQ(data->origin, 5u);
-  EXPECT_EQ(data->ttl, config.max_ttl);
+  EXPECT_EQ(data->ttl, kMaxTtl);
 }
 
 TEST_F(RouterFixture, NeverAttachedSendsPlainLegacyUplink) {
@@ -208,12 +208,12 @@ TEST_F(RouterFixture, TtlZeroAndForgedTtlBounded) {
   EXPECT_EQ(router->stats().ttl_dropped, 1u);
   EXPECT_TRUE(sent.empty());
 
-  // A forged TTL of 255 is clamped to max_ttl before the hop is spent.
+  // A forged TTL of 255 is clamped to kMaxTtl before the hop is spent.
   router->on_frame(encode_data(DataFrame{255, 2, 5, 9, sample_frame(9, 2)}), -60.0);
   ASSERT_EQ(sent.size(), 1u);
   const auto data = decode_data(sent[0]);
   ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->ttl, config.max_ttl - 1);
+  EXPECT_EQ(data->ttl, kMaxTtl - 1);
 }
 
 TEST_F(RouterFixture, OwnFrameComingBackIsLoopDropped) {
