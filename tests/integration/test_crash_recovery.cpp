@@ -15,6 +15,11 @@
 //     no restart, the watchdog promotes it, and late radio copies of
 //     frames delivered before the crash are recognised by the promoted
 //     filter instead of leaking as duplicates.
+//   * Dispatch crash windows: every frame that arrives while dispatch
+//     is down reaches its subscribers exactly once after promotion,
+//     however long the window, whether or not its stream was known
+//     before the crash; and a subscription made just after a checkpoint
+//     survives a crash preceded by heavy traffic.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -386,6 +391,131 @@ TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
   // pre-crash frames, the fresh ones, and the lost frames recovered
   // through their late copies.
   EXPECT_EQ(ledger.distinct(), 60u);
+  EXPECT_EQ(ledger.max_count(), 1);
+}
+
+TEST(CrashRecovery, LongDispatchCrashWindowDeliversEverySequenceOnce) {
+  // One stream at 1ms cadence; dispatch dies at 520ms and the watchdog
+  // promotes it ~280ms later. Every frame that arrived in between must
+  // reach the subscriber after promotion: none may be lost to a bounded
+  // per-stream retention, none delivered twice.
+  Runtime::Config config;
+  config.recovery.enabled = true;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "dispatch";
+    crash.at = SimTime{} + Duration::millis(520);
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+  }
+  Runtime runtime(config);
+  core::Consumer consumer(runtime.bus(), "consumer.window");
+  runtime.provision(consumer, "window");
+  consumer.subscribe(core::StreamPattern::everything());
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
+  runtime.run_for(Duration::millis(20));
+
+  sim::Scheduler& scheduler = runtime.scheduler();
+  const SimTime flood_end = scheduler.now() + Duration::millis(1500);
+  core::SequenceNo next_seq = 0;
+  std::function<void()> inject = [&] {
+    runtime.filtering().ingest(make_report(next_seq++, scheduler.now()));
+    if (scheduler.now() < flood_end) scheduler.schedule_after(Duration::millis(1), inject);
+  };
+  inject();
+  runtime.run_for(Duration::seconds(3));
+
+  ASSERT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"), 1u);
+  ASSERT_EQ(next_seq, 1501);
+  EXPECT_EQ(ledger.distinct(), 1501u);
+  EXPECT_EQ(ledger.max_count(), 1);
+}
+
+TEST(CrashRecovery, StreamFirstSeenDuringDispatchCrashReachesWildcardSubscriber) {
+  // A stream dispatch has never seen before it crashed: its first five
+  // frames arrive while dispatch is down. After promotion they must reach
+  // the everything() subscriber like any other crash-window frame.
+  Runtime::Config config;
+  config.recovery.enabled = true;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "dispatch";
+    crash.at = SimTime{} + Duration::millis(300);
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+  }
+  Runtime runtime(config);
+  core::Consumer consumer(runtime.bus(), "consumer.wild");
+  runtime.provision(consumer, "wild");
+  consumer.subscribe(core::StreamPattern::everything());
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
+  runtime.run_for(Duration::millis(310));
+  ASSERT_TRUE(runtime.recovery()->crashed("dispatch"));
+
+  core::DataMessage msg;
+  msg.stream_id = {7, 0};
+  msg.payload = util::to_bytes("new");
+  for (core::SequenceNo seq = 0; seq < 5; ++seq) {
+    msg.sequence = seq;
+    runtime.inject_external(core::as_view(msg));
+    runtime.run_for(Duration::millis(10));
+  }
+  ASSERT_TRUE(runtime.recovery()->crashed("dispatch"));
+  runtime.run_for(Duration::seconds(1));
+
+  ASSERT_FALSE(runtime.recovery()->crashed("dispatch"));
+  EXPECT_EQ(ledger.distinct(), 5u);
+  EXPECT_EQ(ledger.max_count(), 1);
+}
+
+TEST(CrashRecovery, SubscriptionAfterCheckpointSurvivesTrafficBeforeCrash) {
+  // Default 250ms checkpoint cadence. A subscription made 5ms after the
+  // first checkpoint lives only in the op log; 4200 messages at 20k
+  // msg/s then pass through dispatch before it crashes, ahead of the
+  // next checkpoint. The promoted dispatcher must still hold the
+  // subscription: per-message traffic must not push control records
+  // out of the bounded log.
+  Runtime::Config config;
+  config.recovery.enabled = true;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "dispatch";
+    crash.at = SimTime{} + Duration::millis(475);
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+  }
+  Runtime runtime(config);
+  core::Consumer consumer(runtime.bus(), "consumer.late");
+  runtime.provision(consumer, "late");
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
+  runtime.run_for(Duration::millis(255));
+  ASSERT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.checkpoint.stored"), 4u);
+  consumer.subscribe(core::StreamPattern::everything());
+  runtime.run_for(Duration::millis(5));
+  ASSERT_EQ(runtime.dispatch().subscriptions().size(), 1u);
+
+  core::DataMessage msg;
+  msg.stream_id = {1, 0};
+  msg.payload = util::to_bytes("load");
+  constexpr core::SequenceNo kLoad = 4200;
+  for (core::SequenceNo seq = 0; seq < kLoad; ++seq) {
+    msg.sequence = seq;
+    runtime.inject_external(core::as_view(msg));
+    runtime.run_for(Duration::micros(50));
+  }
+  runtime.run_for(Duration::millis(10));
+  EXPECT_EQ(ledger.distinct(), kLoad);
+  ASSERT_TRUE(runtime.recovery()->crashed("dispatch"));
+
+  runtime.run_for(Duration::millis(500));
+  ASSERT_FALSE(runtime.recovery()->crashed("dispatch"));
+  EXPECT_EQ(runtime.dispatch().subscriptions().size(), 1u);
+
+  // The restored subscription still routes fresh traffic.
+  msg.sequence = kLoad;
+  runtime.inject_external(core::as_view(msg));
+  runtime.run_for(Duration::millis(10));
+  EXPECT_EQ(ledger.distinct(), kLoad + 1u);
   EXPECT_EQ(ledger.max_count(), 1);
 }
 
