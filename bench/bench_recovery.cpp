@@ -5,7 +5,7 @@
 // A6 sweeps the checkpoint interval (how much op-log tail a promotion
 // must replay) against the watchdog miss threshold (how long a dead
 // service stays undetected) and reports the recovery cost: crash-to-
-// restored latency, replayed ops, stash-replayed deliveries — and the
+// restored latency, replayed ops, held frames handed back — and the
 // invariant the whole subsystem exists for, duplicates after promotion,
 // which must be zero in every cell.
 //
@@ -40,7 +40,7 @@ using util::SimTime;
 struct RecoveryOutcome {
   double latency_ms = 0;
   double ops_replayed = 0;
-  double stash_replayed = 0;
+  double handed_back = 0;
   double duplicates_after_promotion = 0;
   double checkpoints_taken = 0;
   double messages_offered = 0;
@@ -184,7 +184,7 @@ RecoveryOutcome run_crash_cycle(std::int64_t checkpoint_ms, std::uint32_t miss_t
   const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
   outcome.latency_ms = snap.gauge("garnet.recovery.latency_ns") / 1e6;
   outcome.ops_replayed = static_cast<double>(snap.counter("garnet.recovery.ops_replayed"));
-  outcome.stash_replayed =
+  outcome.handed_back =
       static_cast<double>(snap.counter("garnet.dispatch.recovery_replayed"));
   outcome.checkpoints_taken = static_cast<double>(snap.counter("garnet.checkpoint.taken"));
 
@@ -222,7 +222,7 @@ void BM_CrashRecovery(benchmark::State& state) {
   }
   state.counters["recovery_latency_ms"] = outcome.latency_ms;
   state.counters["ops_replayed"] = outcome.ops_replayed;
-  state.counters["stash_replayed"] = outcome.stash_replayed;
+  state.counters["handed_back"] = outcome.handed_back;
   state.counters["duplicates"] = outcome.duplicates_after_promotion;
   state.counters["checkpoints"] = outcome.checkpoints_taken;
   state.counters["delivered"] = outcome.messages_delivered;

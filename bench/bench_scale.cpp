@@ -3,8 +3,8 @@
 //
 // Garnet sizes its id space for 2^24 sensors; this bench walks the full
 // fixed-side path — catalog registration, location evidence, filtering
-// dedup state, dispatch fan-out with per-stream cursors — at 10^4, 10^5
-// and 10^6 streams and reports what that footprint costs:
+// dedup state, dispatch fan-out — at 10^4, 10^5 and 10^6 streams and
+// reports what that footprint costs:
 //
 //   * bytes/stream: index + arena bytes across the four services'
 //     StreamTables, divided by the stream count;
@@ -111,7 +111,7 @@ TierResult run_tier(std::int64_t streams) {
   }
 
   // Phase 3 — traffic: one message per stream through filtering state
-  // and the dispatch fan-out, populating the per-stream cursor table.
+  // and the dispatch fan-out (dispatch itself keeps no per-stream state).
   core::DataMessage msg;
   msg.payload = util::Bytes(16);
   const auto traffic_start = Clock::now();

@@ -4,22 +4,26 @@
 The report is the full telemetry snapshot of the canonical crash cycle
 (250ms checkpoint cadence, 3-miss watchdog): the dispatcher is
 crash-stopped mid-flood and the watchdog promotes it from checkpoint +
-op-log + orphanage stash. The gate enforces the recovery contract from
+op-log, then the runtime hands back the frames it held during the
+outage. The gate enforces the recovery contract from
 docs/FAULT_MODEL.md:
 
-  1. zero duplicates after promotion — restored dedup windows and
-     sequence cursors must close the replay/duplicate leak completely;
+  1. zero duplicates after promotion — restored state and the hand-back
+     must close the replay/duplicate leak completely;
   2. every crashed service recovered (crashes == promotions + rejoins
      and the garnet.recovery.crashed gauge ended at zero);
   3. the cycle actually exercised recovery (a crash fired, a checkpoint
-     was stored, the stash replayed something — an idle gate proves
+     was stored, held frames were handed back — an idle gate proves
      nothing);
   4. ablation A3's 100ms cell (bench.recovery.filtering_* gauges: the
      Filtering Service crash-stopped under a stream whose late radio
      copies straddle the outage) leaked zero duplicates, and its
      promoted filter recognised at least one late copy — a cell in
      which no late copy reached the restored dedup state proves
-     nothing.
+     nothing;
+  5. no op-log record was evicted (garnet.recovery.ops_evicted == 0): a
+     record pushed out of the bounded log before a checkpoint covered it
+     is a mutation the promoted service never sees.
 """
 import json
 import sys
@@ -69,7 +73,16 @@ def main() -> int:
     if value("garnet.checkpoint.stored", 0.0) == 0:
         failures.append("no checkpoint was replicated — promotion ran stateless")
     if value("garnet.dispatch.recovery_replayed", 0.0) == 0:
-        failures.append("the orphanage stash replayed nothing — crash-window traffic was lost")
+        failures.append("no held frame was handed back — crash-window traffic was lost")
+
+    evicted = value("garnet.recovery.ops_evicted")
+    if evicted is None:
+        failures.append("garnet.recovery.ops_evicted missing from the report")
+    elif evicted > 0:
+        failures.append(
+            f"{evicted:.0f} op-log records evicted before a checkpoint covered them — "
+            "a promotion from this log misses those mutations"
+        )
 
     leaked = value("bench.recovery.filtering_duplicates_leaked")
     deduped = value("bench.recovery.filtering_late_copies_deduped")
@@ -94,7 +107,8 @@ def main() -> int:
         f"recovery gate OK: {crashes:.0f} crash(es) recovered, "
         f"latency={value('garnet.recovery.latency_ns', 0.0) / 1e6:.1f}ms, "
         f"ops replayed={value('garnet.recovery.ops_replayed', 0.0):.0f}, "
-        f"stash replayed={value('garnet.dispatch.recovery_replayed', 0.0):.0f}, "
+        f"held frames handed back={value('garnet.dispatch.recovery_replayed', 0.0):.0f}, "
+        "ops evicted=0, "
         "duplicates after promotion=0, "
         f"filtering late copies deduped={deduped:.0f} with 0 leaked"
     )

@@ -4,7 +4,7 @@
 // efficiency, data-integrity, and fault-tolerance" (§3). TinyDB-style
 // in-network state dies with the nodes, so Garnet's fixed-side services
 // must own their durable state: each stateful service (Filtering dedup
-// windows, Dispatching subscriptions/credits/cursors, Location tracks,
+// windows, Dispatching subscriptions/credits, Location tracks,
 // the Catalog) serialises itself into a *checkpoint* — a versioned,
 // CRC-guarded frame whose body bytes are deterministic (every map is
 // walked in sorted key order), so two replicas checkpointing the same

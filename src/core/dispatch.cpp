@@ -9,16 +9,10 @@ namespace garnet::core {
 
 namespace {
 
-/// Wrap-aware "seq is at or past floor" for 16-bit sequence numbers:
-/// true when seq is within the forward half-window of floor.
-[[nodiscard]] bool at_or_past(SequenceNo seq, SequenceNo floor) {
-  return static_cast<std::int16_t>(static_cast<std::uint16_t>(seq - floor)) >= 0;
-}
-
 /// Backlog messages fetched per kFetchBacklog round-trip.
 constexpr std::uint16_t kFetchBatch = 32;
 
-/// Reliability contract for the stash-fetch RPCs. kFetchBacklog drains
+/// Reliability contract for the stash-fetch RPC. kFetchBacklog drains
 /// the stash, so a re-executed fetch would see an empty ring and the
 /// drained frames would ride the lost response: never idempotent (the
 /// CallOptions default), always through the at-most-once cache.
@@ -41,8 +35,7 @@ DispatchStats& DispatchStats::operator+=(const DispatchStats& other) noexcept {
   resume_redelivered += other.resume_redelivered;
   resume_discarded += other.resume_discarded;
   resume_returned += other.resume_returned;
-  recovery_replayed += other.recovery_replayed;
-  recovery_returned += other.recovery_returned;
+  resume_unreachable += other.resume_unreachable;
   return *this;
 }
 
@@ -160,14 +153,6 @@ void DispatchingService::apply_op(std::uint16_t kind, util::BytesView payload) {
       }
       break;
     }
-    case kOpCursor: {
-      const std::uint32_t packed = r.u32();
-      const SequenceNo seq = r.u16();
-      if (!r.ok()) break;
-      auto [cur, inserted] = cursors_.try_emplace(StreamKey::from_packed(packed));
-      if (inserted || at_or_past(seq, *cur)) *cur = seq;
-      break;
-    }
     default:
       break;
   }
@@ -198,196 +183,45 @@ DispatchingService::Flow DispatchingService::decode_flow(ConsumerKey, util::Byte
   return flow;
 }
 
-namespace {
-
-void encode_cursor(util::ByteWriter& w, SequenceNo seq) { w.u16(seq); }
-SequenceNo decode_cursor(StreamKey, util::ByteReader& r) { return r.u16(); }
-
-}  // namespace
-
 util::Bytes DispatchingService::capture_state() const {
   util::ByteWriter w(256);
   table_.capture(w);
   flows_.write_full(w, encode_flow);
-  cursors_.write_full(w, encode_cursor);
   return std::move(w).take();
 }
 
 util::Bytes DispatchingService::capture_full() {
   util::Bytes state = capture_state();
   flows_.clear_dirty();
-  cursors_.clear_dirty();
   return state;
 }
 
-util::Bytes DispatchingService::capture_delta() {
-  util::ByteWriter w(256);
-  table_.capture(w);
-  flows_.write_full(w, encode_flow);
-  cursors_.write_delta(w, encode_cursor, 6);  // [u32 key][u16 seq]
-  flows_.clear_dirty();
-  cursors_.clear_dirty();
-  return std::move(w).take();
-}
-
-util::Status<util::DecodeError> DispatchingService::apply_delta(util::BytesView delta) {
-  return load(delta, /*delta=*/true);
-}
-
 util::Status<util::DecodeError> DispatchingService::restore_state(util::BytesView state) {
-  return load(state, /*delta=*/false);
-}
-
-util::Status<util::DecodeError> DispatchingService::load(util::BytesView bytes, bool delta) {
-  util::ByteReader r(bytes);
+  util::ByteReader r(state);
   SubscriptionTable table;
   if (const auto status = table.restore(r); !status.ok()) return status;
   auto flows = FlowTable::read_full(r, decode_flow);
-  auto cursors = delta ? CursorTable::read_delta(r, decode_cursor)
-                       : CursorTable::read_full(r, decode_cursor);
   if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
   table_ = std::move(table);
-  // Flows ride every frame whole, re-primed to a full credit window.
+  // Flows are re-primed to a full credit window.
   if (!flow_.enabled()) flows.entries.clear();
   for (auto& [key, flow] : flows.entries) {
     flow.credits = flow_.credit_window;
     flow.epoch = next_flow_epoch_++;
   }
   flows_.apply(std::move(flows));
-  cursors_.apply(std::move(cursors));
   return {};
 }
 
 void DispatchingService::reset_state() {
   table_ = SubscriptionTable{};
   flows_.clear();
-  cursors_.clear();
 }
 
-std::optional<SequenceNo> DispatchingService::cursor(StreamId id) const {
-  const SequenceNo* seq = cursors_.find(StreamKey{id});
-  if (seq == nullptr) return std::nullopt;
-  return *seq;
-}
-
-void DispatchingService::advance_cursor(StreamId id, SequenceNo seq) {
-  auto [cur, inserted] = cursors_.try_emplace(StreamKey{id});
-  if (inserted) {
-    *cur = seq;
-  } else {
-    if (seq == *cur || !at_or_past(seq, *cur)) return;
-    *cur = seq;
-  }
-  if (op_sink_) {
-    util::ByteWriter w(6);
-    w.u32(id.packed());
-    w.u16(seq);
-    op_sink_(kOpCursor, w.view());
-  }
-}
-
-void DispatchingService::replay_stash() {
-  if (!orphan_sink_.valid() || cursors_.empty()) {
-    finish_stash_replay();
-    return;
-  }
-  auto plan = std::make_shared<StashReplay>();
-  plan->streams.reserve(cursors_.size());
-  cursors_.for_each_sorted([&plan](StreamKey key, const SequenceNo& cur) {
-    plan->streams.push_back(key.pack());
-    plan->windows.upsert(key).floor = static_cast<SequenceNo>(cur + 1);
-  });
-  plan->windows.clear_dirty();
-  active_stash_replay_ = plan;
-  fetch_stash(plan);
-}
-
-void DispatchingService::fetch_backlog(const std::shared_ptr<BacklogSweep>& sweep,
-                                       std::function<void(util::SharedBytes)> on_frame,
-                                       std::function<void()> next) {
-  util::ByteWriter w(6);
-  w.u32(sweep->streams[sweep->index]);
-  w.u16(kFetchBatch);
-  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), kFetchOptions,
-             [sweep, on_frame = std::move(on_frame), next = std::move(next)](
-                 net::RpcResult result) {
-               if (!result.ok()) {
-                 ++sweep->index;
-                 next();
-                 return;
-               }
-               const util::SharedBytes reply(std::move(result).value());
-               util::ByteReader r(reply);
-               const std::uint16_t count = r.u16();
-               for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
-                 const std::uint16_t length = r.u16();
-                 const std::size_t offset = r.consumed();
-                 if (r.view(length).empty() && length > 0) break;  // truncated reply
-                 on_frame(reply.view(offset, length));
-               }
-               // A full batch may mean more frames remain for this stream;
-               // an undersized one means the stash is drained for it.
-               if (count < kFetchBatch) ++sweep->index;
-               next();
-             });
-}
-
-void DispatchingService::fetch_stash(const std::shared_ptr<StashReplay>& plan) {
-  if (plan->index >= plan->streams.size()) {
-    finish_stash_replay();
-    return;
-  }
-  fetch_backlog(
-      plan, [this, plan](util::SharedBytes frame) { on_stash_frame(*plan, std::move(frame)); },
-      [this, plan] { fetch_stash(plan); });
-}
-
-void DispatchingService::on_stash_frame(StashReplay& plan, util::SharedBytes frame) {
-  const auto decoded = decode_delivery_view(frame);
-  if (!decoded.ok()) return;
-  const DeliveryView& delivery = decoded.value();
-  const StreamKey stream_key{delivery.message.stream_id};
-  const SequenceNo seq = delivery.message.sequence;
-  const ReplayWindow* fetched =
-      plan.windows.find(StreamKey::from_packed(plan.streams[plan.index]));
-  const SequenceNo plan_floor = fetched != nullptr ? fetched->floor : 0;
-  // The sweep races live traffic, and deliver() re-stashes
-  // quarantine-shed copies that later rounds fetch back. A frame is
-  // replayed only inside the crash window: at or past the crash-time
-  // cursor (floor), below the first live post-promotion delivery
-  // (ceiling), and strictly above what this sweep already delivered.
-  const ReplayWindow* window = plan.windows.find(stream_key);
-  const bool before_crash = !at_or_past(seq, plan_floor);
-  const bool live_copy =
-      window != nullptr && window->has_ceiling && at_or_past(seq, window->ceiling);
-  const bool already_replayed =
-      window != nullptr && window->has_replayed &&
-      !at_or_past(seq, static_cast<SequenceNo>(window->replayed + 1));
-  if (before_crash || live_copy || already_replayed) {
-    // Already processed — an orphan or a quarantine shed. Back to the
-    // stash for the resume path and late claimants.
-    ++stats_.recovery_returned;
-    node_.post(orphan_sink_, kDataDelivery, frame);
-    return;
-  }
-  // The crashed primary never saw this frame (it reached the stash via
-  // the runtime's crash redirect): run it through the normal fan-out,
-  // which re-advances the cursor and re-stashes it if unclaimed.
-  ++stats_.recovery_replayed;
-  ReplayWindow& mark = plan.windows.upsert(stream_key);
-  mark.has_replayed = true;
-  mark.replayed = seq;
-  stash_replay_delivering_ = true;
-  deliver(delivery.message, delivery.first_heard);
-  stash_replay_delivering_ = false;
-}
-
-void DispatchingService::finish_stash_replay() {
-  active_stash_replay_.reset();
-  // Quarantined flows came back with a full window; kick their backlog
-  // replay now that the crash-window frames are settled. Snapshot order
-  // keeps the kick sequence deterministic.
+void DispatchingService::resume_quarantined() {
+  // Sorted snapshot first: maybe_resume() may mutate the table, and
+  // consumer order keeps the kick sequence deterministic.
   std::vector<net::Address> quarantined;
   flows_.for_each_sorted([&quarantined](ConsumerKey key, const Flow& flow) {
     if (flow.quarantined) quarantined.push_back(net::Address{key.pack()});
@@ -493,9 +327,36 @@ void DispatchingService::fetch_next(const std::shared_ptr<ResumePlan>& plan) {
     finish_resume(plan);
     return;
   }
-  fetch_backlog(
-      plan, [this, plan](util::SharedBytes frame) { on_backlog_frame(*plan, std::move(frame)); },
-      [this, plan] { fetch_next(plan); });
+  const std::uint32_t stream = plan->streams[plan->index];
+  util::ByteWriter w(6);
+  w.u32(stream);
+  w.u16(kFetchBatch);
+  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), kFetchOptions,
+             [this, plan, stream](net::RpcResult result) {
+               if (!result.ok()) {
+                 // The stash is unreachable: the shed copies still owed on
+                 // this stream are abandoned, and counted.
+                 stats_.resume_unreachable += static_cast<std::uint64_t>(std::count_if(
+                     plan->shed.begin(), plan->shed.end(),
+                     [stream](std::uint64_t key) { return (key >> 16) == stream; }));
+                 ++plan->index;
+                 fetch_next(plan);
+                 return;
+               }
+               const util::SharedBytes reply(std::move(result).value());
+               util::ByteReader r(reply);
+               const std::uint16_t count = r.u16();
+               for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
+                 const std::uint16_t length = r.u16();
+                 const std::size_t offset = r.consumed();
+                 if (r.view(length).empty() && length > 0) break;  // truncated reply
+                 on_backlog_frame(*plan, reply.view(offset, length));
+               }
+               // A full batch may mean more frames remain for this stream;
+               // an undersized one means the stash is drained for it.
+               if (count < kFetchBatch) ++plan->index;
+               fetch_next(plan);
+             });
 }
 
 void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes frame) {
@@ -511,7 +372,9 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
       auto decoded = decode_delivery_view(frame);
       if (decoded.ok()) {
         const DataMessageView& message = decoded.value().message;
-        flow->shed.insert(shed_key(message.stream_id.packed(), message.sequence));
+        const std::uint64_t key = shed_key(message.stream_id.packed(), message.sequence);
+        plan.shed.erase(key);
+        flow->shed.insert(key);
       }
     }
     return;
@@ -525,10 +388,10 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
   const DataMessageView& message = decoded.value().message;
   // Duplicate-freedom: redeliver exactly what was shed from THIS
   // consumer. The shared stash also holds copies shed for other
-  // consumers, pre-quarantine orphans, and — after a crash — sweep
-  // leftovers interleaving old and new sequences; membership in the
-  // flow's shed set is the only test that rejects all of them.
-  if (plan.shed.count(shed_key(message.stream_id.packed(), message.sequence)) == 0 ||
+  // consumers and pre-quarantine orphans; membership in the flow's shed
+  // set is the only test that rejects all of them. Erasing the entry
+  // also refuses a second stashed copy of the same frame.
+  if (plan.shed.erase(shed_key(message.stream_id.packed(), message.sequence)) == 0 ||
       !table_.subscribes(plan.consumer, message.stream_id)) {
     ++stats_.resume_discarded;
     return;
@@ -571,25 +434,10 @@ void DispatchingService::on_envelope(net::Envelope envelope) {
 }
 
 void DispatchingService::deliver(const DataMessageView& message, util::SimTime first_heard) {
-  if (!stash_replay_delivering_) {
-    // Live traffic racing an in-flight stash sweep: the first such
-    // sequence caps the sweep for its stream, so quarantine-shed copies
-    // of this delivery fetched by a later round are never re-fanned-out.
-    if (const auto plan = active_stash_replay_.lock()) {
-      ReplayWindow& window = plan->windows.upsert(StreamKey{message.stream_id});
-      if (!window.has_ceiling || !at_or_past(message.sequence, window.ceiling)) {
-        window.has_ceiling = true;
-        window.ceiling = message.sequence;
-      }
-    }
-  }
   const obs::TraceKey trace_key{message.stream_id.packed(), message.sequence};
   if (tracer_ != nullptr) tracer_->begin_span(trace_key, "dispatch", bus_.now().ns);
 
   catalog_.note_message(message.stream_id, bus_.now());
-  // The cursor marks "processed through seq" whatever the claim outcome;
-  // it is the gap-detection floor for post-crash stash replay.
-  advance_cursor(message.stream_id, message.sequence);
 
   if (message.ack_request_id && ack_observer_) {
     ++stats_.acks_observed;

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 
 #include "core/auth.hpp"
@@ -44,9 +43,7 @@ struct DispatchStats {
   std::uint64_t resume_redelivered = 0;  ///< Stashed copies delivered on resume.
   std::uint64_t resume_discarded = 0;    ///< Stashed copies dropped (dup/unsubscribed).
   std::uint64_t resume_returned = 0;     ///< Fetched copies re-stashed (no credits / consumer gone).
-  // Crash recovery (zero unless replay_stash() ran):
-  std::uint64_t recovery_replayed = 0;   ///< Crash-window frames re-dispatched after restart.
-  std::uint64_t recovery_returned = 0;   ///< Pre-crash frames re-stashed during replay.
+  std::uint64_t resume_unreachable = 0;  ///< Shed copies abandoned when a backlog fetch failed.
 
   /// Cross-shard aggregation: the shard plane sums its per-shard
   /// dispatchers' ledgers into one plane-wide view at the merge barrier.
@@ -58,12 +55,10 @@ struct DispatchStats {
 ///   kOpSubscribe    [u64 id][u32 consumer][u64 packed pattern][u32 min_interval_ms][u32 max_age_ms]
 ///   kOpUnsubscribe  [u64 id]
 ///   kOpDropConsumer [u32 consumer]
-///   kOpCursor       [u32 packed stream][u16 sequence]
 enum DispatchOp : std::uint16_t {
   kOpSubscribe = 1,
   kOpUnsubscribe = 2,
   kOpDropConsumer = 3,
-  kOpCursor = 4,
 };
 
 /// Credit-based backpressure for the dispatch fan-out. Each subscriber
@@ -136,8 +131,8 @@ class DispatchingService {
   bool unsubscribe(SubscriptionId id);
   std::size_t drop_consumer(net::Address consumer);
 
-  /// Streams subscription and cursor mutations into the recovery
-  /// harness's replicated op log (DispatchOp kinds above). Ops are never
+  /// Streams subscription mutations into the recovery harness's
+  /// replicated op log (DispatchOp kinds above). Ops are never
   /// emitted while apply_op() is replaying.
   using OpSink = std::function<void(std::uint16_t kind, util::BytesView payload)>;
   void set_op_sink(OpSink sink) { op_sink_ = std::move(sink); }
@@ -146,25 +141,22 @@ class DispatchingService {
   /// payloads are ignored; replay is idempotent.
   void apply_op(std::uint16_t kind, util::BytesView payload);
 
-  /// Crash-recovery snapshot: subscriptions, per-consumer credit/
-  /// quarantine state with shed sets, and per-stream delivery cursors.
-  /// Byte-deterministic (every unordered container is walked sorted).
+  /// Crash-recovery snapshot: subscriptions and per-consumer credit/
+  /// quarantine state with shed sets. Byte-deterministic (every
+  /// unordered container is walked sorted). Dispatch keeps no
+  /// per-stream state, so the snapshot scales with consumers, not
+  /// streams.
   [[nodiscard]] util::Bytes capture_state() const;
 
-  /// capture_state() plus a rebase of the incremental-capture baseline.
+  /// The recovery harness's full and delta hooks. Both state sections
+  /// are per-consumer and small, so a delta carries them whole: the two
+  /// frame kinds have the same body. Each capture empties the flow
+  /// table's mutation journal, which nothing reads.
   [[nodiscard]] util::Bytes capture_full();
-
-  /// Incremental snapshot. Subscriptions and flows are small
-  /// (per-consumer) and ride every delta whole; the cursor table — the
-  /// section that actually scales with stream count — is encoded as
-  /// removals + dirty entries only, so capture cost tracks traffic, not
-  /// the 10^6-stream registration footprint.
-  [[nodiscard]] util::Bytes capture_delta();
-
-  /// Applies one capture_delta() body on top of the current state.
-  /// Parses fully before committing — never partially applies. Flows are
-  /// re-primed exactly as in restore_state().
-  [[nodiscard]] util::Status<util::DecodeError> apply_delta(util::BytesView delta);
+  [[nodiscard]] util::Bytes capture_delta() { return capture_full(); }
+  [[nodiscard]] util::Status<util::DecodeError> apply_delta(util::BytesView delta) {
+    return restore_state(delta);
+  }
 
   /// Rebuilds from capture_state() bytes; parses fully before
   /// committing. Restored flows are re-primed to a full credit window —
@@ -174,19 +166,14 @@ class DispatchingService {
   /// preserved, so resume replay stays duplicate-free.
   [[nodiscard]] util::Status<util::DecodeError> restore_state(util::BytesView state);
 
-  /// Crash wipe: drops subscriptions, flows, and cursors.
+  /// Crash wipe: drops subscriptions and flows.
   void reset_state();
 
-  /// Post-restore gap repair: re-fetches the Orphanage stash for every
-  /// cursor stream. Frames past the cursor (arrived while down, parked
-  /// in the stash by the runtime's crash redirect) re-enter the normal
-  /// fan-out; frames at or before it (orphans, quarantine sheds) return
-  /// to the stash. Finishes by kicking quarantine resume for restored
-  /// quarantined consumers.
-  void replay_stash();
-
-  /// Newest delivered sequence for gap detection (nullopt = never seen).
-  [[nodiscard]] std::optional<SequenceNo> cursor(StreamId id) const;
+  /// Post-restore kick: restored quarantined flows come back with a full
+  /// window, so each starts its backlog resume (in consumer order).
+  /// Frames that arrived while dispatch was down are not its concern:
+  /// the runtime held them and feeds them back through on_filtered().
+  void resume_quarantined();
 
   /// Message traces: brackets fan-out in a "dispatch" span, opens the
   /// "deliver" span when copies are posted, discards orphaned journeys.
@@ -196,19 +183,12 @@ class DispatchingService {
   [[nodiscard]] const SubscriptionTable& subscriptions() const noexcept { return table_; }
   [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
 
-  /// Index + arena bytes of the cursor and flow tables (bench_scale
-  /// bytes/stream; excludes heap owned by shed sets).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return cursors_.memory_bytes() + flows_.memory_bytes();
-  }
+  /// Index + arena bytes of the flow table (bench_scale bytes/stream;
+  /// excludes heap owned by shed sets).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept { return flows_.memory_bytes(); }
 
-  /// Lookup cost of the cursor and flow tables' indexes, summed
-  /// (bench_scale probe gate).
-  [[nodiscard]] ProbeStats probe_stats() const {
-    ProbeStats stats = cursors_.probe_stats();
-    stats += flows_.probe_stats();
-    return stats;
-  }
+  /// Lookup cost of the flow table's index (bench_scale probe gate).
+  [[nodiscard]] ProbeStats probe_stats() const { return flows_.probe_stats(); }
 
  private:
   /// Per-consumer flow state, created lazily at first delivery. The epoch
@@ -223,26 +203,23 @@ class DispatchingService {
     /// Exactly the (stream, sequence) pairs shed from this consumer,
     /// keyed `packed StreamId << 16 | sequence`. Resume redelivers a
     /// fetched frame iff it is in this set: the shared stash also holds
-    /// copies shed for *other* consumers, and a post-crash sweep
-    /// interleaves old and new sequences, so neither a floor nor a
-    /// [floor, ceiling] range can separate "missed" from "already
-    /// received" — only membership can. Cleared per resume round, so it
-    /// is bounded by one quarantine episode's sheds.
+    /// orphans and copies shed for *other* consumers, so no per-stream
+    /// floor can separate "missed" from "already received" — only
+    /// membership can. Cleared per resume round, so it is bounded by one
+    /// quarantine episode's sheds.
     std::unordered_set<std::uint64_t> shed;
   };
 
-  /// A walk over stashed streams, fetched one kFetchBacklog batch at a
-  /// time from the Orphanage (fetch_backlog()).
-  struct BacklogSweep {
-    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
-    std::size_t index = 0;               ///< Stream being fetched.
-  };
-
-  /// One backlog-replay round for one quarantined consumer.
-  struct ResumePlan : BacklogSweep {
+  /// One backlog-replay round for one quarantined consumer: a walk over
+  /// the streams it was shed on, one kFetchBacklog batch at a time.
+  struct ResumePlan {
     net::Address consumer;
     std::uint64_t epoch = 0;
-    std::unordered_set<std::uint64_t> shed;  ///< Moved from the flow (see Flow::shed).
+    /// Moved from the flow (see Flow::shed); an entry leaves when its
+    /// frame is fetched, so what remains is still owed.
+    std::unordered_set<std::uint64_t> shed;
+    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
+    std::size_t index = 0;               ///< Stream being fetched.
   };
 
   /// Key for Flow::shed / ResumePlan::shed.
@@ -251,55 +228,23 @@ class DispatchingService {
     return (static_cast<std::uint64_t>(packed) << 16) | seq;
   }
 
-  /// Per-stream bounds of one post-restart stash sweep (StashReplay).
-  /// `floor` bounds the sweep from below (processed before the crash),
-  /// `ceiling` from above (delivered live since the sweep began), and
-  /// `replayed` makes the sweep itself idempotent.
-  struct ReplayWindow {
-    SequenceNo floor = 0;  ///< cursor + 1 at sweep start.
-    bool has_ceiling = false;
-    SequenceNo ceiling = 0;  ///< First live post-promotion sequence.
-    bool has_replayed = false;
-    SequenceNo replayed = 0;  ///< Highest sequence this sweep delivered.
-  };
-
-  /// One post-restart stash sweep over the cursor streams. The sweep
-  /// races live traffic: fetch rounds are RPC-paced, and both the
-  /// replay's own deliveries and fresh post-promotion frames re-stash
-  /// quarantine-shed copies the next round can fetch back. One
-  /// ReplayWindow per stream replaces what used to be three parallel
-  /// std::maps keyed by the same packed id.
-  struct StashReplay : BacklogSweep {
-    StreamTable<ReplayWindow> windows;
-  };
-
   using FlowTable = StreamTable<Flow, ConsumerKey>;
-  using CursorTable = StreamTable<SequenceNo>;
 
   void on_envelope(net::Envelope envelope);
   static void encode_flow(util::ByteWriter& w, const Flow& flow);
   [[nodiscard]] static Flow decode_flow(ConsumerKey key, util::ByteReader& r);
-  /// restore_state()/apply_delta(): parse a full or delta body, then commit.
-  [[nodiscard]] util::Status<util::DecodeError> load(util::BytesView bytes, bool delta);
   void deliver(const DataMessageView& message, util::SimTime first_heard);
-  void advance_cursor(StreamId id, SequenceNo seq);
-  /// One kFetchBacklog round-trip for the sweep's current stream. Each
-  /// stashed frame in the reply reaches `on_frame` as a sub-view of the
-  /// one reply buffer. The sweep moves to its next stream when the call
-  /// fails (stash unreachable: skip rather than stall) or the batch comes
-  /// back short (drained); then `next` runs.
-  void fetch_backlog(const std::shared_ptr<BacklogSweep>& sweep,
-                     std::function<void(util::SharedBytes)> on_frame,
-                     std::function<void()> next);
-  void fetch_stash(const std::shared_ptr<StashReplay>& plan);
-  void on_stash_frame(StashReplay& plan, util::SharedBytes frame);
-  void finish_stash_replay();
   Flow& flow_for(net::Address consumer);
   [[nodiscard]] Flow* flow_if_current(const ResumePlan& plan);
   [[nodiscard]] std::uint32_t resume_threshold() const;
   void on_credit(const net::Envelope& envelope);
   void maybe_resume(net::Address consumer);
   void start_resume(net::Address consumer, Flow& flow);
+  /// One kFetchBacklog round-trip for the plan's current stream; each
+  /// stashed frame in the reply reaches on_backlog_frame() as a sub-view
+  /// of the one reply buffer. The plan moves to its next stream when the
+  /// batch comes back short (drained) or the call fails (stash
+  /// unreachable: skip rather than stall, counting what is abandoned).
   void fetch_next(const std::shared_ptr<ResumePlan>& plan);
   void on_backlog_frame(ResumePlan& plan, util::SharedBytes frame);
   void finish_resume(const std::shared_ptr<ResumePlan>& plan);
@@ -318,13 +263,6 @@ class DispatchingService {
   FlowTable flows_;  ///< Keyed by consumer address.
   std::uint64_t next_flow_epoch_ = 1;
   OpSink op_sink_;
-  /// Newest processed sequence per stream — the 10^6-scale table; its
-  /// dirty set is what makes dispatch deltas O(traffic) not O(streams).
-  CursorTable cursors_;
-  /// Alive while a post-restart stash sweep is in flight, so deliver()
-  /// can mark live traffic racing it (the sweep's per-stream ceiling).
-  std::weak_ptr<StashReplay> active_stash_replay_;
-  bool stash_replay_delivering_ = false;  ///< deliver() call is the sweep's own.
 };
 
 }  // namespace garnet::core

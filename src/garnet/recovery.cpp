@@ -301,12 +301,17 @@ void RecoveryHarness::set_metrics(obs::MetricsRegistry& registry) {
     out.gauge("garnet.recovery.latency_ns",
               static_cast<double>(stats_.last_recovery_latency.ns));
     std::uint64_t down = 0;
+    std::uint64_t evicted = 0;
     for (const auto& [name, managed] : services_) {
       if (managed.is_crashed) ++down;
+      evicted += managed.log.evicted();
       out.counter("garnet.recovery.service_inputs_lost", managed.inputs_lost,
                   {{"service", name}});
     }
     out.gauge("garnet.recovery.crashed", static_cast<double>(down));
+    // Records pushed out of a full op log before a checkpoint covered
+    // them: a promotion from such a log silently misses those mutations.
+    out.counter("garnet.recovery.ops_evicted", evicted);
   });
 }
 

@@ -28,8 +28,9 @@
 //   * A heartbeat watchdog notices the dead service after
 //     miss_threshold beats and *promotes*: restore the latest replica
 //     checkpoint, replay ops at or past its watermark, bring endpoints
-//     back up, and run the service's on_restart hook (e.g. dispatch
-//     replays stashed deliveries; location re-learns receiver layout).
+//     back up, and run the service's on_restart hook (e.g. the runtime
+//     hands dispatch the frames it held while dispatch was down;
+//     location re-learns receiver layout).
 //     A scheduled restart does the same immediately (rejoin).
 //
 // Replication rides the same bus as everything else, so checkpoints and
@@ -128,7 +129,7 @@ class RecoveryHarness {
     /// such as location/catalog leave it unset).
     std::function<void(std::uint16_t kind, util::BytesView payload)> apply_op;
     /// Runs after state is restored and endpoints are back up (optional):
-    /// replay stashed deliveries, re-announce layouts, resume flows.
+    /// hand back held frames, re-announce layouts, resume flows.
     std::function<void()> on_restart;
   };
 

@@ -136,15 +136,8 @@ void Runtime::wire_services() {
       w.u32(message.stream_id.packed());
       w.u16(message.sequence);
       recovery_->log_op("filtering", core::kFilteringOpSeen, w.view());
-      if (recovery_->crashed("dispatch")) {
-        // Park the frame in the Orphanage stash; dispatch's post-restart
-        // replay_stash() fetches everything past its restored cursors.
-        bus_.post(dispatch_.address(), orphanage_.address(), core::kDataDelivery,
-                  core::encode_delivery(core::as_view(message), heard));
-        return;
-      }
     }
-    dispatch_.on_filtered(message, heard);
+    dispatch_or_hold(core::as_view(message), heard);
   });
   filtering_.set_reception_sink([this](const core::ReceptionEvent& event) {
     if (recovery_ && recovery_->crashed("location")) {
@@ -200,8 +193,8 @@ void Runtime::wire_services() {
 void Runtime::wire_recovery() {
   recovery_->set_metrics(telemetry_.registry);
 
-  // Dispatch streams its subscription/cursor mutations into the
-  // replicated op log; the other direction is the promotion replay.
+  // Dispatch streams its subscription mutations into the replicated op
+  // log; the other direction is the promotion replay.
   dispatch_.set_op_sink([this](std::uint16_t kind, util::BytesView payload) {
     recovery_->log_op("dispatch", kind, payload);
   });
@@ -224,7 +217,19 @@ void Runtime::wire_recovery() {
   dispatch.apply_op = [this](std::uint16_t kind, util::BytesView payload) {
     dispatch_.apply_op(kind, payload);
   };
-  dispatch.on_restart = [this] { dispatch_.replay_stash(); };
+  dispatch.on_restart = [this] {
+    // Hand back what arrived while dispatch was down, in arrival order,
+    // then let restored quarantined flows fetch their backlog.
+    const std::vector<util::SharedBytes> held = std::move(held_);
+    held_.clear();
+    for (const util::SharedBytes& frame : held) {
+      const auto delivery = core::decode_delivery_view(frame);
+      if (!delivery.ok()) continue;  // never: dispatch_or_hold() encoded it
+      ++recovery_replayed_;
+      dispatch_.on_filtered(delivery.value().message, delivery.value().first_heard);
+    }
+    dispatch_.resume_quarantined();
+  };
   recovery_->manage(std::move(dispatch));
 
   // Location and catalog are checkpoint-only: their state is soft
@@ -296,8 +301,8 @@ void Runtime::collect_service_stats(obs::SnapshotBuilder& out) {
   out.counter("garnet.dispatch.resume_redelivered", dispatch.resume_redelivered);
   out.counter("garnet.dispatch.resume_discarded", dispatch.resume_discarded);
   out.counter("garnet.dispatch.resume_returned", dispatch.resume_returned);
-  out.counter("garnet.dispatch.recovery_replayed", dispatch.recovery_replayed);
-  out.counter("garnet.dispatch.recovery_returned", dispatch.recovery_returned);
+  out.counter("garnet.dispatch.resume_unreachable", dispatch.resume_unreachable);
+  out.counter("garnet.dispatch.recovery_replayed", recovery_replayed_);
 
   const core::QosStats& qos = dispatch_.subscriptions().qos_stats();
   out.counter("garnet.qos.suppressed_rate", qos.suppressed_rate);
@@ -367,21 +372,24 @@ void Runtime::publish_location(core::SensorId sensor, const core::LocationEstima
   message.stream_id = *location_stream_;
   message.sequence = location_sequence_++;
   message.payload = std::move(w).take();
-  dispatch_.on_filtered(message, now);
+  dispatch_or_hold(core::as_view(message), now);
 }
 
 void Runtime::inject_external(const core::DataMessageView& message) {
   const util::SimTime now = scheduler_.now();
   if (admission_ && !admission_->admit_data(now)) return;
   ++external_in_;
-  if (recovery_ && recovery_->crashed("dispatch")) {
-    // Same parking contract as filtered traffic: the stash holds the
-    // crash-window frame until dispatch's replay_stash() sweeps it.
-    bus_.post(dispatch_.address(), orphanage_.address(), core::kDataDelivery,
-              core::encode_delivery(message, now));
+  dispatch_or_hold(message, now);
+}
+
+void Runtime::dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard) {
+  if (recovery_ != nullptr && recovery_->crashed("dispatch")) {
+    // No dispatch process to take it: hold the frame (an owned copy; the
+    // view may alias a caller's buffer) until dispatch's on_restart.
+    held_.push_back(core::encode_delivery(message, first_heard));
     return;
   }
-  dispatch_.on_filtered(message, now);
+  dispatch_.on_filtered(message, first_heard);
 }
 
 void Runtime::deploy_receivers(std::size_t count, double range_m) {

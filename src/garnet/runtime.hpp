@@ -117,8 +117,8 @@ class Runtime {
   /// External frames bypass Filtering (the producer's TCP stream is
   /// already loss-free and in order), so no dedup state is touched.
   /// First-heard is stamped "now". With crash recovery enabled and
-  /// dispatch down, the frame parks in the Orphanage stash exactly like
-  /// filtered traffic, and replay_stash() recovers it after promotion.
+  /// dispatch down, the runtime holds the frame exactly like filtered
+  /// traffic and hands it to dispatch when it restarts.
   /// With admission enabled, the frame must first win a data ticket;
   /// refused frames are shed at the door (admission stats count them)
   /// and are not counted in external_in().
@@ -169,6 +169,10 @@ class Runtime {
   /// binds the fault injector's crash events to it.
   void wire_recovery();
   void publish_location(core::SensorId sensor, const core::LocationEstimate& estimate);
+  /// The one door into dispatch for data (filtered, external, location):
+  /// on_filtered() while dispatch runs; while it is crashed, the frame
+  /// joins held_ instead.
+  void dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard);
   /// Pull-collector surfacing every service's plain stats struct.
   void collect_service_stats(obs::SnapshotBuilder& out);
 
@@ -197,6 +201,13 @@ class Runtime {
 
   std::optional<core::StreamId> location_stream_;
   std::uint64_t external_in_ = 0;
+  /// encode_delivery() frames that arrived while dispatch was crashed,
+  /// in arrival order; dispatch's on_restart feeds them back through
+  /// on_filtered(). Bounded by the outage: the watchdog promotes within
+  /// miss_threshold heartbeats.
+  std::vector<util::SharedBytes> held_;
+  /// Held frames handed back (garnet.dispatch.recovery_replayed).
+  std::uint64_t recovery_replayed_ = 0;
   core::SequenceNo location_sequence_ = 0;
   std::unordered_map<core::SensorId, util::SimTime> last_location_publish_;
 };

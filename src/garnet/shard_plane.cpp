@@ -332,7 +332,9 @@ void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
     spec.apply_op = [&s](std::uint16_t kind, util::BytesView payload) {
       s.dispatch.apply_op(kind, payload);
     };
-    spec.on_restart = [&s] { s.dispatch.replay_stash(); };
+    // Shards never hold frames (inputs wait in Shard::pending until a
+    // round runs), so a restart only kicks quarantined flows' resume.
+    spec.on_restart = [&s] { s.dispatch.resume_quarantined(); };
     const std::string name = spec.name;
     harness.manage(std::move(spec));
     s.dispatch.set_op_sink([&harness, name](std::uint16_t kind, util::BytesView payload) {

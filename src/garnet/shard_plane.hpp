@@ -11,7 +11,7 @@
 //   * fixed-network bus with bounded prioritized inboxes, shed ledger,
 //     and shed journal (net/bus.hpp, net/overload.hpp);
 //   * FilteringService + DispatchingService with shard-local StreamTable
-//     slices (dedup state, cursors, credit ledger);
+//     slices (dedup state, credit ledger);
 //   * Orphanage (unclaimed data + the quarantine stash);
 //   * checkpoint/delta stream (its dispatcher's capture_full /
 //     capture_delta, registered by register_recovery()).

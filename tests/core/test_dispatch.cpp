@@ -445,8 +445,8 @@ TEST_F(FlowFixture, ResumeFetchesABacklogDeeperThanTwoBatches) {
 
 TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   // With the stash unreachable, kFetchBacklog fails after its retries.
-  // Both the quarantine resume and the post-restore sweep skip the
-  // stream and finish instead of stalling.
+  // The quarantine resume skips the stream and finishes instead of
+  // stalling, and counts the shed copies it abandons.
   enable_flow(/*window=*/2, /*resume_threshold=*/1);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
@@ -458,7 +458,7 @@ TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   bus.set_endpoint_down(Orphanage::kEndpointName, true);
 
   // Resume: the fetch fails, the stream is skipped, the flow is released
-  // with what was shed lost.
+  // with what was shed lost — and the loss is on the ledger.
   send_credits(consumer.address, 2);
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1}));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
@@ -467,10 +467,18 @@ TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
   EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
   EXPECT_EQ(dispatch.stats().resume_returned, 0u);
+  EXPECT_EQ(dispatch.stats().resume_unreachable, 3u);
+  EXPECT_EQ(orphanage.total_received(), 3u);
+}
 
-  // Quarantine again, then crash and restore: the flow comes back
-  // quarantined with a full window, so the sweep's finish kicks a resume.
-  for (SequenceNo seq = 5; seq < 9; ++seq) {
+TEST_F(FlowFixture, RestoredQuarantinedFlowResumesWhenKicked) {
+  // A restored flow comes back quarantined with a full window, and no
+  // credit ack will arrive to wake it: resume_quarantined() (the restart
+  // hook) must start its backlog resume.
+  enable_flow(/*window=*/4, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 6; ++seq) {
     dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
   }
   scheduler.run();
@@ -478,17 +486,15 @@ TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   const util::Bytes state = dispatch.capture_state();
   dispatch.reset_state();
   ASSERT_TRUE(dispatch.restore_state(state).ok());
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
 
-  dispatch.replay_stash();
+  dispatch.resume_quarantined();
   scheduler.run();
-  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 5, 6}));
-  EXPECT_EQ(dispatch.stats().recovery_replayed, 0u);
-  EXPECT_EQ(dispatch.stats().recovery_returned, 0u);
-  EXPECT_EQ(dispatch.stats().resumes, 2u);
-  EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
+  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5}));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.stats().resumes, 1u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 2u);
   EXPECT_EQ(dispatch.credits(consumer.address), 2u);
-  EXPECT_EQ(orphanage.total_received(), 3u);
 }
 
 TEST_F(FlowFixture, SubscribeReplyCarriesTheCreditWindow) {

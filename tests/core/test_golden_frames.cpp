@@ -211,11 +211,11 @@ TEST(GoldenFrames, CheckpointBytesArePinned) {
     for (SequenceNo seq = 0; seq < 5; ++seq) send({1, 0}, seq);  // a quarantines, sheds
     send({2, 0}, 7);
     send({3, 0}, 1);  // nobody subscribed
-    expect_pinned(dispatch.capture_full(), {132, 0x040D7B33}, "dispatch full");
+    expect_pinned(dispatch.capture_full(), {110, 0x29DC07E2}, "dispatch full");
     dispatch.subscribe(b, StreamPattern::exact({1, 3}));
     send({1, 3}, 2);
     send({2, 0}, 8);
-    expect_pinned(dispatch.capture_delta(), {164, 0x2C8ACC47}, "dispatch delta");
+    expect_pinned(dispatch.capture_delta(), {144, 0x3CA78AF7}, "dispatch delta");
   }
 }
 

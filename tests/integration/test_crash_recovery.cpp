@@ -3,8 +3,8 @@
 // harness brings them back from checkpoint + op-log replay.
 //
 //   * Crashing the dispatcher mid-flood with overload control active:
-//     the promoted service resumes credit windows, replays the
-//     orphanage stash, never double-delivers, and the shed journal
+//     the promoted service resumes credit windows, takes back the
+//     frames the runtime held, never double-delivers, and the shed journal
 //     still contains no control-plane sheds.
 //   * A seeded plan crashing and restarting each stateful service
 //     (filtering, dispatch, location, catalog) completes with zero
@@ -66,8 +66,8 @@ wireless::ReceptionReport make_report(core::SequenceNo seq, SimTime now,
 
 TEST(CrashRecovery, DispatchCrashMidFloodKeepsOverloadAndDeliveryInvariants) {
   // Satellite scenario: the dispatcher dies under load while a straggler
-  // is forcing data sheds. The watchdog must promote it, the stash must
-  // replay the crash-window messages, credit flow must resume — and the
+  // is forcing data sheds. The watchdog must promote it, the runtime
+  // must hand back the crash-window messages, credit flow must resume — and the
   // overload layer's contract (control-plane never shed) must hold
   // across the promotion.
   Runtime::Config config;
@@ -129,14 +129,14 @@ TEST(CrashRecovery, DispatchCrashMidFloodKeepsOverloadAndDeliveryInvariants) {
   EXPECT_EQ(runtime.recovery()->stats().crashes, 1u);
   EXPECT_FALSE(runtime.recovery()->crashed("dispatch"));
 
-  // Crash-window traffic was stashed in the Orphanage and replayed.
+  // Crash-window traffic was held by the runtime and handed back.
   EXPECT_GT(snap.counter("garnet.dispatch.recovery_replayed"), 0u);
 
   // Credit flow resumed: the healthy consumer kept receiving after the
   // promotion, well past what it had at crash time.
   EXPECT_GT(ledger.distinct(), before_crash);
 
-  // No (stream, seq) was ever delivered twice, through stash replay and
+  // No (stream, seq) was ever delivered twice, through the hand-back and
   // credit re-priming included.
   EXPECT_EQ(ledger.max_count(), 1);
 
