@@ -23,7 +23,10 @@ docs/FAULT_MODEL.md:
      nothing;
   5. no op-log record was evicted (garnet.recovery.ops_evicted == 0): a
      record pushed out of the bounded log before a checkpoint covered it
-     is a mutation the promoted service never sees.
+     is a mutation the promoted service never sees;
+  6. every offered message is accounted for: delivered, or counted by
+     the quarantine resume as missing (shed past the Orphanage's
+     retention) or unreachable (its stash fetch failed).
 """
 import json
 import sys
@@ -84,6 +87,22 @@ def main() -> int:
             "a promotion from this log misses those mutations"
         )
 
+    offered = value("bench.recovery.messages_offered")
+    delivered = value("bench.recovery.messages_delivered")
+    missing = value("garnet.dispatch.resume_missing")
+    unreachable = value("garnet.dispatch.resume_unreachable")
+    if None in (offered, delivered, missing, unreachable):
+        failures.append(
+            "bench.recovery.messages_{offered,delivered} or "
+            "garnet.dispatch.resume_{missing,unreachable} missing from the report"
+        )
+    elif delivered + missing + unreachable != offered:
+        failures.append(
+            f"{offered:.0f} messages offered but {delivered:.0f} delivered, "
+            f"{missing:.0f} counted missing and {unreachable:.0f} unreachable — "
+            "a message ended in no accounted state"
+        )
+
     leaked = value("bench.recovery.filtering_duplicates_leaked")
     deduped = value("bench.recovery.filtering_late_copies_deduped")
     if leaked is None or deduped is None:
@@ -109,6 +128,8 @@ def main() -> int:
         f"ops replayed={value('garnet.recovery.ops_replayed', 0.0):.0f}, "
         f"held frames handed back={value('garnet.dispatch.recovery_replayed', 0.0):.0f}, "
         "ops evicted=0, "
+        f"delivered={delivered:.0f} + missing={missing:.0f} + "
+        f"unreachable={unreachable:.0f} of {offered:.0f} offered, "
         "duplicates after promotion=0, "
         f"filtering late copies deduped={deduped:.0f} with 0 leaked"
     )

@@ -53,8 +53,10 @@ scripts/check_dispatch_report.py "$PERF_BUILD_DIR/bench-results/BENCH_dispatch.j
 # Recovery gate: the crash-cycle bench's snapshot must show every
 # crashed service recovered and zero duplicate deliveries after the
 # promotion (checkpoint + op-log + the runtime's hand-back of held
-# frames closed the gap exactly) and no op-log record evicted before a
-# checkpoint covered it, and ablation A3's filtering crash cell must leak
+# frames closed the gap exactly), no op-log record evicted before a
+# checkpoint covered it, and every offered message delivered or counted
+# missing/unreachable by the quarantine resume, and ablation A3's
+# filtering crash cell must leak
 # no duplicate while its promoted filter recognises late copies of
 # pre-crash frames.
 scripts/check_recovery_report.py "$PERF_BUILD_DIR/bench-results/BENCH_recovery.json"

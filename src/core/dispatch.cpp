@@ -36,6 +36,7 @@ DispatchStats& DispatchStats::operator+=(const DispatchStats& other) noexcept {
   resume_discarded += other.resume_discarded;
   resume_returned += other.resume_returned;
   resume_unreachable += other.resume_unreachable;
+  resume_missing += other.resume_missing;
   return *this;
 }
 
@@ -336,9 +337,7 @@ void DispatchingService::fetch_next(const std::shared_ptr<ResumePlan>& plan) {
                if (!result.ok()) {
                  // The stash is unreachable: the shed copies still owed on
                  // this stream are abandoned, and counted.
-                 stats_.resume_unreachable += static_cast<std::uint64_t>(std::count_if(
-                     plan->shed.begin(), plan->shed.end(),
-                     [stream](std::uint64_t key) { return (key >> 16) == stream; }));
+                 stats_.resume_unreachable += abandon_stream(*plan, stream);
                  ++plan->index;
                  fetch_next(plan);
                  return;
@@ -352,9 +351,22 @@ void DispatchingService::fetch_next(const std::shared_ptr<ResumePlan>& plan) {
                  if (r.view(length).empty() && length > 0) break;  // truncated reply
                  on_backlog_frame(*plan, reply.view(offset, length));
                }
+               if (Flow* flow = flow_if_current(*plan); flow != nullptr && flow->credits == 0) {
+                 // The window re-exhausted: end the round rather than
+                 // fetch back the frames just returned. What is still
+                 // owed waits in the flow for the next ack's round.
+                 flow->shed.merge(plan->shed);
+                 finish_resume(plan);
+                 return;
+               }
                // A full batch may mean more frames remain for this stream;
-               // an undersized one means the stash is drained for it.
-               if (count < kFetchBatch) ++plan->index;
+               // an undersized one means the stash is drained for it, so
+               // an owed copy not fetched by now was evicted past the
+               // Orphanage's retention.
+               if (count < kFetchBatch) {
+                 stats_.resume_missing += abandon_stream(*plan, stream);
+                 ++plan->index;
+               }
                fetch_next(plan);
              });
 }
@@ -364,8 +376,8 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
   if (flow == nullptr || flow->credits == 0) {
     // Consumer dropped mid-replay, or its window re-exhausted: the
     // frame goes back to the stash so it is neither lost nor delivered
-    // out of contract. (For a live flow the floor re-forms, so the
-    // next resume round picks it up.)
+    // out of contract. An owed copy stays owed: its key moves back to
+    // the flow, and the next resume round fetches it again.
     ++stats_.resume_returned;
     node_.post(orphan_sink_, kDataDelivery, frame);
     if (flow != nullptr) {
@@ -373,8 +385,7 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
       if (decoded.ok()) {
         const DataMessageView& message = decoded.value().message;
         const std::uint64_t key = shed_key(message.stream_id.packed(), message.sequence);
-        plan.shed.erase(key);
-        flow->shed.insert(key);
+        if (plan.shed.erase(key) > 0) flow->shed.insert(key);
       }
     }
     return;
@@ -387,11 +398,13 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
   }
   const DataMessageView& message = decoded.value().message;
   // Duplicate-freedom: redeliver exactly what was shed from THIS
-  // consumer. The shared stash also holds copies shed for other
-  // consumers and pre-quarantine orphans; membership in the flow's shed
-  // set is the only test that rejects all of them. Erasing the entry
-  // also refuses a second stashed copy of the same frame.
-  if (plan.shed.erase(shed_key(message.stream_id.packed(), message.sequence)) == 0 ||
+  // consumer, before the round (the plan) or during it (the flow). The
+  // shared stash also holds copies shed for other consumers and
+  // pre-quarantine orphans; membership in a shed set is the only test
+  // that rejects all of them. Erasing the entry also refuses a second
+  // stashed copy of the same frame.
+  const std::uint64_t key = shed_key(message.stream_id.packed(), message.sequence);
+  if ((plan.shed.erase(key) == 0 && flow->shed.erase(key) == 0) ||
       !table_.subscribes(plan.consumer, message.stream_id)) {
     ++stats_.resume_discarded;
     return;
@@ -401,6 +414,11 @@ void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes fr
   --flow->credits;
   if (flow->credits == 0) ++stats_.credits_exhausted;
   bus_.post(node_.address(), plan.consumer, kDataDelivery, std::move(frame));
+}
+
+std::uint64_t DispatchingService::abandon_stream(ResumePlan& plan, std::uint32_t stream) {
+  return static_cast<std::uint64_t>(std::erase_if(
+      plan.shed, [stream](std::uint64_t key) { return (key >> 16) == stream; }));
 }
 
 void DispatchingService::finish_resume(const std::shared_ptr<ResumePlan>& plan) {

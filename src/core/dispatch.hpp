@@ -44,6 +44,7 @@ struct DispatchStats {
   std::uint64_t resume_discarded = 0;    ///< Stashed copies dropped (dup/unsubscribed).
   std::uint64_t resume_returned = 0;     ///< Fetched copies re-stashed (no credits / consumer gone).
   std::uint64_t resume_unreachable = 0;  ///< Shed copies abandoned when a backlog fetch failed.
+  std::uint64_t resume_missing = 0;      ///< Shed copies the stash no longer held (evicted).
 
   /// Cross-shard aggregation: the shard plane sums its per-shard
   /// dispatchers' ledgers into one plane-wide view at the merge barrier.
@@ -68,7 +69,8 @@ enum DispatchOp : std::uint16_t {
 /// its copies are shed to the Orphanage (the stash) while every other
 /// subscriber's fan-out continues untouched. When credits return, the
 /// dispatcher replays the stash via Orphanage::kFetchBacklog, filtered by
-/// the consumer's exact shed set so nothing is delivered twice.
+/// the consumer's exact shed set so nothing is delivered twice; a shed
+/// copy the stash evicted is counted (DispatchStats::resume_missing).
 struct FlowControlConfig {
   /// Deliveries in flight per consumer before quarantine. 0 = disabled.
   std::uint32_t credit_window = 0;
@@ -216,7 +218,8 @@ class DispatchingService {
     net::Address consumer;
     std::uint64_t epoch = 0;
     /// Moved from the flow (see Flow::shed); an entry leaves when its
-    /// frame is fetched, so what remains is still owed.
+    /// frame is fetched or its stream is given up (and counted), so
+    /// what remains is still owed.
     std::unordered_set<std::uint64_t> shed;
     std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
     std::size_t index = 0;               ///< Stream being fetched.
@@ -245,7 +248,10 @@ class DispatchingService {
   /// of the one reply buffer. The plan moves to its next stream when the
   /// batch comes back short (drained) or the call fails (stash
   /// unreachable: skip rather than stall, counting what is abandoned).
+  /// A batch that leaves the window empty ends the round instead.
   void fetch_next(const std::shared_ptr<ResumePlan>& plan);
+  /// Erases the plan's entries for `stream`; returns how many there were.
+  static std::uint64_t abandon_stream(ResumePlan& plan, std::uint32_t stream);
   void on_backlog_frame(ResumePlan& plan, util::SharedBytes frame);
   void finish_resume(const std::shared_ptr<ResumePlan>& plan);
 

@@ -220,13 +220,11 @@ void Runtime::wire_recovery() {
   dispatch.on_restart = [this] {
     // Hand back what arrived while dispatch was down, in arrival order,
     // then let restored quarantined flows fetch their backlog.
-    const std::vector<util::SharedBytes> held = std::move(held_);
+    const std::vector<std::pair<core::DataMessage, util::SimTime>> held = std::move(held_);
     held_.clear();
-    for (const util::SharedBytes& frame : held) {
-      const auto delivery = core::decode_delivery_view(frame);
-      if (!delivery.ok()) continue;  // never: dispatch_or_hold() encoded it
+    for (const auto& [message, first_heard] : held) {
       ++recovery_replayed_;
-      dispatch_.on_filtered(delivery.value().message, delivery.value().first_heard);
+      dispatch_.on_filtered(core::as_view(message), first_heard);
     }
     dispatch_.resume_quarantined();
   };
@@ -302,6 +300,7 @@ void Runtime::collect_service_stats(obs::SnapshotBuilder& out) {
   out.counter("garnet.dispatch.resume_discarded", dispatch.resume_discarded);
   out.counter("garnet.dispatch.resume_returned", dispatch.resume_returned);
   out.counter("garnet.dispatch.resume_unreachable", dispatch.resume_unreachable);
+  out.counter("garnet.dispatch.resume_missing", dispatch.resume_missing);
   out.counter("garnet.dispatch.recovery_replayed", recovery_replayed_);
 
   const core::QosStats& qos = dispatch_.subscriptions().qos_stats();
@@ -384,9 +383,9 @@ void Runtime::inject_external(const core::DataMessageView& message) {
 
 void Runtime::dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard) {
   if (recovery_ != nullptr && recovery_->crashed("dispatch")) {
-    // No dispatch process to take it: hold the frame (an owned copy; the
-    // view may alias a caller's buffer) until dispatch's on_restart.
-    held_.push_back(core::encode_delivery(message, first_heard));
+    // No dispatch process to take it: hold the message (an owned copy;
+    // the view may alias a caller's buffer) until dispatch's on_restart.
+    held_.emplace_back(message.to_owned(), first_heard);
     return;
   }
   dispatch_.on_filtered(message, first_heard);

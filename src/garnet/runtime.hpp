@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/actuation.hpp"
 #include "core/auth.hpp"
@@ -170,7 +171,7 @@ class Runtime {
   void wire_recovery();
   void publish_location(core::SensorId sensor, const core::LocationEstimate& estimate);
   /// The one door into dispatch for data (filtered, external, location):
-  /// on_filtered() while dispatch runs; while it is crashed, the frame
+  /// on_filtered() while dispatch runs; while it is crashed, the message
   /// joins held_ instead.
   void dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard);
   /// Pull-collector surfacing every service's plain stats struct.
@@ -201,12 +202,12 @@ class Runtime {
 
   std::optional<core::StreamId> location_stream_;
   std::uint64_t external_in_ = 0;
-  /// encode_delivery() frames that arrived while dispatch was crashed,
-  /// in arrival order; dispatch's on_restart feeds them back through
-  /// on_filtered(). Bounded by the outage: the watchdog promotes within
-  /// miss_threshold heartbeats.
-  std::vector<util::SharedBytes> held_;
-  /// Held frames handed back (garnet.dispatch.recovery_replayed).
+  /// Messages (owned copies, with their first-heard stamps) that arrived
+  /// while dispatch was crashed, in arrival order; dispatch's on_restart
+  /// feeds them back through on_filtered(). Bounded by the outage: the
+  /// watchdog promotes within miss_threshold heartbeats.
+  std::vector<std::pair<core::DataMessage, util::SimTime>> held_;
+  /// Held messages handed back (garnet.dispatch.recovery_replayed).
   std::uint64_t recovery_replayed_ = 0;
   core::SequenceNo location_sequence_ = 0;
   std::unordered_map<core::SensorId, util::SimTime> last_location_publish_;

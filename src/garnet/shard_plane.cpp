@@ -222,6 +222,10 @@ void ShardedDispatchPlane::ingest(const wireless::ReceptionReport& report) {
 }
 
 void ShardedDispatchPlane::run_shard(Shard& shard) {
+  if (shard.crashed) {
+    shard.last_round_events = 0;
+    return;
+  }
   const std::uint64_t start = sim::thread_cpu_now_ns();
   std::vector<PendingInput> batch = std::move(shard.pending);
   shard.pending.clear();
@@ -327,14 +331,22 @@ void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
     spec.group = prefix;
     // The shard's endpoints live on its own bus, not the harness's, so
     // there is nothing to silence here; a crash is modelled as the
-    // wipe + restore cycle on the shard's dispatcher state.
-    spec.wipe = [&s] { s.dispatch.reset_state(); };
+    // wipe + restore cycle on the shard's dispatcher state, with the
+    // shard's rounds held in between.
+    spec.wipe = [&s] {
+      s.crashed = true;
+      s.dispatch.reset_state();
+    };
     spec.apply_op = [&s](std::uint16_t kind, util::BytesView payload) {
       s.dispatch.apply_op(kind, payload);
     };
-    // Shards never hold frames (inputs wait in Shard::pending until a
-    // round runs), so a restart only kicks quarantined flows' resume.
-    spec.on_restart = [&s] { s.dispatch.resume_quarantined(); };
+    // Inputs routed to a crashed shard wait in Shard::pending (run_shard
+    // skips it), so the next round after the restart runs them; the
+    // restart itself only kicks quarantined flows' resume.
+    spec.on_restart = [&s] {
+      s.crashed = false;
+      s.dispatch.resume_quarantined();
+    };
     const std::string name = spec.name;
     harness.manage(std::move(spec));
     s.dispatch.set_op_sink([&harness, name](std::uint16_t kind, util::BytesView payload) {
@@ -391,7 +403,9 @@ std::uint64_t ShardedDispatchPlane::busy_ns(std::uint32_t shard) const {
 
 std::uint64_t ShardedDispatchPlane::pending_inputs() const {
   std::uint64_t pending = 0;
-  for (const auto& shard : shards_) pending += shard->pending.size();
+  for (const auto& shard : shards_) {
+    if (!shard->crashed) pending += shard->pending.size();
+  }
   return pending;
 }
 

@@ -174,7 +174,8 @@ class ShardedDispatchPlane {
   /// shard clocks to the round's maximum and re-bases the injection
   /// timeline. Returns total events executed.
   std::size_t run_round();
-  /// Rounds until no queued input remains.
+  /// Rounds until no runnable input remains (a crashed shard's inputs
+  /// stay queued for the rounds after its restart).
   std::size_t run_until_idle();
 
   // --- merged views (between rounds only) ---------------------------------
@@ -229,7 +230,8 @@ class ShardedDispatchPlane {
   /// Cumulative thread-CPU ns the shard's worker spent inside rounds —
   /// the shard's critical path (sim::thread_cpu_now_ns discipline).
   [[nodiscard]] std::uint64_t busy_ns(std::uint32_t shard) const;
-  /// Inputs queued for the next round, across all shards.
+  /// Inputs the next round will run, across all shards (a crashed
+  /// shard's inputs wait for its restart).
   [[nodiscard]] std::uint64_t pending_inputs() const;
 
  private:
@@ -252,6 +254,8 @@ class ShardedDispatchPlane {
     core::Orphanage orphanage;
 
     std::vector<PendingInput> pending;
+    /// Between the harness's wipe and on_restart: rounds skip the shard.
+    bool crashed = false;
     std::uint64_t processed = 0;
     std::uint64_t busy_ns = 0;
     std::uint64_t merge_lag_ns = 0;      ///< Clock lag at the last merge.

@@ -443,6 +443,94 @@ TEST_F(FlowFixture, ResumeFetchesABacklogDeeperThanTwoBatches) {
   EXPECT_TRUE(orphanage.claim({1, 0}).empty());
 }
 
+TEST_F(FlowFixture, AcksBetweenBacklogBatchesDeliverEverySequenceOnce) {
+  // 72 shed frames on one stream, a window (8) smaller than a fetch
+  // batch (32), and a consumer that acks each delivery as it lands, as
+  // core::Consumer does: acks reach dispatch between fetches while
+  // frames go back to the stash. Every sequence still arrives once.
+  enable_flow(/*window=*/8);
+  std::vector<SequenceNo> seen;
+  net::Address acker;
+  acker = bus.add_endpoint("acker", [&](net::Envelope e) {
+    if (e.type != kDataDelivery) return;
+    const auto decoded = decode_delivery_view(e.payload);
+    ASSERT_TRUE(decoded.ok());
+    seen.push_back(decoded.value().message.sequence);
+    util::ByteWriter w(4);
+    w.u32(1);
+    bus.post(acker, dispatch.address(), kDeliveryCredit, util::take_shared(std::move(w)));
+  });
+  dispatch.subscribe(acker, StreamPattern::exact({1, 0}));
+
+  constexpr SequenceNo kTotal = 80;
+  for (SequenceNo seq = 0; seq < kTotal; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 72u);
+  scheduler.run();
+
+  std::sort(seen.begin(), seen.end());
+  std::vector<SequenceNo> expected;
+  for (SequenceNo seq = 0; seq < kTotal; ++seq) expected.push_back(seq);
+  EXPECT_EQ(seen, expected);
+  EXPECT_FALSE(dispatch.quarantined(acker));
+  EXPECT_GT(dispatch.stats().resume_returned, 0u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 72u);
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
+}
+
+TEST_F(FlowFixture, ReexhaustedRoundWaitsForTheNextAck) {
+  // A consumer that never acks: the first resume round spends its
+  // window on a 40-frame backlog, returns the rest of the batch to the
+  // stash and stops; it does not keep refetching the returned frames.
+  enable_flow(/*window=*/4, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 44; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 40u);
+
+  send_credits(consumer.address, 4);
+  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.stats().resumes, 1u);
+  EXPECT_EQ(dispatch.stats().resume_returned, 28u);
+
+  for (int round = 0; round < 20 && dispatch.quarantined(consumer.address); ++round) {
+    send_credits(consumer.address, 4);
+  }
+  std::vector<SequenceNo> seen = sequences(consumer);
+  std::sort(seen.begin(), seen.end());
+  std::vector<SequenceNo> expected;
+  for (SequenceNo seq = 0; seq < 44; ++seq) expected.push_back(seq);
+  EXPECT_EQ(seen, expected);
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
+}
+
+TEST_F(FlowFixture, ShedsEvictedFromTheStashAreCountedMissing) {
+  // The stash keeps 128 frames per stream; 150 shed frames overflow it.
+  // The resume redelivers the 128 it still holds and counts the 22
+  // evicted copies it owed as missing.
+  enable_flow(/*window=*/150, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 300; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 150u);
+
+  send_credits(consumer.address, 150);
+  EXPECT_EQ(consumer.deliveries.size(), 278u);
+  EXPECT_EQ(sequences(consumer).back(), 299u);
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 128u);
+  EXPECT_EQ(dispatch.stats().resume_missing, 22u);
+}
+
 TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   // With the stash unreachable, kFetchBacklog fails after its retries.
   // The quarantine resume skips the stream and finishes instead of

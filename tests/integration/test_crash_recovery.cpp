@@ -18,8 +18,10 @@
 //   * Dispatch crash windows: every frame that arrives while dispatch
 //     is down reaches its subscribers exactly once after promotion,
 //     however long the window, whether or not its stream was known
-//     before the crash; and a subscription made just after a checkpoint
-//     survives a crash preceded by heavy traffic.
+//     before the crash; under flow control, a frame the hand-back burst
+//     pushes out of the Orphanage's retention is counted missing; and a
+//     subscription made just after a checkpoint survives a crash
+//     preceded by heavy traffic.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -429,6 +431,50 @@ TEST(CrashRecovery, LongDispatchCrashWindowDeliversEverySequenceOnce) {
   ASSERT_EQ(next_seq, 1501);
   EXPECT_EQ(ledger.distinct(), 1501u);
   EXPECT_EQ(ledger.max_count(), 1);
+}
+
+TEST(CrashRecovery, LongDispatchCrashWindowUnderFlowControlAccountsEverySequence) {
+  // The same window with a 64-credit flow window: the hand-back of ~280
+  // held frames spends the window at once and quarantines the consumer,
+  // and the Orphanage keeps only 64 of the shed copies per stream. Each
+  // sequence is then delivered once or counted missing by the resume,
+  // never both, never twice, never neither.
+  Runtime::Config config;
+  config.recovery.enabled = true;
+  config.flow.credit_window = 64;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "dispatch";
+    crash.at = SimTime{} + Duration::millis(520);
+    config.bus.faults.crashes.push_back(crash);  // no restart: watchdog promotes
+  }
+  Runtime runtime(config);
+  core::Consumer consumer(runtime.bus(), "consumer.window");
+  runtime.provision(consumer, "window");
+  consumer.subscribe(core::StreamPattern::everything());
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
+  runtime.run_for(Duration::millis(20));
+
+  sim::Scheduler& scheduler = runtime.scheduler();
+  const SimTime flood_end = scheduler.now() + Duration::millis(1500);
+  core::SequenceNo next_seq = 0;
+  std::function<void()> inject = [&] {
+    runtime.filtering().ingest(make_report(next_seq++, scheduler.now()));
+    if (scheduler.now() < flood_end) scheduler.schedule_after(Duration::millis(1), inject);
+  };
+  inject();
+  runtime.run_for(Duration::seconds(3));
+
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  ASSERT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
+  ASSERT_EQ(next_seq, 1501);
+  EXPECT_FALSE(runtime.dispatch().quarantined(consumer.address()));
+  EXPECT_EQ(ledger.max_count(), 1);
+  const std::uint64_t missing = snap.counter("garnet.dispatch.resume_missing");
+  EXPECT_GT(missing, 0u);  // the burst did overflow the stash
+  EXPECT_EQ(snap.counter("garnet.dispatch.resume_unreachable"), 0u);
+  EXPECT_EQ(ledger.distinct() + missing, 1501u);
 }
 
 TEST(CrashRecovery, StreamFirstSeenDuringDispatchCrashReachesWildcardSubscriber) {
