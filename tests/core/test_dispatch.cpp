@@ -479,6 +479,44 @@ TEST_F(FlowFixture, AcksBetweenBacklogBatchesDeliverEverySequenceOnce) {
   EXPECT_EQ(dispatch.stats().resume_missing, 0u);
 }
 
+TEST_F(FlowFixture, CopiesShedDuringARoundAreRedeliveredWhenItFetchesThem) {
+  // Copies shed after a round began are owed by the flow, not by the
+  // round's plan. When the round's second batch drains them from the
+  // stash, they are redelivered then, not discarded.
+  enable_flow(/*window=*/100, /*resume_threshold=*/1);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 140; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 40u);
+
+  // The ack lands after 200us and the first fetch drains 32 frames at
+  // 400us; five copies shed at 300us reach the stash behind the other
+  // eight and come back in the second batch.
+  util::ByteWriter w(4);
+  w.u32(100);
+  bus.post(consumer.address, dispatch.address(), kDeliveryCredit, util::take_shared(std::move(w)));
+  scheduler.schedule_after(Duration::micros(300), [&] {
+    for (SequenceNo seq = 140; seq < 145; ++seq) {
+      dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+    }
+  });
+  scheduler.run();
+
+  std::vector<SequenceNo> seen = sequences(consumer);
+  std::sort(seen.begin(), seen.end());
+  std::vector<SequenceNo> expected;
+  for (SequenceNo seq = 0; seq < 145; ++seq) expected.push_back(seq);
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(dispatch.stats().quarantine_sheds, 45u);
+  EXPECT_EQ(dispatch.stats().resumes, 1u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 45u);
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+}
+
 TEST_F(FlowFixture, ReexhaustedRoundWaitsForTheNextAck) {
   // A consumer that never acks: the first resume round spends its
   // window on a 40-frame backlog, returns the rest of the batch to the

@@ -315,8 +315,10 @@ TEST(ShardPlane, InputsReachingACrashedShardRunAfterItsRestart) {
 
   harness.crash(owner);
   for (core::SequenceNo seq = 0; seq < 5; ++seq) plane.inject(make_message(id, seq));
-  plane.run_until_idle();  // the crashed shard's inputs wait; this returns
+  plane.run_round();       // a round while the shard is down skips it
+  plane.run_until_idle();  // and returns: nothing else is runnable
   EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(plane.pending_inputs(), 0u);
 
   // The restart restores the subscription (op-log replay) and the held
   // inputs run in the next rounds, each delivered once.
