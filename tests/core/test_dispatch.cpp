@@ -321,6 +321,37 @@ TEST_F(FlowFixture, CreditsResumeWithDuplicateFreeRedelivery) {
   EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
 }
 
+TEST_F(FlowFixture, EveryQuarantinedConsumerGetsItsOwnShedCopies) {
+  // Two consumers quarantined on the same stream: each is owed its own
+  // copy of every message shed while it was quarantined, and each gets
+  // every sequence back exactly once, whichever resumes first.
+  enable_flow(/*window=*/2);
+  FakeConsumer a(bus, "a");
+  FakeConsumer b(bus, "b");
+  dispatch.subscribe(a.address, StreamPattern::exact({1, 0}));
+  dispatch.subscribe(b.address, StreamPattern::exact({1, 0}));
+
+  for (SequenceNo seq = 0; seq < 5; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  ASSERT_TRUE(dispatch.quarantined(a.address));
+  ASSERT_TRUE(dispatch.quarantined(b.address));
+
+  for (int round = 0;
+       round < 4 && (dispatch.quarantined(a.address) || dispatch.quarantined(b.address));
+       ++round) {
+    send_credits(a.address, 2);
+    send_credits(b.address, 2);
+  }
+  const std::vector<SequenceNo> all{0, 1, 2, 3, 4};
+  EXPECT_EQ(sequences(a), all);
+  EXPECT_EQ(sequences(b), all);
+  EXPECT_FALSE(dispatch.quarantined(a.address));
+  EXPECT_FALSE(dispatch.quarantined(b.address));
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
+}
+
 TEST_F(FlowFixture, ResumeWaitsForTheThreshold) {
   enable_flow(/*window=*/4, /*resume_threshold=*/3);
   FakeConsumer consumer(bus, "c1");
