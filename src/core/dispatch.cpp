@@ -2,23 +2,9 @@
 
 #include <algorithm>
 
-#include "core/orphanage.hpp"
 #include "util/log.hpp"
 
 namespace garnet::core {
-
-namespace {
-
-/// Backlog messages fetched per kFetchBacklog round-trip.
-constexpr std::uint16_t kFetchBatch = 32;
-
-/// Reliability contract for the stash-fetch RPC. kFetchBacklog drains
-/// the stash, so a re-executed fetch would see an empty ring and the
-/// drained frames would ride the lost response: never idempotent (the
-/// CallOptions default), always through the at-most-once cache.
-const net::CallOptions kFetchOptions = net::CallOptions::reliable(2);
-
-}  // namespace
 
 DispatchStats& DispatchStats::operator+=(const DispatchStats& other) noexcept {
   messages_in += other.messages_in;
@@ -31,11 +17,8 @@ DispatchStats& DispatchStats::operator+=(const DispatchStats& other) noexcept {
   quarantines += other.quarantines;
   quarantine_sheds += other.quarantine_sheds;
   credit_acks += other.credit_acks;
-  resumes += other.resumes;
   resume_redelivered += other.resume_redelivered;
   resume_discarded += other.resume_discarded;
-  resume_returned += other.resume_returned;
-  resume_unreachable += other.resume_unreachable;
   resume_missing += other.resume_missing;
   return *this;
 }
@@ -114,10 +97,8 @@ bool DispatchingService::unsubscribe(SubscriptionId id) {
 }
 
 std::size_t DispatchingService::drop_consumer(net::Address consumer) {
-  // Erasing the flow retires its epoch: an in-flight resume that fetched
-  // this consumer's stash will see the mismatch and return the frames to
-  // the Orphanage instead of delivering to (or losing them with) the
-  // departed consumer.
+  // Erasing the flow frees its backlog: nothing shed for a departed
+  // consumer is delivered.
   flows_.erase(ConsumerKey{consumer.value});
   const std::size_t removed = table_.remove_consumer(consumer);
   if (op_sink_) {
@@ -162,26 +143,12 @@ void DispatchingService::apply_op(std::uint16_t kind, util::BytesView payload) {
 void DispatchingService::encode_flow(util::ByteWriter& w, const Flow& flow) {
   w.u32(flow.credits);
   w.u8(flow.quarantined ? 1 : 0);
-  std::vector<std::uint64_t> shed(flow.shed.begin(), flow.shed.end());
-  std::sort(shed.begin(), shed.end());
-  w.u32(static_cast<std::uint32_t>(shed.size()));
-  for (const std::uint64_t key64 : shed) {
-    w.u32(static_cast<std::uint32_t>(key64 >> 16));
-    w.u16(static_cast<std::uint16_t>(key64 & 0xFFFF));
+  w.u32(static_cast<std::uint32_t>(flow.backlog.size()));
+  for (std::size_t i = 0; i < flow.backlog.size(); ++i) {
+    const util::SharedBytes& frame = flow.backlog.at(i);
+    w.u32(static_cast<std::uint32_t>(frame.size()));
+    w.raw(frame);
   }
-}
-
-DispatchingService::Flow DispatchingService::decode_flow(ConsumerKey, util::ByteReader& r) {
-  Flow flow;
-  (void)r.u32();  // credits: the commit re-primes them
-  flow.quarantined = r.u8() != 0;
-  const std::uint32_t shed_count = r.u32();
-  for (std::uint32_t j = 0; j < shed_count && r.ok(); ++j) {
-    const std::uint32_t packed = r.u32();
-    const SequenceNo seq = r.u16();
-    flow.shed.insert(shed_key(packed, seq));
-  }
-  return flow;
 }
 
 util::Bytes DispatchingService::capture_state() const {
@@ -201,16 +168,33 @@ util::Status<util::DecodeError> DispatchingService::restore_state(util::BytesVie
   util::ByteReader r(state);
   SubscriptionTable table;
   if (const auto status = table.restore(r); !status.ok()) return status;
-  auto flows = FlowTable::read_full(r, decode_flow);
-  if (!r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
+  // Backlog frames become views of one shared copy of the state, made at
+  // the first frame; a state without frames copies nothing.
+  util::SharedBytes copy;
+  bool malformed = false;
+  auto flows = FlowTable::read_full(r, [&](ConsumerKey, util::ByteReader& fr) {
+    Flow flow;
+    (void)fr.u32();  // credits: the commit re-primes them
+    flow.quarantined = fr.u8() != 0;
+    const std::uint32_t frames = fr.u32();
+    // Only a quarantined flow holds frames, never more than the bound.
+    if (frames > (flow.quarantined ? kBacklogFrames : 0)) malformed = true;
+    for (std::uint32_t i = 0; i < frames && fr.ok() && !malformed; ++i) {
+      const std::uint32_t length = fr.u32();
+      const std::size_t offset = fr.consumed();
+      (void)fr.view(length);
+      if (!fr.ok()) break;
+      if (copy.empty()) copy = util::SharedBytes::copy_of(state);
+      flow.backlog.push(copy.view(offset, length));
+    }
+    return flow;
+  });
+  if (malformed || !r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
 
   table_ = std::move(table);
   // Flows are re-primed to a full credit window.
   if (!flow_.enabled()) flows.entries.clear();
-  for (auto& [key, flow] : flows.entries) {
-    flow.credits = flow_.credit_window;
-    flow.epoch = next_flow_epoch_++;
-  }
+  for (auto& [key, flow] : flows.entries) flow.credits = flow_.credit_window;
   flows_.apply(std::move(flows));
   return {};
 }
@@ -221,13 +205,9 @@ void DispatchingService::reset_state() {
 }
 
 void DispatchingService::resume_quarantined() {
-  // Sorted snapshot first: maybe_resume() may mutate the table, and
-  // consumer order keeps the kick sequence deterministic.
-  std::vector<net::Address> quarantined;
-  flows_.for_each_sorted([&quarantined](ConsumerKey key, const Flow& flow) {
-    if (flow.quarantined) quarantined.push_back(net::Address{key.pack()});
-  });
-  for (const net::Address consumer : quarantined) maybe_resume(consumer);
+  // Consumer order keeps the redelivery sequence deterministic.
+  flows_.for_each_sorted(
+      [this](ConsumerKey key, Flow& flow) { drain(net::Address{key.pack()}, flow); });
 }
 
 void DispatchingService::set_flow_control(FlowControlConfig config) {
@@ -250,22 +230,8 @@ std::uint32_t DispatchingService::credits(net::Address consumer) const {
 
 DispatchingService::Flow& DispatchingService::flow_for(net::Address consumer) {
   auto [flow, inserted] = flows_.try_emplace(ConsumerKey{consumer.value});
-  if (inserted) {
-    flow->credits = flow_.credit_window;
-    flow->epoch = next_flow_epoch_++;
-  }
+  if (inserted) flow->credits = flow_.credit_window;
   return *flow;
-}
-
-DispatchingService::Flow* DispatchingService::flow_if_current(const ResumePlan& plan) {
-  Flow* flow = flows_.mutate(ConsumerKey{plan.consumer.value});
-  if (flow == nullptr || flow->epoch != plan.epoch) return nullptr;
-  return flow;
-}
-
-std::uint32_t DispatchingService::resume_threshold() const {
-  if (flow_.resume_threshold > 0) return flow_.resume_threshold;
-  return std::max<std::uint32_t>(1, flow_.credit_window / 2);
 }
 
 void DispatchingService::on_credit(const net::Envelope& envelope) {
@@ -281,157 +247,27 @@ void DispatchingService::on_credit(const net::Envelope& envelope) {
   Flow& flow = *found;
   flow.credits = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       flow_.credit_window, static_cast<std::uint64_t>(flow.credits) + granted));
-  maybe_resume(envelope.from);
+  drain(envelope.from, flow);
 }
 
-void DispatchingService::maybe_resume(net::Address consumer) {
-  Flow* found = flows_.mutate(ConsumerKey{consumer.value});
-  if (found == nullptr) return;
-  Flow& flow = *found;
-  if (!flow.quarantined || flow.resume_inflight || flow.credits == 0) return;
-  if (flow.shed.empty()) {
-    // Nothing was shed while quarantined (or the stash is unreachable):
-    // plain release.
-    flow.quarantined = false;
-    return;
-  }
-  if (flow.credits < resume_threshold()) return;
-  start_resume(consumer, flow);
-}
-
-void DispatchingService::start_resume(net::Address consumer, Flow& flow) {
-  if (!orphan_sink_.valid()) {
-    // No stash to replay from; release with whatever was lost, lost.
-    flow.shed.clear();
-    flow.quarantined = false;
-    return;
-  }
-  ++stats_.resumes;
-  flow.resume_inflight = true;
-  auto plan = std::make_shared<ResumePlan>();
-  plan->consumer = consumer;
-  plan->epoch = flow.epoch;
-  plan->shed = std::move(flow.shed);
-  flow.shed.clear();
-  for (const std::uint64_t key : plan->shed) {
-    plan->streams.push_back(static_cast<std::uint32_t>(key >> 16));
-  }
-  std::sort(plan->streams.begin(), plan->streams.end());
-  plan->streams.erase(std::unique(plan->streams.begin(), plan->streams.end()),
-                      plan->streams.end());
-  fetch_next(plan);
-}
-
-void DispatchingService::fetch_next(const std::shared_ptr<ResumePlan>& plan) {
-  if (flow_if_current(*plan) == nullptr) return;  // consumer dropped; plan dead
-  if (plan->index >= plan->streams.size()) {
-    finish_resume(plan);
-    return;
-  }
-  const std::uint32_t stream = plan->streams[plan->index];
-  util::ByteWriter w(6);
-  w.u32(stream);
-  w.u16(kFetchBatch);
-  node_.call(orphan_sink_, Orphanage::kFetchBacklog, std::move(w).take(), kFetchOptions,
-             [this, plan, stream](net::RpcResult result) {
-               if (!result.ok()) {
-                 // The stash is unreachable: the shed copies still owed on
-                 // this stream are abandoned, and counted.
-                 stats_.resume_unreachable += abandon_stream(*plan, stream);
-                 ++plan->index;
-                 fetch_next(plan);
-                 return;
-               }
-               const util::SharedBytes reply(std::move(result).value());
-               util::ByteReader r(reply);
-               const std::uint16_t count = r.u16();
-               for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
-                 const std::uint16_t length = r.u16();
-                 const std::size_t offset = r.consumed();
-                 if (r.view(length).empty() && length > 0) break;  // truncated reply
-                 on_backlog_frame(*plan, reply.view(offset, length));
-               }
-               if (Flow* flow = flow_if_current(*plan); flow != nullptr && flow->credits == 0) {
-                 // The window re-exhausted: end the round rather than
-                 // fetch back the frames just returned. What is still
-                 // owed waits in the flow for the next ack's round.
-                 flow->shed.merge(plan->shed);
-                 finish_resume(plan);
-                 return;
-               }
-               // A full batch may mean more frames remain for this stream;
-               // an undersized one means the stash is drained for it, so
-               // an owed copy not fetched by now was evicted past the
-               // Orphanage's retention.
-               if (count < kFetchBatch) {
-                 stats_.resume_missing += abandon_stream(*plan, stream);
-                 ++plan->index;
-               }
-               fetch_next(plan);
-             });
-}
-
-void DispatchingService::on_backlog_frame(ResumePlan& plan, util::SharedBytes frame) {
-  Flow* flow = flow_if_current(plan);
-  if (flow == nullptr || flow->credits == 0) {
-    // Consumer dropped mid-replay, or its window re-exhausted: the
-    // frame goes back to the stash so it is neither lost nor delivered
-    // out of contract. An owed copy stays owed: its key moves back to
-    // the flow, and the next resume round fetches it again.
-    ++stats_.resume_returned;
-    node_.post(orphan_sink_, kDataDelivery, frame);
-    if (flow != nullptr) {
-      auto decoded = decode_delivery_view(frame);
-      if (decoded.ok()) {
-        const DataMessageView& message = decoded.value().message;
-        const std::uint64_t key = shed_key(message.stream_id.packed(), message.sequence);
-        if (plan.shed.erase(key) > 0) flow->shed.insert(key);
-      }
+void DispatchingService::drain(net::Address consumer, Flow& flow) {
+  while (flow.credits > 0 && !flow.backlog.empty()) {
+    util::SharedBytes frame = std::move(flow.backlog.front());
+    flow.backlog.pop();
+    // A frame for a stream the consumer has since left is dropped here.
+    // So is a corrupt one: a backlog restored from a checkpoint is not
+    // frames this process encoded, so each is checksum-verified.
+    const auto decoded = decode_delivery_view(frame, ChecksumPolicy::kVerify);
+    if (!decoded.ok() || !table_.subscribes(consumer, decoded.value().message.stream_id)) {
+      ++stats_.resume_discarded;
+      continue;
     }
-    return;
+    ++stats_.resume_redelivered;
+    ++stats_.copies_delivered;
+    if (--flow.credits == 0) ++stats_.credits_exhausted;
+    bus_.post(node_.address(), consumer, kDataDelivery, std::move(frame));
   }
-
-  auto decoded = decode_delivery_view(frame);
-  if (!decoded.ok()) {
-    ++stats_.resume_discarded;
-    return;
-  }
-  const DataMessageView& message = decoded.value().message;
-  // Duplicate-freedom: redeliver exactly what was shed from THIS
-  // consumer, before the round (the plan) or during it (the flow). The
-  // shared stash also holds copies shed for other consumers and
-  // pre-quarantine orphans; membership in a shed set is the only test
-  // that rejects all of them. Erasing the entry also refuses a second
-  // stashed copy of the same frame.
-  const std::uint64_t key = shed_key(message.stream_id.packed(), message.sequence);
-  if ((plan.shed.erase(key) == 0 && flow->shed.erase(key) == 0) ||
-      !table_.subscribes(plan.consumer, message.stream_id)) {
-    ++stats_.resume_discarded;
-    return;
-  }
-  ++stats_.resume_redelivered;
-  ++stats_.copies_delivered;
-  --flow->credits;
-  if (flow->credits == 0) ++stats_.credits_exhausted;
-  bus_.post(node_.address(), plan.consumer, kDataDelivery, std::move(frame));
-}
-
-std::uint64_t DispatchingService::abandon_stream(ResumePlan& plan, std::uint32_t stream) {
-  return static_cast<std::uint64_t>(std::erase_if(
-      plan.shed, [stream](std::uint64_t key) { return (key >> 16) == stream; }));
-}
-
-void DispatchingService::finish_resume(const std::shared_ptr<ResumePlan>& plan) {
-  Flow* flow = flow_if_current(*plan);
-  if (flow == nullptr) return;
-  flow->resume_inflight = false;
-  if (flow->shed.empty()) {
-    if (flow->credits > 0) flow->quarantined = false;
-    return;
-  }
-  // New sheds accumulated while replaying (re-stashed frames or fresh
-  // traffic): go again if the window allows, else wait for the next ack.
-  maybe_resume(plan->consumer);
+  if (flow.backlog.empty() && flow.credits > 0) flow.quarantined = false;
 }
 
 void DispatchingService::on_envelope(net::Envelope envelope) {
@@ -490,16 +326,14 @@ void DispatchingService::deliver(const DataMessageView& message, util::SimTime f
   // One encode, N posts: every consumer's envelope refcounts this one
   // buffer; no per-subscriber byte copy happens anywhere downstream.
   const util::SharedBytes wire = encode_delivery(message, first_heard);
-  bool stashed = false;
   for (const net::Address consumer : scratch_) {
     if (flow_.enabled()) {
       Flow& flow = flow_for(consumer);
       if (flow.quarantined) {
-        // Shed for this consumer alone; the copy is stashed (below) and
-        // the shed set marks it for duplicate-free redelivery on resume.
+        // Shed for this consumer alone: its backlog keeps a view of the
+        // shared frame for in-order redelivery when credits return.
         ++stats_.quarantine_sheds;
-        flow.shed.insert(shed_key(message.stream_id.packed(), message.sequence));
-        stashed = true;
+        if (flow.backlog.push(wire)) ++stats_.resume_missing;
         continue;
       }
       --flow.credits;
@@ -511,11 +345,6 @@ void DispatchingService::deliver(const DataMessageView& message, util::SimTime f
     }
     ++stats_.copies_delivered;
     bus_.post(node_.address(), consumer, kDataDelivery, wire);
-  }
-  // One stash post covers every consumer quarantined on this message —
-  // the Orphanage keeps a single retained copy per message either way.
-  if (stashed && orphan_sink_.valid()) {
-    bus_.post(node_.address(), orphan_sink_, kDataDelivery, wire);
   }
 }
 

@@ -13,8 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <unordered_set>
 
 #include "core/auth.hpp"
 #include "core/catalog.hpp"
@@ -24,6 +22,8 @@
 #include "core/wire_types.hpp"
 #include "net/rpc.hpp"
 #include "obs/trace.hpp"
+#include "util/ring_buffer.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace garnet::core {
 
@@ -39,12 +39,9 @@ struct DispatchStats {
   std::uint64_t quarantines = 0;         ///< Consumers entering quarantine.
   std::uint64_t quarantine_sheds = 0;    ///< Copies withheld from quarantined consumers.
   std::uint64_t credit_acks = 0;         ///< kDeliveryCredit envelopes applied.
-  std::uint64_t resumes = 0;             ///< Backlog-replay rounds started.
-  std::uint64_t resume_redelivered = 0;  ///< Stashed copies delivered on resume.
-  std::uint64_t resume_discarded = 0;    ///< Stashed copies dropped (dup/unsubscribed).
-  std::uint64_t resume_returned = 0;     ///< Fetched copies re-stashed (no credits / consumer gone).
-  std::uint64_t resume_unreachable = 0;  ///< Shed copies abandoned when a backlog fetch failed.
-  std::uint64_t resume_missing = 0;      ///< Shed copies the stash no longer held (evicted).
+  std::uint64_t resume_redelivered = 0;  ///< Backlog copies delivered as credits returned.
+  std::uint64_t resume_discarded = 0;    ///< Backlog copies dropped (unsubscribed/undecodable).
+  std::uint64_t resume_missing = 0;      ///< Shed copies evicted past the backlog bound.
 
   /// Cross-shard aggregation: the shard plane sums its per-shard
   /// dispatchers' ledgers into one plane-wide view at the merge barrier.
@@ -66,17 +63,15 @@ enum DispatchOp : std::uint16_t {
 /// carries a delivery window; every posted copy spends one credit and the
 /// consumer replenishes with kDeliveryCredit acks after it processes a
 /// delivery. A consumer that drains its window to zero is *quarantined*:
-/// its copies are shed to the Orphanage (the stash) while every other
-/// subscriber's fan-out continues untouched. When credits return, the
-/// dispatcher replays the stash via Orphanage::kFetchBacklog, filtered by
-/// the consumer's exact shed set so nothing is delivered twice; a shed
-/// copy the stash evicted is counted (DispatchStats::resume_missing).
+/// its copies are shed into its own backlog while every other
+/// subscriber's fan-out continues untouched. Each credit that returns
+/// redelivers the oldest backlog frame, so the consumer sees every
+/// sequence once, in shed order; a backlog past
+/// DispatchingService::kBacklogFrames evicts its oldest frame, counted
+/// in DispatchStats::resume_missing.
 struct FlowControlConfig {
   /// Deliveries in flight per consumer before quarantine. 0 = disabled.
   std::uint32_t credit_window = 0;
-  /// Credits required before a quarantined consumer's backlog replay
-  /// starts. 0 = half the window (at least 1).
-  std::uint32_t resume_threshold = 0;
 
   [[nodiscard]] bool enabled() const noexcept { return credit_window > 0; }
 };
@@ -96,10 +91,13 @@ class DispatchingService {
 
   static constexpr const char* kEndpointName = "garnet.dispatch";
 
+  /// Frames a quarantined consumer's backlog holds before a shed evicts
+  /// the oldest.
+  static constexpr std::size_t kBacklogFrames = 1024;
+
   DispatchingService(net::MessageBus& bus, AuthService& auth, StreamCatalog& catalog);
 
-  /// Unclaimed data goes here (the Orphanage registers itself). Also the
-  /// quarantine stash when flow control is enabled.
+  /// Unclaimed data goes here (the Orphanage registers itself).
   void set_orphan_sink(net::Address address) { orphan_sink_ = address; }
 
   /// Enables (or reconfigures) credit-based backpressure. Existing
@@ -144,7 +142,7 @@ class DispatchingService {
   void apply_op(std::uint16_t kind, util::BytesView payload);
 
   /// Crash-recovery snapshot: subscriptions and per-consumer credit/
-  /// quarantine state with shed sets. Byte-deterministic (every
+  /// quarantine state with backlog frames. Byte-deterministic (every
   /// unordered container is walked sorted). Dispatch keeps no
   /// per-stream state, so the snapshot scales with consumers, not
   /// streams.
@@ -164,15 +162,16 @@ class DispatchingService {
   /// committing. Restored flows are re-primed to a full credit window —
   /// in-flight deliveries died with the primary, so the true outstanding
   /// count is unknowable; the cost is bounded at one extra window of
-  /// in-flight copies per consumer. Quarantine flags and shed sets are
-  /// preserved, so resume replay stays duplicate-free.
+  /// in-flight copies per consumer. Quarantine flags and backlogs are
+  /// preserved; the frames become views of one shared copy of `state`.
   [[nodiscard]] util::Status<util::DecodeError> restore_state(util::BytesView state);
 
   /// Crash wipe: drops subscriptions and flows.
   void reset_state();
 
   /// Post-restore kick: restored quarantined flows come back with a full
-  /// window, so each starts its backlog resume (in consumer order).
+  /// window and no ack to wake them, so each drains its backlog (in
+  /// consumer order).
   /// Frames that arrived while dispatch was down are not its concern:
   /// the runtime held them and feeds them back through on_filtered().
   void resume_quarantined();
@@ -186,74 +185,34 @@ class DispatchingService {
   [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
 
   /// Index + arena bytes of the flow table (bench_scale bytes/stream;
-  /// excludes heap owned by shed sets).
+  /// excludes backlog storage).
   [[nodiscard]] std::size_t memory_bytes() const noexcept { return flows_.memory_bytes(); }
 
   /// Lookup cost of the flow table's index (bench_scale probe gate).
   [[nodiscard]] ProbeStats probe_stats() const { return flows_.probe_stats(); }
 
  private:
-  /// Per-consumer flow state, created lazily at first delivery. The epoch
-  /// is globally unique per Flow instance so an in-flight resume can tell
-  /// "my consumer was dropped (and possibly re-admitted)" apart from "my
-  /// consumer is still the one I started for".
+  /// Per-consumer flow state, created lazily at first delivery.
   struct Flow {
     std::uint32_t credits = 0;
     bool quarantined = false;
-    bool resume_inflight = false;
-    std::uint64_t epoch = 0;
-    /// Exactly the (stream, sequence) pairs shed from this consumer,
-    /// keyed `packed StreamId << 16 | sequence`. Resume redelivers a
-    /// fetched frame iff it is in this set: the shared stash also holds
-    /// orphans and copies shed for *other* consumers, so no per-stream
-    /// floor can separate "missed" from "already received" — only
-    /// membership can. Cleared per resume round, so it is bounded by one
-    /// quarantine episode's sheds.
-    std::unordered_set<std::uint64_t> shed;
+    /// Delivery frames shed while quarantined, oldest first. Each is a
+    /// view of the one encode_delivery buffer every consumer's copy of
+    /// that message shares. Only a quarantined flow holds frames.
+    util::RingBuffer<util::SharedBytes> backlog{kBacklogFrames};
   };
-
-  /// One backlog-replay round for one quarantined consumer: a walk over
-  /// the streams it was shed on, one kFetchBacklog batch at a time.
-  struct ResumePlan {
-    net::Address consumer;
-    std::uint64_t epoch = 0;
-    /// Moved from the flow (see Flow::shed); an entry leaves when its
-    /// frame is fetched or its stream is given up (and counted), so
-    /// what remains is still owed.
-    std::unordered_set<std::uint64_t> shed;
-    std::vector<std::uint32_t> streams;  ///< Sorted: deterministic replay order.
-    std::size_t index = 0;               ///< Stream being fetched.
-  };
-
-  /// Key for Flow::shed / ResumePlan::shed.
-  [[nodiscard]] static constexpr std::uint64_t shed_key(std::uint32_t packed,
-                                                        SequenceNo seq) noexcept {
-    return (static_cast<std::uint64_t>(packed) << 16) | seq;
-  }
 
   using FlowTable = StreamTable<Flow, ConsumerKey>;
 
   void on_envelope(net::Envelope envelope);
   static void encode_flow(util::ByteWriter& w, const Flow& flow);
-  [[nodiscard]] static Flow decode_flow(ConsumerKey key, util::ByteReader& r);
   void deliver(const DataMessageView& message, util::SimTime first_heard);
   Flow& flow_for(net::Address consumer);
-  [[nodiscard]] Flow* flow_if_current(const ResumePlan& plan);
-  [[nodiscard]] std::uint32_t resume_threshold() const;
   void on_credit(const net::Envelope& envelope);
-  void maybe_resume(net::Address consumer);
-  void start_resume(net::Address consumer, Flow& flow);
-  /// One kFetchBacklog round-trip for the plan's current stream; each
-  /// stashed frame in the reply reaches on_backlog_frame() as a sub-view
-  /// of the one reply buffer. The plan moves to its next stream when the
-  /// batch comes back short (drained) or the call fails (stash
-  /// unreachable: skip rather than stall, counting what is abandoned).
-  /// A batch that leaves the window empty ends the round instead.
-  void fetch_next(const std::shared_ptr<ResumePlan>& plan);
-  /// Erases the plan's entries for `stream`; returns how many there were.
-  static std::uint64_t abandon_stream(ResumePlan& plan, std::uint32_t stream);
-  void on_backlog_frame(ResumePlan& plan, util::SharedBytes frame);
-  void finish_resume(const std::shared_ptr<ResumePlan>& plan);
+  /// Spends the flow's credits on its backlog, oldest frame first; the
+  /// consumer leaves quarantine once the backlog is empty and a credit
+  /// remains.
+  void drain(net::Address consumer, Flow& flow);
 
   net::MessageBus& bus_;
   AuthService& auth_;
@@ -267,7 +226,6 @@ class DispatchingService {
   std::vector<net::Address> scratch_;  ///< Reused fan-out buffer.
   FlowControlConfig flow_;
   FlowTable flows_;  ///< Keyed by consumer address.
-  std::uint64_t next_flow_epoch_ = 1;
   OpSink op_sink_;
 };
 

@@ -219,7 +219,7 @@ void Runtime::wire_recovery() {
   };
   dispatch.on_restart = [this] {
     // Hand back what arrived while dispatch was down, in arrival order,
-    // then let restored quarantined flows fetch their backlog.
+    // then let restored quarantined flows drain their backlog.
     const std::vector<std::pair<core::DataMessage, util::SimTime>> held = std::move(held_);
     held_.clear();
     for (const auto& [message, first_heard] : held) {
@@ -295,11 +295,8 @@ void Runtime::collect_service_stats(obs::SnapshotBuilder& out) {
   out.counter("garnet.dispatch.quarantines", dispatch.quarantines);
   out.counter("garnet.dispatch.quarantine_sheds", dispatch.quarantine_sheds);
   out.counter("garnet.dispatch.credit_acks", dispatch.credit_acks);
-  out.counter("garnet.dispatch.resumes", dispatch.resumes);
   out.counter("garnet.dispatch.resume_redelivered", dispatch.resume_redelivered);
   out.counter("garnet.dispatch.resume_discarded", dispatch.resume_discarded);
-  out.counter("garnet.dispatch.resume_returned", dispatch.resume_returned);
-  out.counter("garnet.dispatch.resume_unreachable", dispatch.resume_unreachable);
   out.counter("garnet.dispatch.resume_missing", dispatch.resume_missing);
   out.counter("garnet.dispatch.recovery_replayed", recovery_replayed_);
 

@@ -342,7 +342,7 @@ void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
     };
     // Inputs routed to a crashed shard wait in Shard::pending (run_shard
     // skips it), so the next round after the restart runs them; the
-    // restart itself only kicks quarantined flows' resume.
+    // restart itself only drains restored quarantined flows.
     spec.on_restart = [&s] {
       s.crashed = false;
       s.dispatch.resume_quarantined();

@@ -1,8 +1,8 @@
 // Fixed-capacity ring buffer.
 //
-// Used by the Orphanage for bounded retention of unclaimed data, by the
-// tracer's flight recorder and by the sensors' and relays' recent-id
-// windows. Storage fills lazily: a buffer that never reaches its capacity
+// Used by the Orphanage for bounded retention of unclaimed data, by
+// dispatch for quarantined consumers' backlogs, by the tracer's flight
+// recorder and by the sensors' and relays' recent-id windows. Storage fills lazily: a buffer that never reaches its capacity
 // never holds (or default-constructs) more slots than it has seen pushes.
 #pragma once
 

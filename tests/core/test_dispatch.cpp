@@ -229,17 +229,15 @@ TEST_F(DispatchFixture, MalformedDerivedPublishRejected) {
 
 // --- credit-based flow control --------------------------------------------
 
-/// Flow-control harness: a real Orphanage serves as the quarantine stash
-/// so resume rounds exercise the genuine kFetchBacklog wire path.
+/// Flow-control harness. A real Orphanage is the orphan sink, so tests
+/// can show that quarantine sheds never reach it.
 struct FlowFixture : DispatchFixture {
-  // Deep enough to hold a multi-batch backlog on one stream.
-  Orphanage orphanage{bus, {.retention_per_stream = 128}};
+  Orphanage orphanage{bus, {}};
 
-  void enable_flow(std::uint32_t window, std::uint32_t resume_threshold = 0) {
+  void enable_flow(std::uint32_t window) {
     dispatch.set_orphan_sink(orphanage.address());
     FlowControlConfig flow;
     flow.credit_window = window;
-    flow.resume_threshold = resume_threshold;
     dispatch.set_flow_control(flow);
   }
 
@@ -251,12 +249,27 @@ struct FlowFixture : DispatchFixture {
     scheduler.run();
   }
 
+  /// Acks `count` credits until the consumer leaves quarantine, at most
+  /// `rounds` times.
+  void ack_until_released(net::Address consumer, std::uint32_t count, int rounds) {
+    for (int round = 0; round < rounds && dispatch.quarantined(consumer); ++round) {
+      send_credits(consumer, count);
+    }
+  }
+
   std::vector<SequenceNo> sequences(const FakeConsumer& consumer) const {
     std::vector<SequenceNo> seqs;
     for (const auto& d : consumer.deliveries) seqs.push_back(d.message.sequence);
     return seqs;
   }
 };
+
+/// Sequences [first, last).
+std::vector<SequenceNo> seq_range(SequenceNo first, SequenceNo last) {
+  std::vector<SequenceNo> seqs;
+  for (SequenceNo seq = first; seq < last; ++seq) seqs.push_back(seq);
+  return seqs;
+}
 
 TEST_F(FlowFixture, ExhaustedWindowQuarantinesAndShedsToStash) {
   enable_flow(/*window=*/2);
@@ -268,15 +281,15 @@ TEST_F(FlowFixture, ExhaustedWindowQuarantinesAndShedsToStash) {
   }
   scheduler.run();
 
-  // Two copies spent the window; the remaining three were quarantined
-  // into the stash, not posted.
+  // Two copies spent the window; the remaining three were shed into the
+  // consumer's own backlog, not posted and not sent to the Orphanage.
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1}));
   EXPECT_TRUE(dispatch.quarantined(consumer.address));
   EXPECT_EQ(dispatch.credits(consumer.address), 0u);
   EXPECT_EQ(dispatch.stats().quarantines, 1u);
   EXPECT_EQ(dispatch.stats().credits_exhausted, 1u);
   EXPECT_EQ(dispatch.stats().quarantine_sheds, 3u);
-  EXPECT_EQ(orphanage.total_received(), 3u);
+  EXPECT_EQ(orphanage.total_received(), 0u);
 }
 
 TEST_F(FlowFixture, SlowConsumerDoesNotStallTheFastOne) {
@@ -300,7 +313,7 @@ TEST_F(FlowFixture, SlowConsumerDoesNotStallTheFastOne) {
 }
 
 TEST_F(FlowFixture, CreditsResumeWithDuplicateFreeRedelivery) {
-  enable_flow(/*window=*/3, /*resume_threshold=*/1);
+  enable_flow(/*window=*/3);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
 
@@ -311,12 +324,11 @@ TEST_F(FlowFixture, CreditsResumeWithDuplicateFreeRedelivery) {
   ASSERT_TRUE(dispatch.quarantined(consumer.address));
 
   // The consumer catches up and acks everything it processed; the
-  // dispatcher replays the stashed tail — each stashed copy exactly once.
+  // dispatcher redelivers the shed tail — each shed copy exactly once.
   send_credits(consumer.address, 3);
 
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 2u);
   EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
 }
@@ -352,32 +364,11 @@ TEST_F(FlowFixture, EveryQuarantinedConsumerGetsItsOwnShedCopies) {
   EXPECT_EQ(dispatch.stats().resume_missing, 0u);
 }
 
-TEST_F(FlowFixture, ResumeWaitsForTheThreshold) {
-  enable_flow(/*window=*/4, /*resume_threshold=*/3);
-  FakeConsumer consumer(bus, "c1");
-  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
-
-  for (SequenceNo seq = 0; seq < 6; ++seq) {
-    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
-  }
-  scheduler.run();
-  ASSERT_TRUE(dispatch.quarantined(consumer.address));
-
-  send_credits(consumer.address, 2);  // below threshold: still quarantined
-  EXPECT_TRUE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(dispatch.stats().resumes, 0u);
-
-  send_credits(consumer.address, 1);  // threshold reached: replay runs
-  EXPECT_FALSE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST_F(FlowFixture, DropConsumerDuringResumeReturnsFramesToStash) {
-  // The race from the issue: a resume round is in flight when
-  // drop_consumer retires the flow. The already-fetched frames must not
-  // be delivered to the gone consumer *or* lost — they go back to the
-  // stash, where the next claimant can find them.
-  enable_flow(/*window=*/2, /*resume_threshold=*/1);
+TEST_F(FlowFixture, DropQuarantinedConsumerFreesItsBacklog) {
+  // The backlog goes with the flow: an ack from the departed consumer's
+  // address finds no flow, nothing shed for it is delivered, and a fresh
+  // subscription starts with a fresh window and an empty backlog.
+  enable_flow(/*window=*/2);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
 
@@ -386,41 +377,30 @@ TEST_F(FlowFixture, DropConsumerDuringResumeReturnsFramesToStash) {
   }
   scheduler.run();
   ASSERT_TRUE(dispatch.quarantined(consumer.address));
-  const std::uint64_t stashed = orphanage.total_received();
-  ASSERT_EQ(stashed, 3u);
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, 3u);
 
-  // Replenish (starts the async kFetchBacklog round) and drop the
-  // consumer while the fetch is still on the wire: step the clock only
-  // until the resume round has *started*, well before its round-trip
-  // completes, then retire the flow.
-  util::ByteWriter w(4);
-  w.u32(2);
-  bus.post(consumer.address, dispatch.address(), kDeliveryCredit, util::take_shared(std::move(w)));
-  for (int i = 0; i < 100 && dispatch.stats().resumes == 0; ++i) {
-    scheduler.run_until(scheduler.now() + Duration::micros(20));
-  }
-  ASSERT_EQ(dispatch.stats().resumes, 1u);
   dispatch.drop_consumer(consumer.address);
-  scheduler.run();
-
-  // Nothing beyond the pre-quarantine deliveries reached the consumer...
+  send_credits(consumer.address, 2);
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1}));
-  // ...and every fetched frame was re-admitted to the orphanage.
-  EXPECT_EQ(dispatch.stats().resume_returned + dispatch.stats().resume_discarded +
-                dispatch.stats().resume_redelivered,
-            stashed);
+  EXPECT_EQ(dispatch.stats().credit_acks, 0u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
-  EXPECT_EQ(orphanage.total_received(), stashed + dispatch.stats().resume_returned);
-  // The flow state is gone: a fresh subscription starts a fresh window.
+  EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
   EXPECT_EQ(dispatch.credits(consumer.address), 2u);
+
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  dispatch.on_filtered(make_message({1, 0}, 5), scheduler.now());
+  scheduler.run();
+  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 5}));
+  EXPECT_EQ(dispatch.credits(consumer.address), 1u);
+  EXPECT_EQ(orphanage.total_received(), 0u);
 }
 
 TEST_F(FlowFixture, ReexhaustionDuringResumeRestashesTheRemainder) {
   // The consumer comes back with fewer credits than the backlog is deep:
-  // the replay delivers what the window allows and re-stashes the rest,
-  // re-entering quarantine without losing anything.
-  enable_flow(/*window=*/2, /*resume_threshold=*/1);
+  // the drain delivers what the window allows and keeps the rest queued,
+  // still quarantined, without losing anything.
+  enable_flow(/*window=*/2);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
 
@@ -434,22 +414,19 @@ TEST_F(FlowFixture, ReexhaustionDuringResumeRestashesTheRemainder) {
 
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3}));
   EXPECT_TRUE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.credits(consumer.address), 0u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 2u);
-  EXPECT_GE(dispatch.stats().resume_returned, 1u);
 
   // Window-sized replenishments finish the job — still no duplicates.
-  for (int round = 0; round < 4 && dispatch.quarantined(consumer.address); ++round) {
-    send_credits(consumer.address, 2);
-  }
-  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5, 6, 7}));
+  ack_until_released(consumer.address, 2, 4);
+  EXPECT_EQ(sequences(consumer), seq_range(0, 8));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
 }
 
 TEST_F(FlowFixture, ResumeFetchesABacklogDeeperThanTwoBatches) {
-  // 80 shed frames on one stream take three kFetchBacklog rounds
-  // (32 + 32 + 16): a full batch fetches again, the short one ends the
-  // stream. Every shed frame comes back exactly once, in order.
-  enable_flow(/*window=*/100, /*resume_threshold=*/1);
+  // An 80-frame backlog drains on one ack's credits, in shed order, and
+  // the Orphanage holds none of it.
+  enable_flow(/*window=*/100);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
 
@@ -462,23 +439,18 @@ TEST_F(FlowFixture, ResumeFetchesABacklogDeeperThanTwoBatches) {
 
   send_credits(consumer.address, 100);
 
-  std::vector<SequenceNo> expected;
-  for (SequenceNo seq = 0; seq < 180; ++seq) expected.push_back(seq);
-  EXPECT_EQ(sequences(consumer), expected);
+  EXPECT_EQ(sequences(consumer), seq_range(0, 180));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
   EXPECT_EQ(dispatch.credits(consumer.address), 20u);
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 80u);
   EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
-  EXPECT_EQ(dispatch.stats().resume_returned, 0u);
   EXPECT_TRUE(orphanage.claim({1, 0}).empty());
 }
 
 TEST_F(FlowFixture, AcksBetweenBacklogBatchesDeliverEverySequenceOnce) {
-  // 72 shed frames on one stream, a window (8) smaller than a fetch
-  // batch (32), and a consumer that acks each delivery as it lands, as
-  // core::Consumer does: acks reach dispatch between fetches while
-  // frames go back to the stash. Every sequence still arrives once.
+  // 72 shed frames on one stream, a window of 8, and a consumer that
+  // acks each delivery as it lands, as core::Consumer does: each ack
+  // drains one backlog frame, so every sequence arrives once, in order.
   enable_flow(/*window=*/8);
   std::vector<SequenceNo> seen;
   net::Address acker;
@@ -500,21 +472,16 @@ TEST_F(FlowFixture, AcksBetweenBacklogBatchesDeliverEverySequenceOnce) {
   ASSERT_EQ(dispatch.stats().quarantine_sheds, 72u);
   scheduler.run();
 
-  std::sort(seen.begin(), seen.end());
-  std::vector<SequenceNo> expected;
-  for (SequenceNo seq = 0; seq < kTotal; ++seq) expected.push_back(seq);
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(seen, seq_range(0, kTotal));
   EXPECT_FALSE(dispatch.quarantined(acker));
-  EXPECT_GT(dispatch.stats().resume_returned, 0u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 72u);
   EXPECT_EQ(dispatch.stats().resume_missing, 0u);
 }
 
 TEST_F(FlowFixture, CopiesShedDuringARoundAreRedeliveredWhenItFetchesThem) {
-  // Copies shed after a round began are owed by the flow, not by the
-  // round's plan. When the round's second batch drains them from the
-  // stash, they are redelivered then, not discarded.
-  enable_flow(/*window=*/100, /*resume_threshold=*/1);
+  // Copies shed while a backlog is part-drained queue behind it: the
+  // next ack redelivers the old remainder first, then them.
+  enable_flow(/*window=*/100);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
   for (SequenceNo seq = 0; seq < 140; ++seq) {
@@ -523,36 +490,25 @@ TEST_F(FlowFixture, CopiesShedDuringARoundAreRedeliveredWhenItFetchesThem) {
   scheduler.run();
   ASSERT_EQ(dispatch.stats().quarantine_sheds, 40u);
 
-  // The ack lands after 200us and the first fetch drains 32 frames at
-  // 400us; five copies shed at 300us reach the stash behind the other
-  // eight and come back in the second batch.
-  util::ByteWriter w(4);
-  w.u32(100);
-  bus.post(consumer.address, dispatch.address(), kDeliveryCredit, util::take_shared(std::move(w)));
-  scheduler.schedule_after(Duration::micros(300), [&] {
-    for (SequenceNo seq = 140; seq < 145; ++seq) {
-      dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
-    }
-  });
+  send_credits(consumer.address, 10);  // drains 100..109; 30 still queued
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
+  for (SequenceNo seq = 140; seq < 145; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
   scheduler.run();
+  send_credits(consumer.address, 100);
 
-  std::vector<SequenceNo> seen = sequences(consumer);
-  std::sort(seen.begin(), seen.end());
-  std::vector<SequenceNo> expected;
-  for (SequenceNo seq = 0; seq < 145; ++seq) expected.push_back(seq);
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(sequences(consumer), seq_range(0, 145));
   EXPECT_EQ(dispatch.stats().quarantine_sheds, 45u);
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 45u);
   EXPECT_EQ(dispatch.stats().resume_missing, 0u);
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
 }
 
 TEST_F(FlowFixture, ReexhaustedRoundWaitsForTheNextAck) {
-  // A consumer that never acks: the first resume round spends its
-  // window on a 40-frame backlog, returns the rest of the batch to the
-  // stash and stops; it does not keep refetching the returned frames.
-  enable_flow(/*window=*/4, /*resume_threshold=*/1);
+  // A consumer that never acks: the first ack's drain spends the window
+  // on a 40-frame backlog and stops; the rest waits for later acks.
+  enable_flow(/*window=*/4);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
   for (SequenceNo seq = 0; seq < 44; ++seq) {
@@ -562,49 +518,48 @@ TEST_F(FlowFixture, ReexhaustedRoundWaitsForTheNextAck) {
   ASSERT_EQ(dispatch.stats().quarantine_sheds, 40u);
 
   send_credits(consumer.address, 4);
-  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sequences(consumer), seq_range(0, 8));
   EXPECT_TRUE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
-  EXPECT_EQ(dispatch.stats().resume_returned, 28u);
+  EXPECT_EQ(dispatch.credits(consumer.address), 0u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 4u);
 
-  for (int round = 0; round < 20 && dispatch.quarantined(consumer.address); ++round) {
-    send_credits(consumer.address, 4);
-  }
-  std::vector<SequenceNo> seen = sequences(consumer);
-  std::sort(seen.begin(), seen.end());
-  std::vector<SequenceNo> expected;
-  for (SequenceNo seq = 0; seq < 44; ++seq) expected.push_back(seq);
-  EXPECT_EQ(seen, expected);
+  ack_until_released(consumer.address, 4, 20);
+  EXPECT_EQ(sequences(consumer), seq_range(0, 44));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
   EXPECT_EQ(dispatch.stats().resume_missing, 0u);
 }
 
-TEST_F(FlowFixture, ShedsEvictedFromTheStashAreCountedMissing) {
-  // The stash keeps 128 frames per stream; 150 shed frames overflow it.
-  // The resume redelivers the 128 it still holds and counts the 22
-  // evicted copies it owed as missing.
-  enable_flow(/*window=*/150, /*resume_threshold=*/1);
+TEST_F(FlowFixture, ShedsPastTheBacklogBoundAreCountedMissing) {
+  // 22 sheds more than the backlog holds: the 22 oldest are evicted and
+  // counted missing, and the newest kBacklogFrames arrive in order.
+  constexpr std::uint32_t kWindow = 8;
+  constexpr auto kBound = static_cast<SequenceNo>(DispatchingService::kBacklogFrames);
+  constexpr SequenceNo kTotal = kWindow + kBound + 22;
+  enable_flow(kWindow);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
-  for (SequenceNo seq = 0; seq < 300; ++seq) {
+  for (SequenceNo seq = 0; seq < kTotal; ++seq) {
     dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
   }
   scheduler.run();
-  ASSERT_EQ(dispatch.stats().quarantine_sheds, 150u);
+  ASSERT_EQ(dispatch.stats().quarantine_sheds, kBound + 22u);
+  EXPECT_EQ(dispatch.stats().resume_missing, 22u);
 
-  send_credits(consumer.address, 150);
-  EXPECT_EQ(consumer.deliveries.size(), 278u);
-  EXPECT_EQ(sequences(consumer).back(), 299u);
+  ack_until_released(consumer.address, kWindow, kBound / kWindow + 2);
+  std::vector<SequenceNo> expected = seq_range(0, kWindow);
+  const std::vector<SequenceNo> newest = seq_range(kWindow + 22, kTotal);
+  expected.insert(expected.end(), newest.begin(), newest.end());
+  EXPECT_EQ(sequences(consumer), expected);
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(dispatch.stats().resume_redelivered, 128u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, kBound);
   EXPECT_EQ(dispatch.stats().resume_missing, 22u);
 }
 
-TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
-  // With the stash unreachable, kFetchBacklog fails after its retries.
-  // The quarantine resume skips the stream and finishes instead of
-  // stalling, and counts the shed copies it abandons.
-  enable_flow(/*window=*/2, /*resume_threshold=*/1);
+TEST_F(FlowFixture, UnreachableOrphanageDoesNotAffectResume) {
+  // Quarantine sheds stay in dispatch, so an Orphanage that is down
+  // costs the quarantined consumer nothing.
+  enable_flow(/*window=*/2);
+  bus.set_endpoint_down(Orphanage::kEndpointName, true);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
   for (SequenceNo seq = 0; seq < 5; ++seq) {
@@ -612,27 +567,21 @@ TEST_F(FlowFixture, FailedBacklogFetchSkipsTheStreamAndFinishes) {
   }
   scheduler.run();
   ASSERT_TRUE(dispatch.quarantined(consumer.address));
-  bus.set_endpoint_down(Orphanage::kEndpointName, true);
 
-  // Resume: the fetch fails, the stream is skipped, the flow is released
-  // with what was shed lost — and the loss is on the ledger.
-  send_credits(consumer.address, 2);
-  EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1}));
+  ack_until_released(consumer.address, 2, 4);
+  EXPECT_EQ(sequences(consumer), seq_range(0, 5));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(dispatch.credits(consumer.address), 2u);
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
-  EXPECT_EQ(dispatch.stats().resume_redelivered, 0u);
+  EXPECT_EQ(dispatch.credits(consumer.address), 1u);
+  EXPECT_EQ(dispatch.stats().resume_redelivered, 3u);
   EXPECT_EQ(dispatch.stats().resume_discarded, 0u);
-  EXPECT_EQ(dispatch.stats().resume_returned, 0u);
-  EXPECT_EQ(dispatch.stats().resume_unreachable, 3u);
-  EXPECT_EQ(orphanage.total_received(), 3u);
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
 }
 
 TEST_F(FlowFixture, RestoredQuarantinedFlowResumesWhenKicked) {
-  // A restored flow comes back quarantined with a full window, and no
-  // credit ack will arrive to wake it: resume_quarantined() (the restart
-  // hook) must start its backlog resume.
-  enable_flow(/*window=*/4, /*resume_threshold=*/1);
+  // A restored flow comes back quarantined with its backlog and a full
+  // window, and no credit ack will arrive to wake it:
+  // resume_quarantined() (the restart hook) must drain the backlog.
+  enable_flow(/*window=*/4);
   FakeConsumer consumer(bus, "c1");
   dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
   for (SequenceNo seq = 0; seq < 6; ++seq) {
@@ -649,9 +598,32 @@ TEST_F(FlowFixture, RestoredQuarantinedFlowResumesWhenKicked) {
   scheduler.run();
   EXPECT_EQ(sequences(consumer), (std::vector<SequenceNo>{0, 1, 2, 3, 4, 5}));
   EXPECT_FALSE(dispatch.quarantined(consumer.address));
-  EXPECT_EQ(dispatch.stats().resumes, 1u);
   EXPECT_EQ(dispatch.stats().resume_redelivered, 2u);
   EXPECT_EQ(dispatch.credits(consumer.address), 2u);
+}
+
+TEST_F(FlowFixture, RestoreRejectsABacklogOnAFlowThatIsNotQuarantined) {
+  // Only a quarantined flow holds frames; a state claiming otherwise is
+  // malformed and leaves the service untouched.
+  enable_flow(/*window=*/2);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 3; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  ASSERT_TRUE(dispatch.quarantined(consumer.address));
+  const util::Bytes state = dispatch.capture_state();
+
+  // The one flow entry ends the state:
+  // [u8 quarantined][u32 frames = 1][u32 length][frame].
+  const DataMessage shed = make_message({1, 0}, 2);
+  const std::size_t frame = encode_delivery(as_view(shed), SimTime{}).size();
+  util::Bytes forged = state;
+  std::byte& quarantined = forged[forged.size() - frame - 9];
+  ASSERT_EQ(quarantined, std::byte{1});
+  quarantined = std::byte{0};
+  EXPECT_FALSE(dispatch.restore_state(forged).ok());
+  EXPECT_EQ(dispatch.capture_state(), state);
 }
 
 TEST_F(FlowFixture, SubscribeReplyCarriesTheCreditWindow) {

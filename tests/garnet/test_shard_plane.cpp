@@ -336,7 +336,6 @@ TEST(ShardPlane, CreditsRouteToTheGrantingShard) {
   config.shards = 4;
   config.use_workers = false;
   config.flow.credit_window = 2;
-  config.flow.resume_threshold = 1;
   ShardedDispatchPlane plane(config);
 
   const StreamId id{5, 0};
@@ -357,11 +356,11 @@ TEST(ShardPlane, CreditsRouteToTheGrantingShard) {
   EXPECT_EQ(plane.merged_dispatch_stats().quarantines, 1u);
 
   // Replenish on the granting shard. Credits clamp to the window (2),
-  // so each ack buys one window-sized resume round — exactly the
-  // cadence a live consumer acks at.
+  // so each ack drains one window of the backlog — exactly the cadence
+  // a live consumer acks at.
   plane.grant_credits(consumer, owner, 16);
   plane.run_round();
-  EXPECT_EQ(delivered, 4u);  // 2 redelivered, 2 re-stashed (window-capped)
+  EXPECT_EQ(delivered, 4u);  // 2 redelivered, 2 still queued (window-capped)
 
   plane.grant_credits(consumer, owner, 16);
   plane.run_round();
@@ -454,7 +453,6 @@ TEST(ShardPlaneAdmission, ResizesKeepEveryShardCreditWindowInLockstep) {
   config.shards = 4;
   config.use_workers = false;
   config.flow.credit_window = 4;
-  config.flow.resume_threshold = 1;
   config.admission.enabled = true;
   config.admission.probing = true;
   config.admission.probe.initial_concurrency = 8;

@@ -435,10 +435,9 @@ TEST(CrashRecovery, LongDispatchCrashWindowDeliversEverySequenceOnce) {
 
 TEST(CrashRecovery, LongDispatchCrashWindowUnderFlowControlAccountsEverySequence) {
   // The same window with a 64-credit flow window: the hand-back of ~280
-  // held frames spends the window at once and quarantines the consumer,
-  // and the Orphanage keeps only 64 of the shed copies per stream. Each
-  // sequence is then delivered once or counted missing by the resume,
-  // never both, never twice, never neither.
+  // held frames spends the window at once and quarantines the consumer.
+  // The rest wait in its backlog, which holds them all, and drain as it
+  // acks: every sequence is delivered exactly once.
   Runtime::Config config;
   config.recovery.enabled = true;
   config.flow.credit_window = 64;
@@ -471,10 +470,9 @@ TEST(CrashRecovery, LongDispatchCrashWindowUnderFlowControlAccountsEverySequence
   ASSERT_EQ(next_seq, 1501);
   EXPECT_FALSE(runtime.dispatch().quarantined(consumer.address()));
   EXPECT_EQ(ledger.max_count(), 1);
-  const std::uint64_t missing = snap.counter("garnet.dispatch.resume_missing");
-  EXPECT_GT(missing, 0u);  // the burst did overflow the stash
-  EXPECT_EQ(snap.counter("garnet.dispatch.resume_unreachable"), 0u);
-  EXPECT_EQ(ledger.distinct() + missing, 1501u);
+  EXPECT_GT(snap.counter("garnet.dispatch.quarantine_sheds"), 0u);
+  EXPECT_EQ(snap.counter("garnet.dispatch.resume_missing"), 0u);
+  EXPECT_EQ(ledger.distinct(), 1501u);
 }
 
 TEST(CrashRecovery, StreamFirstSeenDuringDispatchCrashReachesWildcardSubscriber) {
