@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
-#include <set>
+#include <optional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -253,48 +259,223 @@ TEST(Scheduler, RunningEventCannotCancelItself) {
   EXPECT_FALSE(cancelled);
 }
 
-// Stress property: random interleavings of schedule/cancel/run never
-// fire a cancelled event, never fire out of time order, and drain fully.
+// Differential property: random interleavings of schedule, cancel, run,
+// run_until, advance_to and next_event_time() run every live event exactly
+// once, in exactly the order a reference std::priority_queue on (at, seq)
+// gives. The reference is driven in lock-step: each event, as it fires,
+// must be the least live entry the reference holds at that moment.
 class SchedulerStress : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SchedulerStress, RandomScheduleCancelRun) {
-  util::Rng rng(GetParam());
-  Scheduler s;
-  std::vector<std::pair<std::uint64_t, EventId>> live;  // token -> handle
-  std::set<std::uint64_t> cancelled_tokens;
-  std::uint64_t next_token = 1;
-  std::int64_t last_fire_time = -1;
-  std::size_t fired = 0;
-  std::size_t scheduled = 0;
+/// How far ahead events are scheduled.
+enum class Shape {
+  kUniform,    // 0-500 us
+  kTies,       // a few distinct delays, zero among them: many equal times
+  kWide,       // log-uniform from 1 ns to 10 minutes
+  kClustered,  // bus-like 200-300 us hops, 1 s timers and zero delays
+};
 
-  for (int step = 0; step < 3000; ++step) {
-    const auto action = rng.below(100);
-    if (action < 60) {
-      const std::uint64_t token = next_token++;
-      const EventId id = s.schedule_after(
-          Duration::micros(static_cast<std::int64_t>(rng.below(500))), [&, token] {
-            EXPECT_FALSE(cancelled_tokens.contains(token)) << "cancelled event fired";
-            EXPECT_GE(s.now().ns, last_fire_time) << "time went backwards";
-            last_fire_time = s.now().ns;
-            ++fired;
-          });
-      ++scheduled;
-      live.emplace_back(token, id);
-    } else if (action < 80 && !live.empty()) {
-      const std::size_t pick = rng.below(live.size());
-      if (s.cancel(live[pick].second)) cancelled_tokens.insert(live[pick].first);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      s.run(rng.below(20));
+class OrderHarness {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (at, seq)
+
+  OrderHarness(std::uint64_t seed, Shape shape) : rng_(seed), shape_(shape) {}
+
+  void run_steps(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const auto action = rng_.below(100);
+      if (action < 40) {
+        schedule(s_.now() + delay());
+      } else if (action < 44) {
+        schedule(SimTime{static_cast<std::int64_t>(rng_.below(
+            static_cast<std::uint64_t>(s_.now().ns) + 1))});  // clamps to now
+      } else if (action < 58) {
+        cancel_one();
+      } else if (action < 68) {
+        const std::size_t limit = rng_.below(20);
+        const std::size_t ran = s_.run(limit);
+        EXPECT_LE(ran, limit);
+        if (ran < limit) {
+          EXPECT_FALSE(head().has_value()) << "run() stopped with work left";
+        }
+      } else if (action < 78) {
+        run_until_then_push_early();
+      } else if (action < 86) {
+        peek_then_push_early();
+      } else if (action < 92) {
+        check_run_until(s_.now() + delay(), /*advance=*/true);
+      } else {
+        check_run_until(s_.now() + delay(), /*advance=*/false);
+      }
+      ASSERT_EQ(s_.pending(), pending_.size());
+    }
+    s_.run();
+    EXPECT_TRUE(s_.idle());
+    EXPECT_FALSE(head().has_value());
+    EXPECT_EQ(executed_, expected_);
+    EXPECT_EQ(s_.executed(), executed_.size());
+    EXPECT_EQ(executed_.size(), scheduled_ - cancelled_);
+  }
+
+ private:
+  Duration delay() {
+    switch (shape_) {
+      case Shape::kUniform:
+        return Duration::micros(static_cast<std::int64_t>(rng_.below(500)));
+      case Shape::kTies: {
+        static constexpr std::array<std::int64_t, 4> kDelays{0, 0, 1'000, 250'000};
+        return Duration::nanos(kDelays[rng_.below(kDelays.size())]);
+      }
+      case Shape::kWide: {
+        const std::uint64_t span = std::uint64_t{1} << rng_.below(40);
+        return Duration::nanos(std::min<std::int64_t>(
+            static_cast<std::int64_t>(1 + rng_.below(span)), Duration::seconds(600).ns));
+      }
+      case Shape::kClustered: {
+        const auto pick = rng_.below(10);
+        if (pick < 7) return Duration::micros(200 + static_cast<std::int64_t>(rng_.below(101)));
+        if (pick < 9) return Duration::seconds(1) + Duration::micros(static_cast<std::int64_t>(rng_.below(5'000)));
+        return Duration::nanos(0);
+      }
+    }
+    return Duration::nanos(0);
+  }
+
+  void schedule(SimTime at) {
+    const std::size_t token = seqs_.size();
+    seqs_.push_back(0);
+    const EventId id = s_.schedule_at(at, [this, token] { fire(token); });
+    seqs_[token] = id.value;
+    const std::int64_t when = std::max(at, s_.now()).ns;
+    reference_.emplace(when, id.value);
+    pending_.emplace(id.value, std::make_pair(id, when));
+    ++scheduled_;
+  }
+
+  void fire(std::size_t token) {
+    const Key ran{s_.now().ns, seqs_[token]};
+    executed_.push_back(ran);
+    const auto expected = head();
+    ASSERT_TRUE(expected.has_value()) << "an event ran that the reference does not hold";
+    expected_.push_back(*expected);
+    reference_.pop();
+    pending_.erase(expected->second);
+    // Events schedule events, some of them at now: pushes at the cursor.
+    if (scheduled_ < 6000 && rng_.below(4) == 0) {
+      const auto children = 1 + rng_.below(2);
+      for (std::uint64_t i = 0; i < children; ++i) schedule(s_.now() + delay());
     }
   }
-  s.run();
-  EXPECT_TRUE(s.idle());
-  EXPECT_EQ(fired, scheduled - cancelled_tokens.size());
-  EXPECT_EQ(s.executed(), fired);
+
+  /// The least live (at, seq) in the reference; drops cancelled entries.
+  std::optional<Key> head() {
+    while (!reference_.empty() && !pending_.contains(reference_.top().second)) reference_.pop();
+    if (reference_.empty()) return std::nullopt;
+    return reference_.top();
+  }
+
+  /// Cancels a random entry, the head, the farthest entry, or an entry
+  /// due close to the head (the queue's current bucket).
+  void cancel_one() {
+    if (pending_.empty()) return;
+    std::uint64_t victim = 0;
+    const auto mode = rng_.below(4);
+    if (mode == 1) {
+      victim = head()->second;
+    } else if (mode == 2) {
+      std::int64_t farthest = -1;
+      for (const auto& [seq, entry] : pending_) {
+        if (entry.second > farthest) {
+          farthest = entry.second;
+          victim = seq;
+        }
+      }
+    } else if (mode == 3) {
+      const std::int64_t near = head()->first + 64'000;
+      std::vector<std::uint64_t> close;
+      for (const auto& [seq, entry] : pending_) {
+        if (entry.second <= near) close.push_back(seq);
+      }
+      victim = close[rng_.below(close.size())];
+    } else {
+      auto it = pending_.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng_.below(pending_.size())));
+      victim = it->first;
+    }
+    const EventId id = pending_.at(victim).first;
+    EXPECT_TRUE(s_.cancel(id));
+    EXPECT_FALSE(s_.cancel(id)) << "cancelled twice";
+    pending_.erase(victim);
+    ++cancelled_;
+  }
+
+  void check_run_until(SimTime deadline, bool advance) {
+    const SimTime before = s_.now();
+    if (advance) {
+      s_.advance_to(deadline);
+    } else {
+      s_.run_until(deadline);
+    }
+    EXPECT_EQ(s_.now(), std::max(before, deadline));
+    const auto next = head();
+    if (next) {
+      EXPECT_GT(next->first, deadline.ns) << "run_until left due work";
+    }
+  }
+
+  /// run_until stops short of the next event, so a queue that peeked at
+  /// the head may sit ahead of now; the pushes that follow land earlier
+  /// than that head.
+  void run_until_then_push_early() {
+    const auto next = head();
+    if (!next || next->first <= s_.now().ns) {
+      check_run_until(s_.now() + delay(), false);
+      return;
+    }
+    const auto gap = static_cast<std::uint64_t>(next->first - s_.now().ns);
+    check_run_until(s_.now() + Duration::nanos(static_cast<std::int64_t>(rng_.below(gap))), false);
+    push_before(next->first);
+  }
+
+  /// next_event_time() must report the reference head; then push earlier.
+  void peek_then_push_early() {
+    const auto peeked = s_.next_event_time();
+    const auto next = head();
+    ASSERT_EQ(peeked.has_value(), next.has_value());
+    if (!next) return;
+    EXPECT_EQ(peeked->ns, next->first);
+    push_before(next->first);
+  }
+
+  void push_before(std::int64_t at) {
+    const auto pushes = 1 + rng_.below(3);
+    for (std::uint64_t i = 0; i < pushes; ++i) {
+      const auto room = static_cast<std::uint64_t>(std::max<std::int64_t>(at - s_.now().ns, 1));
+      schedule(s_.now() + Duration::nanos(static_cast<std::int64_t>(rng_.below(room))));
+    }
+  }
+
+  util::Rng rng_;
+  Shape shape_;
+  Scheduler s_;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> reference_;
+  std::map<std::uint64_t, std::pair<EventId, std::int64_t>> pending_;  // seq -> (id, at)
+  std::vector<std::uint64_t> seqs_;  // token -> seq
+  std::vector<Key> executed_;
+  std::vector<Key> expected_;
+  std::size_t scheduled_ = 0;
+  std::size_t cancelled_ = 0;
+};
+
+TEST_P(SchedulerStress, RandomScheduleCancelRun) {
+  for (const Shape shape : {Shape::kUniform, Shape::kTies, Shape::kWide, Shape::kClustered}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    OrderHarness harness(GetParam() * 4 + static_cast<std::uint64_t>(shape), shape);
+    harness.run_steps(3000);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerStress, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerStress,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 TEST(Scheduler, NextEventTimePeeks) {
   Scheduler s;
