@@ -22,8 +22,12 @@ struct Trace {
   bool operator==(const Trace&) const = default;
 };
 
-Trace run_full_scenario(std::uint64_t seed) {
+/// `tied` removes the bus's latency jitter and adds a second firehose
+/// consumer: every fan-out then posts its two copies for the same instant,
+/// so the delivery order depends on the scheduler's tie-break.
+Trace run_full_scenario(std::uint64_t seed, bool tied = false) {
   Runtime::Config config;
+  if (tied) config.bus.max_jitter = Duration::nanos(0);
   config.field.area = {{0, 0}, {700, 700}};
   config.field.seed = seed;
   config.field.radio.base_loss = 0.08;
@@ -48,6 +52,15 @@ Trace run_full_scenario(std::uint64_t seed) {
     trace.deliveries.push_back(h);
   });
   consumer.subscribe(core::StreamPattern::everything());
+  core::Consumer mirror(runtime.bus(), "consumer.mirror");
+  if (tied) {
+    runtime.provision(mirror, "mirror");
+    mirror.set_data_handler([&](const core::DeliveryView& delivery) {
+      trace.deliveries.push_back(~(delivery.message.sequence * 0x9E3779B97F4A7C15ull +
+                                   static_cast<std::uint64_t>(runtime.scheduler().now().ns)));
+    });
+    mirror.subscribe(core::StreamPattern::everything());
+  }
   runtime.run_for(Duration::millis(20));
   runtime.start_sensors();
   runtime.run_for(Duration::seconds(10));
@@ -78,17 +91,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismProperty,
 
 // DeterminismProperty compares two runs of one build, so an event queue
 // that broke (at, seq) ties differently, but the same way every time,
-// would pass it. This pins seed 1's delivery order across builds: the
+// would pass it. These pin seed 1's delivery order across builds: the
 // count, an order-sensitive fold of the delivery hashes, and the radio
-// frame and duplicate counts.
+// frame and duplicate counts. Bus jitter makes exact ties rare in the
+// default scenario; the tied one makes every fan-out a tie.
+std::uint64_t fold(const Trace& trace) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t d : trace.deliveries) h = h * 0x100000001B3ull ^ d;
+  return h;
+}
+
 TEST(Determinism, SeedOneDeliveryOrderIsPinned) {
   const Trace trace = run_full_scenario(1);
-  std::uint64_t fold = 0;
-  for (const std::uint64_t h : trace.deliveries) fold = fold * 0x100000001B3ull ^ h;
   EXPECT_EQ(trace.deliveries.size(), 417u);
-  EXPECT_EQ(fold, 16005780433984662358ull);
+  EXPECT_EQ(fold(trace), 16005780433984662358ull);
   EXPECT_EQ(trace.radio_frames, 419u);
   EXPECT_EQ(trace.duplicates, 823u);
+}
+
+TEST(Determinism, SeedOneTiedDeliveryOrderIsPinned) {
+  const Trace trace = run_full_scenario(1, /*tied=*/true);
+  EXPECT_EQ(trace.deliveries.size(), 830u);
+  EXPECT_EQ(fold(trace), 11555734494427600083ull);
+  EXPECT_EQ(trace.radio_frames, 419u);
+  EXPECT_EQ(trace.duplicates, 833u);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
