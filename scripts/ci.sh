@@ -90,6 +90,9 @@ scripts/check_gateway_report.py "$PERF_BUILD_DIR/bench-results/BENCH_gateway.jso
 # The timing figures of a 3 s run are not gated here.
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-build-ci-bench}"
 python3 perfbench/run.py --self-test
+# The arithmetic of the alternating-pairs protocol (medians, quartiles,
+# pairs won, the gain rule and the BENCHMARK.json bounds).
+python3 scripts/perf_pairs.py --self-test
 for workload in field fanout gw_socket; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0
 done
