@@ -602,6 +602,35 @@ TEST_F(FlowFixture, RestoredQuarantinedFlowResumesWhenKicked) {
   EXPECT_EQ(dispatch.credits(consumer.address), 2u);
 }
 
+TEST_F(FlowFixture, CrashDuringQuarantineDeliversEverySequenceOnce) {
+  // A checkpoint is taken while 2..4 wait in the backlog; an ack then
+  // drains 2 and 3, and 5..7 are shed. A crash and restore must neither
+  // resend the drained frames nor lose the later sheds.
+  enable_flow(/*window=*/2);
+  FakeConsumer consumer(bus, "c1");
+  dispatch.subscribe(consumer.address, StreamPattern::exact({1, 0}));
+  for (SequenceNo seq = 0; seq < 5; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+  const util::Bytes checkpoint = dispatch.capture_state();
+  send_credits(consumer.address, 2);
+  for (SequenceNo seq = 5; seq < 8; ++seq) {
+    dispatch.on_filtered(make_message({1, 0}, seq), scheduler.now());
+  }
+  scheduler.run();
+
+  dispatch.reset_state();
+  ASSERT_TRUE(dispatch.restore_state(checkpoint).ok());
+  dispatch.resume_quarantined();
+  scheduler.run();
+  ack_until_released(consumer.address, 2, 6);
+
+  EXPECT_EQ(sequences(consumer), seq_range(0, 8));
+  EXPECT_FALSE(dispatch.quarantined(consumer.address));
+  EXPECT_EQ(dispatch.stats().resume_missing, 0u);
+}
+
 TEST_F(FlowFixture, RestoreRejectsABacklogOnAFlowThatIsNotQuarantined) {
   // Only a quarantined flow holds frames; a state claiming otherwise is
   // malformed and leaves the service untouched.

@@ -329,6 +329,59 @@ TEST(ShardPlane, InputsReachingACrashedShardRunAfterItsRestart) {
   EXPECT_EQ(plane.pending_inputs(), 0u);
 }
 
+TEST(ShardPlane, ShardCrashDuringQuarantineDeliversEverySequenceOnce) {
+  // The dispatch probe on the N=1 plane: a checkpoint while 2..4 wait in
+  // the backlog, an ack that drains 2 and 3, sheds of 5..7, then a crash
+  // and restart of the shard. Every sequence arrives once, in order.
+  sim::Scheduler scheduler;
+  net::MessageBus bus(scheduler, {});
+  RecoveryConfig recovery;
+  recovery.enabled = true;
+  RecoveryHarness harness(scheduler, bus, recovery);
+
+  ShardPlaneConfig config;
+  config.shards = 1;
+  config.use_workers = false;
+  config.flow.credit_window = 2;
+  ShardedDispatchPlane plane(config);
+  plane.register_recovery(harness, "dispatch-plane");
+
+  std::vector<core::SequenceNo> delivered;
+  const PlaneConsumerId consumer =
+      plane.add_consumer("c", [&](std::uint32_t, const net::Envelope& e) {
+        if (e.type != core::kDataDelivery) return;
+        const auto decoded = core::decode_delivery_view(e.payload, core::ChecksumPolicy::kVerify);
+        ASSERT_TRUE(decoded.ok());
+        delivered.push_back(decoded.value().message.sequence);
+      });
+  const StreamId id{1, 0};
+  plane.subscribe(consumer, StreamPattern::exact(id));
+  for (core::SequenceNo seq = 0; seq < 5; ++seq) plane.inject(make_message(id, seq));
+  plane.run_until_idle();
+  scheduler.run_until(SimTime::zero() + Duration::millis(300));  // a checkpoint lands
+  ASSERT_GE(harness.stats().checkpoints_stored, 1u);
+
+  plane.grant_credits(consumer, 0, 2);
+  plane.run_round();
+  for (core::SequenceNo seq = 5; seq < 8; ++seq) plane.inject(make_message(id, seq));
+  plane.run_until_idle();
+
+  harness.crash("dispatch-plane.shard0");
+  harness.restart("dispatch-plane.shard0");
+  plane.run_round();
+  for (int round = 0; round < 6 && plane.dispatch(0).quarantined(plane.consumer_address(consumer, 0));
+       ++round) {
+    plane.grant_credits(consumer, 0, 2);
+    plane.run_round();
+  }
+
+  std::vector<core::SequenceNo> expected;
+  for (core::SequenceNo seq = 0; seq < 8; ++seq) expected.push_back(seq);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_FALSE(plane.dispatch(0).quarantined(plane.consumer_address(consumer, 0)));
+  EXPECT_EQ(plane.merged_dispatch_stats().resume_missing, 0u);
+}
+
 // --- flow control across the plane -----------------------------------------
 
 TEST(ShardPlane, CreditsRouteToTheGrantingShard) {

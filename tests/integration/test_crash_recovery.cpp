@@ -396,6 +396,62 @@ TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
   EXPECT_EQ(ledger.max_count(), 1);
 }
 
+TEST(CrashRecovery, DispatchCrashDuringQuarantineDeliversEverySequenceOnce) {
+  // The dispatch probe through the Runtime: a checkpoint lands while
+  // 2..4 wait in the consumer's backlog, an ack drains 2 and 3, 5..7 are
+  // shed, then dispatch crashes and rejoins. Every sequence arrives once,
+  // in order, as on the N=1 shard plane.
+  Runtime::Config config;
+  config.bus.max_jitter = Duration{};  // same-tick deliveries keep post order
+  config.flow.credit_window = 2;
+  config.recovery.enabled = true;
+  Runtime runtime(config);
+
+  std::vector<core::SequenceNo> delivered;
+  const net::Address consumer =
+      runtime.bus().add_endpoint("probe.consumer", [&](net::Envelope e) {
+        if (e.type != core::kDataDelivery) return;
+        const auto decoded = core::decode_delivery_view(e.payload, core::ChecksumPolicy::kVerify);
+        ASSERT_TRUE(decoded.ok());
+        delivered.push_back(decoded.value().message.sequence);
+      });
+  runtime.dispatch().subscribe(consumer, core::StreamPattern::exact({1, 0}));
+  const auto inject = [&](core::SequenceNo first, core::SequenceNo last) {
+    for (core::SequenceNo seq = first; seq < last; ++seq) {
+      core::DataMessage msg;
+      msg.stream_id = {1, 0};
+      msg.sequence = seq;
+      msg.payload = util::to_bytes("probe");
+      runtime.inject_external(core::as_view(msg));
+    }
+    runtime.run_for(Duration::millis(10));
+  };
+  const auto ack = [&](std::uint32_t credits) {
+    util::ByteWriter w(4);
+    w.u32(credits);
+    runtime.bus().post(consumer, runtime.dispatch().address(), core::kDeliveryCredit,
+                       util::take_shared(std::move(w)));
+    runtime.run_for(Duration::millis(10));
+  };
+
+  inject(0, 5);
+  runtime.run_for(Duration::millis(300));  // the 250 ms checkpoint lands
+  ASSERT_GE(runtime.recovery()->stats().checkpoints_stored, 1u);
+  ack(2);
+  inject(5, 8);
+
+  runtime.recovery()->crash("dispatch");
+  runtime.recovery()->restart("dispatch");
+  runtime.run_for(Duration::millis(10));
+  for (int round = 0; round < 6 && runtime.dispatch().quarantined(consumer); ++round) ack(2);
+
+  std::vector<core::SequenceNo> expected;
+  for (core::SequenceNo seq = 0; seq < 8; ++seq) expected.push_back(seq);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_FALSE(runtime.dispatch().quarantined(consumer));
+  EXPECT_EQ(runtime.dispatch().stats().resume_missing, 0u);
+}
+
 TEST(CrashRecovery, LongDispatchCrashWindowDeliversEverySequenceOnce) {
   // One stream at 1ms cadence; dispatch dies at 520ms and the watchdog
   // promotes it ~280ms later. Every frame that arrived in between must
