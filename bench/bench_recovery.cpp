@@ -13,8 +13,10 @@
 // efficiency, data-integrity, and fault-tolerance") crash-stops the
 // Filtering Service under a 100 Hz stream whose every frame is heard a
 // second time 2s late, and sweeps the watchdog heartbeat. It reports
-// the detection window, the copies lost in it, duplicates leaked to the
-// consumer, and the late copies the promoted filter recognised.
+// the detection window, the copies filtering's recovery door held in it
+// (the window's cost), the copies filtering never ingested, duplicates
+// leaked to the consumer, and the late copies the promoted filter
+// recognised.
 //
 // The canonical A6 cell's full telemetry snapshot, plus the A3 100ms
 // cell's headline gauges, is persisted to BENCH_recovery.json;
@@ -49,6 +51,7 @@ struct RecoveryOutcome {
 
 struct FilteringCrashOutcome {
   double detection_ms = 0;
+  double copies_held = 0;
   double copies_lost = 0;
   double duplicates_leaked = 0;
   double late_copies_deduped = 0;
@@ -61,8 +64,8 @@ struct FilteringCrashOutcome {
 /// is transmitted twice, the second time 2s late (a slow relay path):
 /// late copies of frames delivered before the crash reach the promoted
 /// filter and probe the dedup state it restored from checkpoint +
-/// op-log. Traffic enters through the radio, so the runtime's crash
-/// gate on the uplink sink applies.
+/// op-log. Traffic enters through the radio, so filtering's recovery
+/// door on the uplink sink applies.
 FilteringCrashOutcome run_filtering_crash(std::int64_t heartbeat_ms) {
   const SimTime crash_at = SimTime{} + Duration::seconds(10);
   const Duration late = Duration::seconds(2);
@@ -96,7 +99,8 @@ FilteringCrashOutcome run_filtering_crash(std::int64_t heartbeat_ms) {
   sim::Scheduler& scheduler = runtime.scheduler();
   wireless::RadioMedium& radio = runtime.field().medium();
   const SimTime start = scheduler.now();
-  for (int i = 0; i < 2000; ++i) {  // 100 Hz for 20 s
+  constexpr int kFrames = 2000;
+  for (int i = 0; i < kFrames; ++i) {  // 100 Hz for 20 s
     core::DataMessage msg;
     msg.stream_id = {1, 0};
     msg.sequence = static_cast<core::SequenceNo>(i);
@@ -124,8 +128,10 @@ FilteringCrashOutcome run_filtering_crash(std::int64_t heartbeat_ms) {
 
   const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
   outcome.detection_ms = snap.gauge("garnet.recovery.latency_ns") / 1e6;
-  outcome.copies_lost = static_cast<double>(
-      snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}));
+  outcome.copies_held = static_cast<double>(
+      snap.counter("garnet.recovery.inputs_handed_back", {{"service", "filtering"}}));
+  // The radio is lossless: filtering must ingest both copies of every frame.
+  outcome.copies_lost = 2.0 * kFrames - static_cast<double>(runtime.filtering().stats().copies_in);
   outcome.delivered = static_cast<double>(delivered.size());
   return outcome;
 }
@@ -184,8 +190,8 @@ RecoveryOutcome run_crash_cycle(std::int64_t checkpoint_ms, std::uint32_t miss_t
   const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
   outcome.latency_ms = snap.gauge("garnet.recovery.latency_ns") / 1e6;
   outcome.ops_replayed = static_cast<double>(snap.counter("garnet.recovery.ops_replayed"));
-  outcome.handed_back =
-      static_cast<double>(snap.counter("garnet.dispatch.recovery_replayed"));
+  outcome.handed_back = static_cast<double>(
+      snap.counter("garnet.recovery.inputs_handed_back", {{"service", "dispatch"}}));
   outcome.checkpoints_taken = static_cast<double>(snap.counter("garnet.checkpoint.taken"));
 
   if (json_out != nullptr) {
@@ -200,6 +206,7 @@ RecoveryOutcome run_crash_cycle(std::int64_t checkpoint_ms, std::uint32_t miss_t
       out.gauge("bench.recovery.messages_offered", outcome.messages_offered);
       out.gauge("bench.recovery.messages_delivered", outcome.messages_delivered);
       out.gauge("bench.recovery.filtering_detection_ms", a3.detection_ms);
+      out.gauge("bench.recovery.filtering_copies_held", a3.copies_held);
       out.gauge("bench.recovery.filtering_copies_lost", a3.copies_lost);
       out.gauge("bench.recovery.filtering_duplicates_leaked", a3.duplicates_leaked);
       out.gauge("bench.recovery.filtering_late_copies_deduped", a3.late_copies_deduped);
@@ -251,6 +258,7 @@ void BM_FilteringCrash(benchmark::State& state) {
     benchmark::DoNotOptimize(&outcome);
   }
   state.counters["detection_ms"] = outcome.detection_ms;
+  state.counters["copies_held"] = outcome.copies_held;
   state.counters["copies_lost"] = outcome.copies_lost;
   state.counters["duplicates_leaked"] = outcome.duplicates_leaked;
   state.counters["late_copies_deduped"] = outcome.late_copies_deduped;

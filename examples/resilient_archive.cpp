@@ -7,7 +7,9 @@
 // watchdog has to detect the dead service and promote it from its
 // replicated checkpoint + op-log. It shows that:
 //
-//   * the detection window is the only data loss,
+//   * the detection window costs delay, not data: the copies heard
+//     while filtering is down wait at its recovery door and run at
+//     promotion,
 //   * the exactly-once property survives the promotion (no duplicate
 //     deliveries: the restored dedup state still recognises the copies
 //     overlapping receivers keep hearing), and
@@ -72,10 +74,10 @@ int main() {
   std::printf("filtering service crash-stopped at t=10s (no restart)\n");
   {
     const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
-    std::printf("  detection latency: %.0fms, copies lost in window: %llu, promotions: %llu\n",
+    std::printf("  detection latency: %.0fms, copies held in window: %llu, promotions: %llu\n",
                 snap.gauge("garnet.recovery.latency_ns") / 1e6,
                 static_cast<unsigned long long>(snap.counter(
-                    "garnet.recovery.service_inputs_lost", {{"service", "filtering"}})),
+                    "garnet.recovery.inputs_handed_back", {{"service", "filtering"}})),
                 static_cast<unsigned long long>(snap.counter("garnet.recovery.promotions")));
   }
   std::printf("  messages after promotion: %llu (duplicates leaked: %llu)\n",

@@ -4,8 +4,8 @@
 The report is the full telemetry snapshot of the canonical crash cycle
 (250ms checkpoint cadence, 3-miss watchdog): the dispatcher is
 crash-stopped mid-flood and the watchdog promotes it from checkpoint +
-op-log, then the runtime hands back the frames it held during the
-outage. The gate enforces the recovery contract from
+op-log, then dispatch's recovery door hands back the frames it held
+during the outage. The gate enforces the recovery contract from
 docs/FAULT_MODEL.md:
 
   1. zero duplicates after promotion — restored state and the hand-back
@@ -13,8 +13,12 @@ docs/FAULT_MODEL.md:
   2. every crashed service recovered (crashes == promotions + rejoins
      and the garnet.recovery.crashed gauge ended at zero);
   3. the cycle actually exercised recovery (a crash fired, a checkpoint
-     was stored, held frames were handed back — an idle gate proves
-     nothing);
+     was stored, dispatch's door handed held frames back:
+     garnet.recovery.inputs_handed_back{service="dispatch"} > 0 — an
+     idle gate proves nothing), and no input is still held at any
+     service's door at the end of the run
+     (garnet.recovery.inputs_held{service=...} == 0 for every managed
+     service, each series present);
   4. ablation A3's 100ms cell (bench.recovery.filtering_* gauges: the
      Filtering Service crash-stopped under a stream whose late radio
      copies straddle the outage) leaked zero duplicates, and its
@@ -40,15 +44,25 @@ def main() -> int:
         report = json.load(fh)
 
     values = {}
+    held = {}  # service -> inputs still held at its recovery door
     for metric in report["metrics"]:
         # Histograms carry count/sum/quantiles instead of a scalar value.
-        if not metric.get("labels") and "value" in metric:
+        if "value" not in metric:
+            continue
+        labels = metric.get("labels") or {}
+        if not labels:
             values[metric["name"]] = metric["value"]
+        elif set(labels) == {"service"}:
+            values[(metric["name"], labels["service"])] = metric["value"]
+            if metric["name"] == "garnet.recovery.inputs_held":
+                held[labels["service"]] = metric["value"]
 
     def value(name, default=None):
         if name in values:
             return values[name]
         return default
+
+    handed_back = ("garnet.recovery.inputs_handed_back", "dispatch")
 
     failures = []
 
@@ -75,8 +89,16 @@ def main() -> int:
 
     if value("garnet.checkpoint.stored", 0.0) == 0:
         failures.append("no checkpoint was replicated — promotion ran stateless")
-    if value("garnet.dispatch.recovery_replayed", 0.0) == 0:
+    if value(handed_back, 0.0) == 0:
         failures.append("no held frame was handed back — crash-window traffic was lost")
+    if not held:
+        failures.append("garnet.recovery.inputs_held{service=...} missing from the report")
+    for service, count in sorted(held.items()):
+        if count > 0:
+            failures.append(
+                f"{count:.0f} inputs still held at {service}'s recovery door at the end "
+                "of the run — never handed back"
+            )
 
     evicted = value("garnet.recovery.ops_evicted")
     if evicted is None:
@@ -128,7 +150,8 @@ def main() -> int:
         f"recovery gate OK: {crashes:.0f} crash(es) recovered, "
         f"latency={value('garnet.recovery.latency_ns', 0.0) / 1e6:.1f}ms, "
         f"ops replayed={value('garnet.recovery.ops_replayed', 0.0):.0f}, "
-        f"held frames handed back={value('garnet.dispatch.recovery_replayed', 0.0):.0f}, "
+        f"held frames handed back={value(handed_back, 0.0):.0f}, "
+        f"still held=0 at {len(held)} doors, "
         "ops evicted=0, "
         f"delivered={delivered:.0f} of {offered:.0f} offered, missing=0, "
         "duplicates after promotion=0, "

@@ -52,8 +52,9 @@ scripts/check_dispatch_report.py "$PERF_BUILD_DIR/bench-results/BENCH_dispatch.j
 
 # Recovery gate: the crash-cycle bench's snapshot must show every
 # crashed service recovered and zero duplicate deliveries after the
-# promotion (checkpoint + op-log + the runtime's hand-back of held
-# frames closed the gap exactly), no op-log record evicted before a
+# promotion (checkpoint + op-log + dispatch's recovery door handing back
+# its held frames closed the gap exactly), no input still held at any
+# service's door at the end, no op-log record evicted before a
 # checkpoint covered it, every offered message delivered with no
 # quarantine shed evicted from a backlog, and ablation A3's
 # filtering crash cell must leak

@@ -128,11 +128,9 @@ void DispatchingService::apply_op(std::uint16_t kind, util::BytesView payload) {
       break;
     }
     case kOpDropConsumer: {
+      // The flow went with the live drop; replay rebuilds the table only.
       const net::Address consumer{r.u32()};
-      if (r.ok()) {
-        flows_.erase(ConsumerKey{consumer.value});
-        table_.remove_consumer(consumer);
-      }
+      if (r.ok()) table_.remove_consumer(consumer);
       break;
     }
     default:
@@ -140,21 +138,9 @@ void DispatchingService::apply_op(std::uint16_t kind, util::BytesView payload) {
   }
 }
 
-void DispatchingService::encode_flow(util::ByteWriter& w, const Flow& flow) {
-  w.u32(flow.credits);
-  w.u8(flow.quarantined ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(flow.backlog.size()));
-  for (std::size_t i = 0; i < flow.backlog.size(); ++i) {
-    const util::SharedBytes& frame = flow.backlog.at(i);
-    w.u32(static_cast<std::uint32_t>(frame.size()));
-    w.raw(frame);
-  }
-}
-
 util::Bytes DispatchingService::capture_state() const {
   util::ByteWriter w(256);
   table_.capture(w);
-  flows_.write_full(w, encode_flow);
   return std::move(w).take();
 }
 
@@ -168,46 +154,19 @@ util::Status<util::DecodeError> DispatchingService::restore_state(util::BytesVie
   util::ByteReader r(state);
   SubscriptionTable table;
   if (const auto status = table.restore(r); !status.ok()) return status;
-  // Backlog frames become views of one shared copy of the state, made at
-  // the first frame; a state without frames copies nothing.
-  util::SharedBytes copy;
-  bool malformed = false;
-  auto flows = FlowTable::read_full(r, [&](ConsumerKey, util::ByteReader& fr) {
-    Flow flow;
-    (void)fr.u32();  // credits: the commit re-primes them
-    flow.quarantined = fr.u8() != 0;
-    const std::uint32_t frames = fr.u32();
-    // Only a quarantined flow holds frames, never more than the bound.
-    if (frames > (flow.quarantined ? kBacklogFrames : 0)) malformed = true;
-    for (std::uint32_t i = 0; i < frames && fr.ok() && !malformed; ++i) {
-      const std::uint32_t length = fr.u32();
-      const std::size_t offset = fr.consumed();
-      (void)fr.view(length);
-      if (!fr.ok()) break;
-      if (copy.empty()) copy = util::SharedBytes::copy_of(state);
-      flow.backlog.push(copy.view(offset, length));
-    }
-    return flow;
-  });
-  if (malformed || !r.ok() || r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
-
+  if (r.remaining() != 0) return util::Err{util::DecodeError::kTruncated};
   table_ = std::move(table);
-  // Flows are re-primed to a full credit window.
-  if (!flow_.enabled()) flows.entries.clear();
-  for (auto& [key, flow] : flows.entries) flow.credits = flow_.credit_window;
-  flows_.apply(std::move(flows));
   return {};
 }
 
-void DispatchingService::reset_state() {
-  table_ = SubscriptionTable{};
-  flows_.clear();
-}
+void DispatchingService::reset_state() { table_ = SubscriptionTable{}; }
 
 void DispatchingService::resume_quarantined() {
   // Consumer order keeps the redelivery sequence deterministic.
-  flows_.for_each_sorted(
-      [this](ConsumerKey key, Flow& flow) { drain(net::Address{key.pack()}, flow); });
+  flows_.for_each_sorted([this](ConsumerKey key, Flow& flow) {
+    flow.credits = flow_.credit_window;
+    drain(net::Address{key.pack()}, flow);
+  });
 }
 
 void DispatchingService::set_flow_control(FlowControlConfig config) {
@@ -255,9 +214,8 @@ void DispatchingService::drain(net::Address consumer, Flow& flow) {
     util::SharedBytes frame = std::move(flow.backlog.front());
     flow.backlog.pop();
     // A frame for a stream the consumer has since left is dropped here.
-    // So is a corrupt one: a backlog restored from a checkpoint is not
-    // frames this process encoded, so each is checksum-verified.
-    const auto decoded = decode_delivery_view(frame, ChecksumPolicy::kVerify);
+    // Every frame is one deliver() encoded, so the checksum is trusted.
+    const auto decoded = decode_delivery_view(frame, ChecksumPolicy::kTrusted);
     if (!decoded.ok() || !table_.subscribes(consumer, decoded.value().message.stream_id)) {
       ++stats_.resume_discarded;
       continue;

@@ -141,39 +141,38 @@ class DispatchingService {
   /// payloads are ignored; replay is idempotent.
   void apply_op(std::uint16_t kind, util::BytesView payload);
 
-  /// Crash-recovery snapshot: subscriptions and per-consumer credit/
-  /// quarantine state with backlog frames. Byte-deterministic (every
-  /// unordered container is walked sorted). Dispatch keeps no
-  /// per-stream state, so the snapshot scales with consumers, not
-  /// streams.
+  /// Crash-recovery snapshot: the subscription table, byte-deterministic
+  /// (walked sorted). Flows (credits, quarantine flags, backlogs) live
+  /// outside dispatch's crash domain, so no checkpoint carries them.
+  /// Dispatch keeps no per-stream state, so the snapshot scales with
+  /// subscriptions, not streams.
   [[nodiscard]] util::Bytes capture_state() const;
 
-  /// The recovery harness's full and delta hooks. Both state sections
-  /// are per-consumer and small, so a delta carries them whole: the two
-  /// frame kinds have the same body. Each capture empties the flow
-  /// table's mutation journal, which nothing reads.
+  /// The recovery harness's full and delta hooks. The table is small,
+  /// so a delta carries it whole: the two frame kinds have the same
+  /// body. Each capture empties the flow table's mutation journal,
+  /// which nothing reads.
   [[nodiscard]] util::Bytes capture_full();
   [[nodiscard]] util::Bytes capture_delta() { return capture_full(); }
   [[nodiscard]] util::Status<util::DecodeError> apply_delta(util::BytesView delta) {
     return restore_state(delta);
   }
 
-  /// Rebuilds from capture_state() bytes; parses fully before
-  /// committing. Restored flows are re-primed to a full credit window —
-  /// in-flight deliveries died with the primary, so the true outstanding
-  /// count is unknowable; the cost is bounded at one extra window of
-  /// in-flight copies per consumer. Quarantine flags and backlogs are
-  /// preserved; the frames become views of one shared copy of `state`.
+  /// Rebuilds the subscription table from capture_state() bytes; parses
+  /// fully before committing. Flows are left as they are.
   [[nodiscard]] util::Status<util::DecodeError> restore_state(util::BytesView state);
 
-  /// Crash wipe: drops subscriptions and flows.
+  /// Crash wipe: drops the subscription table. Flows survive: what was
+  /// shed for a consumer waits for it whatever happens to dispatch.
   void reset_state();
 
-  /// Post-restore kick: restored quarantined flows come back with a full
-  /// window and no ack to wake them, so each drains its backlog (in
-  /// consumer order).
-  /// Frames that arrived while dispatch was down are not its concern:
-  /// the runtime held them and feeds them back through on_filtered().
+  /// Post-recovery kick: every flow is re-primed to a full credit window
+  /// (acks posted while dispatch was down died on the bus, and in-flight
+  /// deliveries are unknowable; the cost is at most one extra window of
+  /// in-flight copies per consumer), then drains its backlog, in
+  /// consumer order. Frames that arrived while dispatch was down are
+  /// not its concern: the recovery door held them and has already fed
+  /// them back through on_filtered().
   void resume_quarantined();
 
   /// Message traces: brackets fan-out in a "dispatch" span, opens the
@@ -192,7 +191,8 @@ class DispatchingService {
   [[nodiscard]] ProbeStats probe_stats() const { return flows_.probe_stats(); }
 
  private:
-  /// Per-consumer flow state, created lazily at first delivery.
+  /// Per-consumer flow state, created lazily at first delivery. Outside
+  /// the crash domain: reset_state() and checkpoints leave it alone.
   struct Flow {
     std::uint32_t credits = 0;
     bool quarantined = false;
@@ -205,7 +205,6 @@ class DispatchingService {
   using FlowTable = StreamTable<Flow, ConsumerKey>;
 
   void on_envelope(net::Envelope envelope);
-  static void encode_flow(util::ByteWriter& w, const Flow& flow);
   void deliver(const DataMessageView& message, util::SimTime first_heard);
   Flow& flow_for(net::Address consumer);
   void on_credit(const net::Envelope& envelope);

@@ -2,27 +2,12 @@
 
 namespace garnet::core {
 
-Orphanage::Orphanage(net::MessageBus& bus, Config config)
-    : config_(config),
-      node_(bus, kEndpointName, [this](net::Envelope e) { on_envelope(std::move(e)); }) {
-  node_.expose(kFetchBacklog, [this](net::Address, util::BytesView args) -> net::RpcResult {
-    util::ByteReader r(args);
-    const StreamId id = StreamId::from_packed(r.u32());
-    const std::uint16_t max = r.u16();
-    if (!r.ok()) return util::Err{net::RpcError::kRemoteFailure};
-
-    // The retained views still hold the original delivery frames, so the
-    // backlog reply is framed straight from those buffers — no re-encode.
-    const std::vector<DeliveryView> backlog = claim(id, max);
-    util::ByteWriter w;
-    w.u16(static_cast<std::uint16_t>(backlog.size()));
-    for (const DeliveryView& delivery : backlog) {
-      w.u16(static_cast<std::uint16_t>(delivery.wire.size()));
-      w.raw(delivery.wire);
-    }
-    return std::move(w).take();
-  });
+Orphanage::Orphanage(net::MessageBus& bus, Config config) : config_(config), bus_(bus) {
+  address_ =
+      bus_.add_endpoint(kEndpointName, [this](net::Envelope e) { on_envelope(std::move(e)); });
 }
+
+Orphanage::~Orphanage() { bus_.remove_endpoint(address_); }
 
 void Orphanage::on_envelope(net::Envelope envelope) {
   if (envelope.type != kDataDelivery) return;

@@ -13,7 +13,7 @@
 
 #include "core/message.hpp"
 #include "core/wire_types.hpp"
-#include "net/rpc.hpp"
+#include "net/bus.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/stats.hpp"
 
@@ -31,10 +31,6 @@ struct OrphanAnalysis {
 
 class Orphanage {
  public:
-  enum Method : net::MethodId {
-    kFetchBacklog = 1,  ///< [u32 packed stream][u16 max] -> [u16 n][n deliveries]
-  };
-
   static constexpr const char* kEndpointName = "garnet.orphanage";
 
   struct Config {
@@ -42,17 +38,21 @@ class Orphanage {
   };
 
   Orphanage(net::MessageBus& bus, Config config);
+  ~Orphanage();
+
+  Orphanage(const Orphanage&) = delete;
+  Orphanage& operator=(const Orphanage&) = delete;
 
   /// Streams currently holding orphaned data.
   [[nodiscard]] std::vector<OrphanAnalysis> report() const;
   [[nodiscard]] const OrphanAnalysis* analysis(StreamId id) const;
 
   /// Removes and returns up to `max` retained deliveries of a stream,
-  /// oldest first (claim handoff). Direct-call form of kFetchBacklog.
-  /// The views hand over the retained wire buffers; no payload is copied.
+  /// oldest first (claim handoff). The views hand over the retained wire
+  /// buffers; no payload is copied.
   [[nodiscard]] std::vector<DeliveryView> claim(StreamId id, std::size_t max = SIZE_MAX);
 
-  [[nodiscard]] net::Address address() const noexcept { return node_.address(); }
+  [[nodiscard]] net::Address address() const noexcept { return address_; }
   [[nodiscard]] std::uint64_t total_received() const noexcept { return total_received_; }
 
  private:
@@ -68,7 +68,8 @@ class Orphanage {
   void on_envelope(net::Envelope envelope);
 
   Config config_;
-  net::RpcNode node_;
+  net::MessageBus& bus_;
+  net::Address address_;
   std::unordered_map<StreamId, StreamStore> stores_;
   std::uint64_t total_received_ = 0;
 };

@@ -25,9 +25,9 @@ RecoveryHarness::~RecoveryHarness() {
   if (metrics_ != nullptr) metrics_->remove_collector(collector_id_);
 }
 
-void RecoveryHarness::manage(Service service) {
+RecoveryHarness::Door RecoveryHarness::manage(Service service) {
   std::string name = service.name;
-  services_.emplace(std::move(name), Managed(std::move(service)));
+  return Door(&services_.emplace(std::move(name), Managed(std::move(service))).first->second);
 }
 
 void RecoveryHarness::arm_heartbeat() {
@@ -198,13 +198,6 @@ bool RecoveryHarness::crashed(const std::string& service) const {
   return it != services_.end() && it->second.is_crashed;
 }
 
-void RecoveryHarness::note_lost_input(const std::string& service) {
-  const auto it = services_.find(service);
-  if (it == services_.end()) return;
-  ++it->second.inputs_lost;
-  ++stats_.inputs_lost;
-}
-
 void RecoveryHarness::recover(Managed& managed, bool promotion) {
   // Endpoints first: restore hooks and on_restart may post to them.
   for (const std::string& endpoint : managed.spec.endpoints) {
@@ -271,6 +264,14 @@ void RecoveryHarness::recover(Managed& managed, bool promotion) {
   } else {
     ++stats_.rejoins;
   }
+  // What arrived while the service was down runs on the recovered
+  // state, oldest first, before on_restart.
+  std::vector<sim::EventFn> held = std::move(managed.held);
+  managed.held.clear();
+  for (sim::EventFn& input : held) {
+    input();
+    ++managed.handed_back;
+  }
   if (managed.spec.on_restart) managed.spec.on_restart();
   util::log_info("recovery", "service '%s' %s at t=%.3fs (latency %.3fms)",
                  managed.spec.name.c_str(), promotion ? "promoted" : "rejoined",
@@ -297,7 +298,6 @@ void RecoveryHarness::set_metrics(obs::MetricsRegistry& registry) {
     out.counter("garnet.recovery.crashes", stats_.crashes);
     out.counter("garnet.recovery.promotions", stats_.promotions);
     out.counter("garnet.recovery.rejoins", stats_.rejoins);
-    out.counter("garnet.recovery.inputs_lost", stats_.inputs_lost);
     out.gauge("garnet.recovery.latency_ns",
               static_cast<double>(stats_.last_recovery_latency.ns));
     std::uint64_t down = 0;
@@ -305,7 +305,9 @@ void RecoveryHarness::set_metrics(obs::MetricsRegistry& registry) {
     for (const auto& [name, managed] : services_) {
       if (managed.is_crashed) ++down;
       evicted += managed.log.evicted();
-      out.counter("garnet.recovery.service_inputs_lost", managed.inputs_lost,
+      out.gauge("garnet.recovery.inputs_held", static_cast<double>(managed.held.size()),
+                {{"service", name}});
+      out.counter("garnet.recovery.inputs_handed_back", managed.handed_back,
                   {{"service", name}});
     }
     out.gauge("garnet.recovery.crashed", static_cast<double>(down));

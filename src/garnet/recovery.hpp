@@ -25,12 +25,18 @@
 //   * A crash (injected by net::FaultPlan::crashes or called directly)
 //     wipes the service's volatile state and marks its bus endpoints
 //     down — peers keep posting, the bus counts and discards.
+//   * One crash rule for inputs: manage() returns the service's Door.
+//     A caller that feeds the service directly (the runtime's radio,
+//     filtering and dispatch sinks, the shard plane's inject) asks
+//     door.down() on every input and, while the service is down, hands
+//     the input to door.hold() instead. Nothing is dropped: held inputs
+//     wait in arrival order and run at recovery.
 //   * A heartbeat watchdog notices the dead service after
 //     miss_threshold beats and *promotes*: restore the latest replica
 //     checkpoint, replay ops at or past its watermark, bring endpoints
-//     back up, and run the service's on_restart hook (e.g. the runtime
-//     hands dispatch the frames it held while dispatch was down;
-//     location re-learns receiver layout).
+//     back up, run the held inputs in arrival order, then the service's
+//     on_restart hook (e.g. dispatch drains its quarantined consumers'
+//     backlogs; location re-learns receiver layout).
 //     A scheduled restart does the same immediately (rejoin).
 //
 // Replication rides the same bus as everything else, so checkpoints and
@@ -47,6 +53,7 @@
 #include "core/checkpoint.hpp"
 #include "net/bus.hpp"
 #include "obs/metrics.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -88,11 +95,12 @@ struct RecoveryStats {
   std::uint64_t crashes = 0;
   std::uint64_t promotions = 0;  ///< Watchdog-detected recoveries.
   std::uint64_t rejoins = 0;     ///< Scheduled-restart recoveries.
-  std::uint64_t inputs_lost = 0; ///< Inputs that arrived while crashed.
   util::Duration last_recovery_latency{0};  ///< Crash -> state restored.
 };
 
 class RecoveryHarness {
+  struct Managed;
+
  public:
   static constexpr const char* kPrimaryEndpointName = "garnet.recovery.primary";
   static constexpr const char* kReplicaEndpointName = "garnet.recovery.replica";
@@ -128,9 +136,28 @@ class RecoveryHarness {
     /// Re-apply one replicated op (optional; checkpoint-only services
     /// such as location/catalog leave it unset).
     std::function<void(std::uint16_t kind, util::BytesView payload)> apply_op;
-    /// Runs after state is restored and endpoints are back up (optional):
-    /// hand back held frames, re-announce layouts, resume flows.
+    /// Runs after state is restored, endpoints are back up and the held
+    /// inputs have run (optional): re-announce layouts, resume flows.
     std::function<void()> on_restart;
+  };
+
+  /// A managed service's input door, returned by manage(). down() is
+  /// the per-input "is it crashed?" test: a load, no name lookup. While
+  /// the service is down, hold() keeps each input (a closure owning
+  /// whatever it needs) in arrival order; recovery runs them after
+  /// restore and op replay, before on_restart. A default Door belongs to
+  /// no service and is never down.
+  class Door {
+   public:
+    Door() = default;
+    [[nodiscard]] bool down() const noexcept;
+    /// Keeps `input` for the recovery. Only while down().
+    void hold(sim::EventFn input) const;
+
+   private:
+    friend class RecoveryHarness;
+    explicit Door(Managed* managed) : managed_(managed) {}
+    Managed* managed_ = nullptr;
   };
 
   RecoveryHarness(sim::Scheduler& scheduler, net::MessageBus& bus, RecoveryConfig config);
@@ -139,7 +166,7 @@ class RecoveryHarness {
   RecoveryHarness(const RecoveryHarness&) = delete;
   RecoveryHarness& operator=(const RecoveryHarness&) = delete;
 
-  void manage(Service service);
+  Door manage(Service service);
 
   /// Primary-side mutation log: replicates one op to the standby. Ops
   /// from a crashed service are dropped (a dead process logs nothing).
@@ -149,19 +176,17 @@ class RecoveryHarness {
   /// endpoints. The watchdog promotes after miss_threshold beats unless
   /// restart() revives it first.
   void crash(const std::string& service);
-  /// Revive immediately (restore + replay + on_restart). No-op unless
-  /// crashed.
+  /// Revive immediately (restore + replay + held inputs + on_restart).
+  /// No-op unless crashed.
   void restart(const std::string& service);
+  /// Name lookup; per-input callers ask their Door instead.
   [[nodiscard]] bool crashed(const std::string& service) const;
-
-  /// Accounting hook for inputs the runtime observed dying with the
-  /// crashed service (e.g. reception reports to a dead filtering).
-  void note_lost_input(const std::string& service);
 
   /// Registers a pull collector exposing garnet.checkpoint.taken/stored/
   /// rejected counters and last_bytes gauge plus garnet.recovery.*
-  /// counters and the crashed/latency gauges. Deregistered on
-  /// destruction (the registry must outlive the harness).
+  /// counters, the crashed/latency gauges and, per managed service, the
+  /// door's inputs_held gauge and inputs_handed_back counter.
+  /// Deregistered on destruction (the registry must outlive the harness).
   void set_metrics(obs::MetricsRegistry& registry);
 
   [[nodiscard]] const RecoveryStats& stats() const noexcept { return stats_; }
@@ -192,7 +217,10 @@ class RecoveryHarness {
     std::vector<std::pair<std::uint64_t, util::Bytes>> deltas;
     std::uint64_t chain_epoch = 0;  ///< Epoch of the newest stored frame.
     core::checkpoint::OpLog log;
-    std::uint64_t inputs_lost = 0;
+    /// Inputs that reached the door while the service was down, in
+    /// arrival order; recovery runs and empties them.
+    std::vector<sim::EventFn> held;
+    std::uint64_t handed_back = 0;
 
     explicit Managed(Service s) : spec(std::move(s)), log(kOplogCapacity) {}
   };
@@ -216,6 +244,14 @@ class RecoveryHarness {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::CollectorId collector_id_ = 0;
 };
+
+inline bool RecoveryHarness::Door::down() const noexcept {
+  return managed_ != nullptr && managed_->is_crashed;
+}
+
+inline void RecoveryHarness::Door::hold(sim::EventFn input) const {
+  managed_->held.push_back(std::move(input));
+}
 
 /// A RecoveryHarness::Service named `name` whose checkpoint hooks call
 /// `service`'s capture_full(), restore_state(), capture_delta() and

@@ -88,9 +88,7 @@ void Runtime::wire_services() {
   telemetry_.registry.add_collector(
       [this](obs::SnapshotBuilder& out) { collect_service_stats(out); });
 
-  // Receivers feed the Filtering Service. A crashed filtering has no
-  // process to ingest into: its inputs are counted lost (the radio does
-  // not buffer; the sensors keep transmitting regardless).
+  // Receivers feed the Filtering Service.
   field_.medium().set_uplink_sink([this](const wireless::ReceptionReport& report) {
     // Tree traffic is radio substrate, not middleware input: beacons and
     // corrupt tree frames die here (before admission — they must not burn
@@ -102,17 +100,13 @@ void Runtime::wire_services() {
     // Admission gates the door before any middleware work: a refused
     // copy costs the pipeline nothing downstream.
     if (admission_ && !admission_->admit_data(scheduler_.now())) return;
-    if (recovery_ && recovery_->crashed("filtering")) {
-      recovery_->note_lost_input("filtering");
-      return;
-    }
     if (decision.verdict == Verdict::kInner) {
       wireless::ReceptionReport inner = report;
       inner.frame = std::move(decision.inner);
-      filtering_.ingest(inner);
+      filter_or_hold(inner);
       return;
     }
-    filtering_.ingest(report);
+    filter_or_hold(report);
   });
 
   // Admission's wire surface: peers (remote gateways, external delivery
@@ -140,8 +134,8 @@ void Runtime::wire_services() {
     dispatch_or_hold(core::as_view(message), heard);
   });
   filtering_.set_reception_sink([this](const core::ReceptionEvent& event) {
-    if (recovery_ && recovery_->crashed("location")) {
-      recovery_->note_lost_input("location");
+    if (location_door_.down()) {
+      location_door_.hold([this, event] { location_.observe(event); });
       return;
     }
     location_.observe(event);
@@ -209,7 +203,7 @@ void Runtime::wire_recovery() {
     const core::SequenceNo seq = r.u16();
     if (r.ok()) filtering_.note_seen(core::StreamId::from_packed(packed), seq);
   };
-  recovery_->manage(std::move(filtering));
+  filtering_door_ = recovery_->manage(std::move(filtering));
 
   RecoveryHarness::Service dispatch = checkpointed("dispatch", dispatch_);
   dispatch.endpoints = {core::DispatchingService::kEndpointName};
@@ -217,18 +211,10 @@ void Runtime::wire_recovery() {
   dispatch.apply_op = [this](std::uint16_t kind, util::BytesView payload) {
     dispatch_.apply_op(kind, payload);
   };
-  dispatch.on_restart = [this] {
-    // Hand back what arrived while dispatch was down, in arrival order,
-    // then let restored quarantined flows drain their backlog.
-    const std::vector<std::pair<core::DataMessage, util::SimTime>> held = std::move(held_);
-    held_.clear();
-    for (const auto& [message, first_heard] : held) {
-      ++recovery_replayed_;
-      dispatch_.on_filtered(core::as_view(message), first_heard);
-    }
-    dispatch_.resume_quarantined();
-  };
-  recovery_->manage(std::move(dispatch));
+  // The harness has already run what the door held; credit acks posted
+  // while dispatch was down died on the bus, so flows need the kick.
+  dispatch.on_restart = [this] { dispatch_.resume_quarantined(); };
+  dispatch_door_ = recovery_->manage(std::move(dispatch));
 
   // Location and catalog are checkpoint-only: their state is soft
   // (re-learnable from the ongoing stream), so gaps cost accuracy, not
@@ -237,7 +223,7 @@ void Runtime::wire_recovery() {
   location.endpoints = {core::LocationService::kEndpointName};
   location.wipe = [this] { location_.reset_state(); };
   location.on_restart = [this] { location_.set_receiver_layout(field_.medium().receivers()); };
-  recovery_->manage(std::move(location));
+  location_door_ = recovery_->manage(std::move(location));
 
   RecoveryHarness::Service catalog = checkpointed("catalog", catalog_);
   catalog.endpoints = {core::CatalogService::kEndpointName};
@@ -298,7 +284,6 @@ void Runtime::collect_service_stats(obs::SnapshotBuilder& out) {
   out.counter("garnet.dispatch.resume_redelivered", dispatch.resume_redelivered);
   out.counter("garnet.dispatch.resume_discarded", dispatch.resume_discarded);
   out.counter("garnet.dispatch.resume_missing", dispatch.resume_missing);
-  out.counter("garnet.dispatch.recovery_replayed", recovery_replayed_);
 
   const core::QosStats& qos = dispatch_.subscriptions().qos_stats();
   out.counter("garnet.qos.suppressed_rate", qos.suppressed_rate);
@@ -379,13 +364,22 @@ void Runtime::inject_external(const core::DataMessageView& message) {
 }
 
 void Runtime::dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard) {
-  if (recovery_ != nullptr && recovery_->crashed("dispatch")) {
-    // No dispatch process to take it: hold the message (an owned copy;
-    // the view may alias a caller's buffer) until dispatch's on_restart.
-    held_.emplace_back(message.to_owned(), first_heard);
+  if (dispatch_door_.down()) {
+    // The view may alias a caller's buffer: the door keeps an owned copy.
+    dispatch_door_.hold([this, message = message.to_owned(), first_heard] {
+      dispatch_.on_filtered(message, first_heard);
+    });
     return;
   }
   dispatch_.on_filtered(message, first_heard);
+}
+
+void Runtime::filter_or_hold(const wireless::ReceptionReport& report) {
+  if (filtering_door_.down()) {
+    filtering_door_.hold([this, report] { filtering_.ingest(report); });
+    return;
+  }
+  filtering_.ingest(report);
 }
 
 void Runtime::deploy_receivers(std::size_t count, double range_m) {

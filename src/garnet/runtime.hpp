@@ -118,8 +118,8 @@ class Runtime {
   /// External frames bypass Filtering (the producer's TCP stream is
   /// already loss-free and in order), so no dedup state is touched.
   /// First-heard is stamped "now". With crash recovery enabled and
-  /// dispatch down, the runtime holds the frame exactly like filtered
-  /// traffic and hands it to dispatch when it restarts.
+  /// dispatch down, dispatch's recovery door holds the frame exactly
+  /// like filtered traffic and hands it to dispatch when it recovers.
   /// With admission enabled, the frame must first win a data ticket;
   /// refused frames are shed at the door (admission stats count them)
   /// and are not counted in external_in().
@@ -170,10 +170,12 @@ class Runtime {
   /// binds the fault injector's crash events to it.
   void wire_recovery();
   void publish_location(core::SensorId sensor, const core::LocationEstimate& estimate);
-  /// The one door into dispatch for data (filtered, external, location):
-  /// on_filtered() while dispatch runs; while it is crashed, the message
-  /// joins held_ instead.
+  /// The one way into dispatch for data (filtered, external, location):
+  /// on_filtered() while dispatch runs; while it is crashed, its
+  /// recovery door holds the message instead.
   void dispatch_or_hold(const core::DataMessageView& message, util::SimTime first_heard);
+  /// The same for a receiver's copy bound for filtering.
+  void filter_or_hold(const wireless::ReceptionReport& report);
   /// Pull-collector surfacing every service's plain stats struct.
   void collect_service_stats(obs::SnapshotBuilder& out);
 
@@ -200,15 +202,14 @@ class Runtime {
   /// collector/timers never outlive the services its hooks capture.
   std::unique_ptr<RecoveryHarness> recovery_;
 
+  /// Recovery doors of the services the runtime feeds directly; never
+  /// down while recovery is disabled.
+  RecoveryHarness::Door filtering_door_;
+  RecoveryHarness::Door dispatch_door_;
+  RecoveryHarness::Door location_door_;
+
   std::optional<core::StreamId> location_stream_;
   std::uint64_t external_in_ = 0;
-  /// Messages (owned copies, with their first-heard stamps) that arrived
-  /// while dispatch was crashed, in arrival order; dispatch's on_restart
-  /// feeds them back through on_filtered(). Bounded by the outage: the
-  /// watchdog promotes within miss_threshold heartbeats.
-  std::vector<std::pair<core::DataMessage, util::SimTime>> held_;
-  /// Held messages handed back (garnet.dispatch.recovery_replayed).
-  std::uint64_t recovery_replayed_ = 0;
   core::SequenceNo location_sequence_ = 0;
   std::unordered_map<core::SensorId, util::SimTime> last_location_publish_;
 };

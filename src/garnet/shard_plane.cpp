@@ -200,7 +200,7 @@ void ShardedDispatchPlane::inject(const core::DataMessage& message) {
   if (gate_ && !gate_->admit_data(at)) return;
   ++inject_seq_;
   Shard& s = *shards_[shard_of(message.stream_id)];
-  s.pending.push_back(PendingInput{at, message});
+  queue(s, PendingInput{at, message});
   ++s.processed;
 }
 
@@ -217,15 +217,21 @@ void ShardedDispatchPlane::ingest(const wireless::ReceptionReport& report) {
   if (gate_ && !gate_->admit_data(at)) return;
   ++inject_seq_;
   Shard& s = *shards_[shard];
-  s.pending.push_back(PendingInput{at, report});
+  queue(s, PendingInput{at, report});
   ++s.processed;
 }
 
-void ShardedDispatchPlane::run_shard(Shard& shard) {
-  if (shard.crashed) {
-    shard.last_round_events = 0;
+void ShardedDispatchPlane::queue(Shard& shard, PendingInput input) {
+  if (shard.door.down()) {
+    shard.door.hold([&shard, input = std::move(input)]() mutable {
+      shard.pending.push_back(std::move(input));
+    });
     return;
   }
+  shard.pending.push_back(std::move(input));
+}
+
+void ShardedDispatchPlane::run_shard(Shard& shard) {
   const std::uint64_t start = sim::thread_cpu_now_ns();
   std::vector<PendingInput> batch = std::move(shard.pending);
   shard.pending.clear();
@@ -331,24 +337,20 @@ void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
     spec.group = prefix;
     // The shard's endpoints live on its own bus, not the harness's, so
     // there is nothing to silence here; a crash is modelled as the
-    // wipe + restore cycle on the shard's dispatcher state, with the
-    // shard's rounds held in between.
-    spec.wipe = [&s] {
-      s.crashed = true;
+    // wipe + restore cycle on the shard's dispatcher state. Inputs
+    // queued for the next round had not run yet: the wipe hands them to
+    // the door, which keeps them with every input routed to the shard
+    // while it is down and queues them all again at recovery.
+    spec.wipe = [this, &s] {
       s.dispatch.reset_state();
+      for (PendingInput& input : std::exchange(s.pending, {})) queue(s, std::move(input));
     };
     spec.apply_op = [&s](std::uint16_t kind, util::BytesView payload) {
       s.dispatch.apply_op(kind, payload);
     };
-    // Inputs routed to a crashed shard wait in Shard::pending (run_shard
-    // skips it), so the next round after the restart runs them; the
-    // restart itself only drains restored quarantined flows.
-    spec.on_restart = [&s] {
-      s.crashed = false;
-      s.dispatch.resume_quarantined();
-    };
+    spec.on_restart = [&s] { s.dispatch.resume_quarantined(); };
     const std::string name = spec.name;
-    harness.manage(std::move(spec));
+    s.door = harness.manage(std::move(spec));
     s.dispatch.set_op_sink([&harness, name](std::uint16_t kind, util::BytesView payload) {
       harness.log_op(name, kind, payload);
     });
@@ -403,9 +405,7 @@ std::uint64_t ShardedDispatchPlane::busy_ns(std::uint32_t shard) const {
 
 std::uint64_t ShardedDispatchPlane::pending_inputs() const {
   std::uint64_t pending = 0;
-  for (const auto& shard : shards_) {
-    if (!shard->crashed) pending += shard->pending.size();
-  }
+  for (const auto& shard : shards_) pending += shard->pending.size();
   return pending;
 }
 

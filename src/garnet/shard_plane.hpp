@@ -174,8 +174,8 @@ class ShardedDispatchPlane {
   /// shard clocks to the round's maximum and re-bases the injection
   /// timeline. Returns total events executed.
   std::size_t run_round();
-  /// Rounds until no runnable input remains (a crashed shard's inputs
-  /// stay queued for the rounds after its restart).
+  /// Rounds until no queued input remains (a crashed shard's inputs
+  /// wait at its recovery door and are queued again at its recovery).
   std::size_t run_until_idle();
 
   // --- merged views (between rounds only) ---------------------------------
@@ -200,6 +200,10 @@ class ShardedDispatchPlane {
   /// *every* shard full, re-anchoring the plane as one logical state.
   /// Each shard's frames are its dispatcher's own (dispatch(i)), so at
   /// N=1 they are byte-identical to an unsharded DispatchingService's.
+  /// While a shard is down, inject()/ingest() hand its inputs to its
+  /// recovery door, the Runtime's crash rule: they run after the
+  /// shard's recovery, in arrival order. Crash and restart between
+  /// rounds only.
   void register_recovery(RecoveryHarness& harness,
                          const std::string& prefix = "dispatch-plane");
 
@@ -231,7 +235,7 @@ class ShardedDispatchPlane {
   /// the shard's critical path (sim::thread_cpu_now_ns discipline).
   [[nodiscard]] std::uint64_t busy_ns(std::uint32_t shard) const;
   /// Inputs the next round will run, across all shards (a crashed
-  /// shard's inputs wait for its restart).
+  /// shard's inputs wait at its recovery door, not here).
   [[nodiscard]] std::uint64_t pending_inputs() const;
 
  private:
@@ -254,8 +258,8 @@ class ShardedDispatchPlane {
     core::Orphanage orphanage;
 
     std::vector<PendingInput> pending;
-    /// Between the harness's wipe and on_restart: rounds skip the shard.
-    bool crashed = false;
+    /// Set by register_recovery(); never down before it.
+    RecoveryHarness::Door door;
     std::uint64_t processed = 0;
     std::uint64_t busy_ns = 0;
     std::uint64_t merge_lag_ns = 0;      ///< Clock lag at the last merge.
@@ -277,6 +281,9 @@ class ShardedDispatchPlane {
     std::vector<std::pair<std::uint32_t, core::SubscriptionId>> parts;
   };
 
+  /// Queues `input` for the shard's next round, or holds it at the
+  /// shard's door while the shard is down.
+  void queue(Shard& shard, PendingInput input);
   void run_shard(Shard& shard);
   void merge_round();
   void collect(obs::SnapshotBuilder& out) const;

@@ -51,7 +51,13 @@ TEST_F(OrphanageFixture, RetentionBounded) {
 TEST_F(OrphanageFixture, ClaimEmptiesBacklog) {
   deliver({1, 0}, 0);
   deliver({1, 0}, 1);
-  EXPECT_EQ(orphanage.claim({1, 0}).size(), 2u);
+  const std::vector<DeliveryView> claimed = orphanage.claim({1, 0});
+  ASSERT_EQ(claimed.size(), 2u);
+  // Oldest first, each the intact frame dispatch posted.
+  for (SequenceNo seq = 0; seq < 2; ++seq) {
+    EXPECT_EQ(claimed[seq].message.sequence, seq);
+    EXPECT_TRUE(decode_delivery_view(claimed[seq].wire, ChecksumPolicy::kVerify).ok());
+  }
   EXPECT_TRUE(orphanage.claim({1, 0}).empty());
 }
 
@@ -94,34 +100,6 @@ TEST_F(OrphanageFixture, IgnoresMalformedDeliveries) {
   bus.post(sender, orphanage.address(), kDataDelivery, util::to_bytes("junk"));
   scheduler.run();
   EXPECT_EQ(orphanage.total_received(), 0u);
-}
-
-TEST_F(OrphanageFixture, BacklogFetchableViaRpc) {
-  deliver({1, 0}, 0);
-  deliver({1, 0}, 1);
-
-  net::RpcNode caller(bus, "claimer");
-  std::vector<DeliveryView> fetched;
-  util::ByteWriter w(6);
-  w.u32(StreamId{1, 0}.packed());
-  w.u16(10);
-  caller.call(orphanage.address(), Orphanage::kFetchBacklog, std::move(w).take(),
-              net::CallOptions{}, [&](net::RpcResult result) {
-                ASSERT_TRUE(result.ok());
-                util::ByteReader r(result.value());
-                const std::uint16_t n = r.u16();
-                for (std::uint16_t i = 0; i < n; ++i) {
-                  const std::uint16_t len = r.u16();
-                  const auto delivery = decode_delivery_view(r.raw(len), ChecksumPolicy::kVerify);
-                  ASSERT_TRUE(delivery.ok());
-                  fetched.push_back(delivery.value());
-                }
-              });
-  scheduler.run();
-
-  ASSERT_EQ(fetched.size(), 2u);
-  EXPECT_EQ(fetched[0].message.sequence, 0u);
-  EXPECT_EQ(fetched[1].message.sequence, 1u);
 }
 
 }  // namespace

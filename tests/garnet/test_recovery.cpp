@@ -3,8 +3,9 @@
 // framing and whose mutations are op-logged. Covers the full contract —
 // checkpoint replication over the bus, op-log tailing, crash-stop
 // semantics (wiped state, silenced endpoints, dropped ops), watchdog
-// promotion from checkpoint + tail, scheduled-restart rejoin, and the
-// garnet.recovery.* / garnet.checkpoint.* telemetry.
+// promotion from checkpoint + tail, scheduled-restart rejoin, the input
+// door (inputs held while down run at recovery, in arrival order), and
+// the garnet.recovery.* / garnet.checkpoint.* telemetry.
 #include "garnet/recovery.hpp"
 
 #include <gtest/gtest.h>
@@ -333,19 +334,94 @@ TEST_F(RecoveryFixture, CrashIsIdempotent) {
   EXPECT_EQ(counter("garnet.recovery.promotions"), 1u);
 }
 
-TEST_F(RecoveryFixture, LostInputsAreAccountedPerService) {
+// --- the input door ---------------------------------------------------------
+
+TEST_F(RecoveryFixture, HeldInputsRunInArrivalOrder) {
   RecoveryHarness harness(scheduler, bus, config());
   harness.set_metrics(registry);
-  harness.manage(service_spec());
+  const RecoveryHarness::Door door = harness.manage(service_spec());
+  const obs::Labels fake_labels{{"service", "fake"}};
 
   harness.crash("fake");
-  harness.note_lost_input("fake");
-  harness.note_lost_input("fake");
-  harness.note_lost_input("unknown");  // ignored
-  EXPECT_EQ(counter("garnet.recovery.inputs_lost"), 2u);
-  EXPECT_EQ(registry.snapshot().counter("garnet.recovery.service_inputs_lost",
-                                        {{"service", "fake"}}),
-            2u);
+  ASSERT_TRUE(door.down());
+  std::vector<int> ran;
+  for (int input = 1; input <= 3; ++input) door.hold([&ran, input] { ran.push_back(input); });
+  EXPECT_TRUE(ran.empty());  // nothing runs on a dead service
+  EXPECT_EQ(registry.snapshot().gauge("garnet.recovery.inputs_held", fake_labels), 3.0);
+
+  harness.restart("fake");
+  EXPECT_FALSE(door.down());
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(registry.snapshot().gauge("garnet.recovery.inputs_held", fake_labels), 0.0);
+  EXPECT_EQ(registry.snapshot().counter("garnet.recovery.inputs_handed_back", fake_labels), 3u);
+
+  // Handed back once: a second crash/restart cycle runs nothing again.
+  harness.crash("fake");
+  harness.restart("fake");
+  EXPECT_EQ(ran.size(), 3u);
+  EXPECT_EQ(registry.snapshot().counter("garnet.recovery.inputs_handed_back", fake_labels), 3u);
+}
+
+TEST_F(RecoveryFixture, HeldInputsRunAfterRestoreAndReplayBeforeOnRestart) {
+  RecoveryHarness harness(scheduler, bus, config());
+  const RecoveryHarness::Door door = harness.manage(service_spec());
+  set_and_log(harness, 1, 10);
+  scheduler.run_for(Duration::millis(300));  // checkpoint lands
+  set_and_log(harness, 2, 20);               // the op-log tail
+  scheduler.run_for(Duration::millis(20));
+  const auto expected = fake.table;
+
+  harness.crash("fake");
+  std::optional<std::map<std::uint32_t, std::uint64_t>> seen_table;
+  int seen_restarts = -1;
+  door.hold([&] {
+    seen_table = fake.table;
+    seen_restarts = fake.restarts;
+  });
+  harness.restart("fake");
+
+  ASSERT_TRUE(seen_table.has_value());
+  EXPECT_EQ(*seen_table, expected);  // checkpoint restored and tail replayed
+  EXPECT_EQ(seen_restarts, 0);       // on_restart had not run yet
+  EXPECT_EQ(fake.restarts, 1);
+}
+
+TEST_F(RecoveryFixture, WatchdogPromotionHandsHeldInputsBack) {
+  RecoveryHarness harness(scheduler, bus, config());
+  harness.set_metrics(registry);
+  const RecoveryHarness::Door door = harness.manage(service_spec());
+
+  harness.crash("fake");
+  int ran = 0;
+  door.hold([&ran] { ++ran; });
+  door.hold([&ran] { ++ran; });
+  scheduler.run_for(Duration::seconds(1));  // no restart: the watchdog promotes
+
+  EXPECT_EQ(counter("garnet.recovery.promotions"), 1u);
+  EXPECT_EQ(counter("garnet.recovery.rejoins"), 0u);
+  EXPECT_EQ(ran, 2);
+  EXPECT_FALSE(door.down());
+}
+
+TEST_F(RecoveryFixture, NothingIsHeldWhileTheServiceIsUp) {
+  RecoveryHarness harness(scheduler, bus, config());
+  harness.set_metrics(registry);
+  const RecoveryHarness::Door door = harness.manage(service_spec());
+  EXPECT_FALSE(RecoveryHarness::Door{}.down());  // a door of no service
+
+  // Up before any crash and again after recovery: callers run their
+  // inputs directly, and the door's series read zero for the service.
+  EXPECT_FALSE(door.down());
+  harness.crash("fake");
+  harness.restart("fake");
+  EXPECT_FALSE(door.down());
+  scheduler.run_for(Duration::seconds(1));
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::Labels fake_labels{{"service", "fake"}};
+  ASSERT_NE(snap.find("garnet.recovery.inputs_held", fake_labels), nullptr);
+  ASSERT_NE(snap.find("garnet.recovery.inputs_handed_back", fake_labels), nullptr);
+  EXPECT_EQ(snap.gauge("garnet.recovery.inputs_held", fake_labels), 0.0);
+  EXPECT_EQ(snap.counter("garnet.recovery.inputs_handed_back", fake_labels), 0u);
 }
 
 TEST_F(RecoveryFixture, EndpointsComeBackUpAtRecovery) {

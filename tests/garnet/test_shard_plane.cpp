@@ -329,6 +329,48 @@ TEST(ShardPlane, InputsReachingACrashedShardRunAfterItsRestart) {
   EXPECT_EQ(plane.pending_inputs(), 0u);
 }
 
+TEST(ShardPlane, InputsQueuedWhenTheShardCrashesWaitForItsRestart) {
+  // Inputs injected before the crash but not yet run by a round belong
+  // to the crashed shard too: the wipe hands them to its door, so a
+  // round run while the shard is down cannot feed them to the wiped
+  // dispatcher (which would orphan them: its table is empty).
+  sim::Scheduler scheduler;
+  net::MessageBus bus(scheduler, {});
+  RecoveryConfig recovery;
+  recovery.enabled = true;
+  RecoveryHarness harness(scheduler, bus, recovery);
+
+  ShardPlaneConfig config;
+  config.shards = 1;
+  config.use_workers = false;
+  ShardedDispatchPlane plane(config);
+  plane.register_recovery(harness, "dispatch-plane");
+  std::vector<core::SequenceNo> delivered;
+  const PlaneConsumerId consumer =
+      plane.add_consumer("c", [&](std::uint32_t, const net::Envelope& e) {
+        if (e.type != core::kDataDelivery) return;
+        const auto decoded = core::decode_delivery_view(e.payload);
+        ASSERT_TRUE(decoded.ok());
+        delivered.push_back(decoded.value().message.sequence);
+      });
+  const StreamId id{5, 0};
+  plane.subscribe(consumer, StreamPattern::exact(id));
+  scheduler.run_until(SimTime::zero() + Duration::millis(10));  // op record lands
+
+  for (core::SequenceNo seq = 0; seq < 3; ++seq) plane.inject(make_message(id, seq));
+  ASSERT_EQ(plane.pending_inputs(), 3u);
+  harness.crash("dispatch-plane.shard0");
+  EXPECT_EQ(plane.pending_inputs(), 0u);
+  plane.inject(make_message(id, 3));
+  plane.run_round();
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(plane.orphanage(0).total_received(), 0u);
+
+  harness.restart("dispatch-plane.shard0");
+  plane.run_until_idle();
+  EXPECT_EQ(delivered, (std::vector<core::SequenceNo>{0, 1, 2, 3}));
+}
+
 TEST(ShardPlane, ShardCrashDuringQuarantineDeliversEverySequenceOnce) {
   // The dispatch probe on the N=1 plane: a checkpoint while 2..4 wait in
   // the backlog, an ack that drains 2 and 3, sheds of 5..7, then a crash

@@ -12,16 +12,18 @@
 //   * Two runs from the same seed produce byte-identical fault and
 //     shed journals and identical recovery telemetry.
 //   * Ablation A3 as a regression test: filtering is crash-stopped with
-//     no restart, the watchdog promotes it, and late radio copies of
-//     frames delivered before the crash are recognised by the promoted
-//     filter instead of leaking as duplicates.
+//     no restart, the watchdog promotes it, the copies heard while it was
+//     down run at promotion, and late radio copies of frames delivered
+//     before the crash are recognised by the promoted filter instead of
+//     leaking as duplicates.
 //   * Dispatch crash windows: every frame that arrives while dispatch
 //     is down reaches its subscribers exactly once after promotion,
 //     however long the window, whether or not its stream was known
-//     before the crash; under flow control, a frame the hand-back burst
-//     pushes out of the Orphanage's retention is counted missing; and a
-//     subscription made just after a checkpoint survives a crash
-//     preceded by heavy traffic.
+//     before the crash; under flow control, the hand-back burst
+//     quarantines the consumer and its backlog delivers every sequence
+//     once; a crash during quarantine neither resends a drained backlog
+//     frame nor loses a later shed; and a subscription made just after a
+//     checkpoint survives a crash preceded by heavy traffic.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -68,8 +70,8 @@ wireless::ReceptionReport make_report(core::SequenceNo seq, SimTime now,
 
 TEST(CrashRecovery, DispatchCrashMidFloodKeepsOverloadAndDeliveryInvariants) {
   // Satellite scenario: the dispatcher dies under load while a straggler
-  // is forcing data sheds. The watchdog must promote it, the runtime
-  // must hand back the crash-window messages, credit flow must resume — and the
+  // is forcing data sheds. The watchdog must promote it, its door must
+  // hand back the crash-window messages, credit flow must resume — and the
   // overload layer's contract (control-plane never shed) must hold
   // across the promotion.
   Runtime::Config config;
@@ -131,8 +133,9 @@ TEST(CrashRecovery, DispatchCrashMidFloodKeepsOverloadAndDeliveryInvariants) {
   EXPECT_EQ(runtime.recovery()->stats().crashes, 1u);
   EXPECT_FALSE(runtime.recovery()->crashed("dispatch"));
 
-  // Crash-window traffic was held by the runtime and handed back.
-  EXPECT_GT(snap.counter("garnet.dispatch.recovery_replayed"), 0u);
+  // Crash-window traffic was held at dispatch's door and handed back.
+  EXPECT_GT(snap.counter("garnet.recovery.inputs_handed_back", {{"service", "dispatch"}}), 0u);
+  EXPECT_EQ(snap.gauge("garnet.recovery.inputs_held", {{"service", "dispatch"}}), 0.0);
 
   // Credit flow resumed: the healthy consumer kept receiving after the
   // promotion, well past what it had at crash time.
@@ -204,10 +207,13 @@ ChaosOutcome run_all_services_chaos(std::uint64_t seed) {
        {"garnet.recovery.crashes", "garnet.recovery.promotions", "garnet.recovery.rejoins",
         "garnet.recovery.ops_logged", "garnet.recovery.ops_replicated",
         "garnet.recovery.ops_replayed", "garnet.checkpoint.taken", "garnet.checkpoint.stored",
-        "garnet.checkpoint.rejected", "garnet.recovery.inputs_lost", "garnet.bus.posted",
-        "garnet.bus.delivered", "garnet.bus.dropped_endpoint_down",
-        "garnet.dispatch.recovery_replayed", "garnet.filtering.messages_out"}) {
+        "garnet.checkpoint.rejected", "garnet.bus.posted", "garnet.bus.delivered",
+        "garnet.bus.dropped_endpoint_down", "garnet.filtering.messages_out"}) {
     outcome.counters.push_back(snap.counter(name));
+  }
+  for (const char* service : {"filtering", "dispatch", "location", "catalog"}) {
+    outcome.counters.push_back(
+        snap.counter("garnet.recovery.inputs_handed_back", {{"service", service}}));
   }
   for (const char* kind : {"crash", "restart"}) {
     outcome.counters.push_back(snap.counter("garnet.bus.faults", {{"kind", kind}}));
@@ -277,9 +283,9 @@ TEST(CrashRecovery, RestartBeforeDetectionRejoinsWithoutPromotion) {
 }
 
 TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
-  // Reception reports arriving while filtering is dead die with the
-  // process; the runtime books them as lost inputs instead of silently
-  // discarding them.
+  // Reception reports arriving while filtering is dead wait at its
+  // recovery door; the rejoined filtering runs each, so both reach the
+  // consumer once.
   Runtime::Config config;
   config.field.radio.base_loss = 0.0;  // every uplink frame is heard
   config.field.radio.edge_loss = 0.0;
@@ -293,6 +299,11 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
   }
   Runtime runtime(config);
   runtime.deploy_receivers(1, 5000);  // one receiver covering the field
+  core::Consumer consumer(runtime.bus(), "consumer.ledger");
+  runtime.provision(consumer, "ledger");
+  consumer.subscribe(core::StreamPattern::everything());
+  DeliveryLedger ledger;
+  ledger.attach(consumer);
   runtime.run_for(Duration::millis(150));  // inside the crash window
   ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
 
@@ -303,12 +314,22 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
   runtime.field().medium().uplink({500, 500}, core::encode(msg), 1);
   msg.sequence = 1;
   runtime.field().medium().uplink({500, 500}, core::encode(msg), 1);
+  runtime.run_for(Duration::millis(10));  // heard; still inside the window
+  ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
+
+  const obs::Labels filtering{{"service", "filtering"}};
+  EXPECT_EQ(runtime.telemetry().registry.snapshot().gauge("garnet.recovery.inputs_held",
+                                                          filtering),
+            2.0);
+  EXPECT_EQ(ledger.distinct(), 0u);
 
   runtime.run_for(Duration::seconds(1));
   const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
-  EXPECT_EQ(snap.counter("garnet.recovery.inputs_lost"), 2u);
-  EXPECT_EQ(snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}), 2u);
+  EXPECT_EQ(snap.counter("garnet.recovery.inputs_handed_back", filtering), 2u);
+  EXPECT_EQ(snap.gauge("garnet.recovery.inputs_held", filtering), 0.0);
   EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
+  EXPECT_EQ(ledger.distinct(), 2u);
+  EXPECT_EQ(ledger.max_count(), 1);
 }
 
 TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
@@ -362,14 +383,15 @@ TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
   EXPECT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"), 0u);
 
   // Detection window: filtering is down, the watchdog has not fired yet.
-  // New frames 40..49 die with the process and are booked as lost.
+  // New frames 40..49 wait at filtering's recovery door.
   runtime.scheduler().run_until(crash_at + Duration::millis(1));
   ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
   send(40, 50);
   ASSERT_TRUE(runtime.recovery()->crashed("filtering"));
 
-  // Promotion, then the late copies of every pre-crash frame arrive,
-  // followed by fresh traffic and the late copies of the lost frames.
+  // Promotion runs the held frames, then the late copies of every
+  // pre-crash frame arrive, followed by fresh traffic and late copies of
+  // the held frames.
   runtime.run_for(Duration::millis(500));
   ASSERT_FALSE(runtime.recovery()->crashed("filtering"));
   const core::FilteringStats at_promotion = runtime.filtering().stats();
@@ -382,16 +404,16 @@ TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
   const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
   EXPECT_EQ(snap.counter("garnet.recovery.promotions"), 1u);
   EXPECT_EQ(snap.counter("garnet.recovery.rejoins"), 0u);
-  // Every copy sent while filtering was down shows up as a lost input.
-  EXPECT_EQ(snap.counter("garnet.recovery.service_inputs_lost", {{"service", "filtering"}}), 10u);
+  // Every copy sent while filtering was down was held and handed back.
+  EXPECT_EQ(snap.counter("garnet.recovery.inputs_handed_back", {{"service", "filtering"}}), 10u);
   // All 40 late copies were recognised as duplicate or stale...
   EXPECT_EQ((after_late.duplicates_dropped + after_late.stale_dropped) -
                 (at_promotion.duplicates_dropped + at_promotion.stale_dropped),
             40u);
   EXPECT_EQ(after_late.messages_out, at_promotion.messages_out);
   // ...so every (stream, seq) reached the consumer exactly once: the
-  // pre-crash frames, the fresh ones, and the lost frames recovered
-  // through their late copies.
+  // pre-crash frames, the held ones, and the fresh ones; the late
+  // copies of the held frames were recognised too.
   EXPECT_EQ(ledger.distinct(), 60u);
   EXPECT_EQ(ledger.max_count(), 1);
 }

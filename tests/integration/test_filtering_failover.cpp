@@ -65,8 +65,12 @@ struct FailoverFixture : ::testing::Test {
   std::uint64_t counter(const char* name) {
     return runtime.telemetry().registry.snapshot().counter(name);
   }
-  std::uint64_t lost() {
-    return runtime.telemetry().registry.snapshot().counter("garnet.recovery.service_inputs_lost",
+  double held() {
+    return runtime.telemetry().registry.snapshot().gauge("garnet.recovery.inputs_held",
+                                                         {{"service", "filtering"}});
+  }
+  std::uint64_t handed_back() {
+    return runtime.telemetry().registry.snapshot().counter("garnet.recovery.inputs_handed_back",
                                                            {{"service", "filtering"}});
   }
   double gauge(const char* name) { return runtime.telemetry().registry.snapshot().gauge(name); }
@@ -149,20 +153,21 @@ TEST_F(FailoverFixture, ColdStandbySeededFromCheckpointPlusTail) {
   for (core::SequenceNo seq = 0; seq < 8; ++seq) EXPECT_EQ(delivered[seq], 1) << seq;
 }
 
-TEST_F(FailoverFixture, DetectionWindowLossIsCounted) {
+TEST_F(FailoverFixture, DetectionWindowInputsAreHeldAndDeliveredOnce) {
   crash();
-  // Traffic arriving while headless is lost and accounted.
+  // Traffic arriving while headless waits at filtering's recovery door.
   send(0, 7);
   EXPECT_TRUE(delivered.empty());
-  EXPECT_EQ(lost(), 7u);
-  EXPECT_EQ(counter("garnet.recovery.inputs_lost"), 7u);
+  EXPECT_EQ(held(), 7.0);
 
   runtime.run_for(Duration::seconds(1));
   ASSERT_TRUE(failed_over());
-  EXPECT_EQ(lost(), 7u);  // the promoted filter loses nothing further
-  // The lost sequences never reached the filter, so the restored state
-  // holds no record of them: a later copy of each is delivered once, and
-  // a second copy is recognised.
+  // The promoted filter ran every held copy: each sequence delivered once.
+  EXPECT_EQ(held(), 0.0);
+  EXPECT_EQ(handed_back(), 7u);
+  for (core::SequenceNo seq = 0; seq < 7; ++seq) EXPECT_EQ(delivered[seq], 1) << seq;
+  // The held copies went through the restored filter, so later copies of
+  // the same sequences are recognised.
   send(0, 7);
   send(0, 7);
   for (core::SequenceNo seq = 0; seq < 7; ++seq) EXPECT_EQ(delivered[seq], 1) << seq;
