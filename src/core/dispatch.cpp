@@ -98,8 +98,10 @@ bool DispatchingService::unsubscribe(SubscriptionId id) {
 
 std::size_t DispatchingService::drop_consumer(net::Address consumer) {
   // Erasing the flow frees its backlog: nothing shed for a departed
-  // consumer is delivered.
+  // consumer is delivered. No checkpoint carries flows, so the removal
+  // the table journals for a delta capture is dropped at once.
   flows_.erase(ConsumerKey{consumer.value});
+  flows_.clear_dirty();
   const std::size_t removed = table_.remove_consumer(consumer);
   if (op_sink_) {
     util::ByteWriter w(4);
@@ -142,12 +144,6 @@ util::Bytes DispatchingService::capture_state() const {
   util::ByteWriter w(256);
   table_.capture(w);
   return std::move(w).take();
-}
-
-util::Bytes DispatchingService::capture_full() {
-  util::Bytes state = capture_state();
-  flows_.clear_dirty();
-  return state;
 }
 
 util::Status<util::DecodeError> DispatchingService::restore_state(util::BytesView state) {

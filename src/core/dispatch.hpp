@@ -150,10 +150,9 @@ class DispatchingService {
 
   /// The recovery harness's full and delta hooks. The table is small,
   /// so a delta carries it whole: the two frame kinds have the same
-  /// body. Each capture empties the flow table's mutation journal,
-  /// which nothing reads.
-  [[nodiscard]] util::Bytes capture_full();
-  [[nodiscard]] util::Bytes capture_delta() { return capture_full(); }
+  /// body.
+  [[nodiscard]] util::Bytes capture_full() const { return capture_state(); }
+  [[nodiscard]] util::Bytes capture_delta() const { return capture_state(); }
   [[nodiscard]] util::Status<util::DecodeError> apply_delta(util::BytesView delta) {
     return restore_state(delta);
   }

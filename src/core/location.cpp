@@ -227,10 +227,7 @@ util::Status<util::DecodeError> LocationService::load(util::BytesView bytes, boo
   return {};
 }
 
-void LocationService::reset_state() {
-  tracks_.clear();
-  receivers_.clear();
-}
+void LocationService::reset_state() { tracks_.clear(); }
 
 void LocationService::on_envelope(net::Envelope envelope) {
   if (envelope.type != kLocationHint) return;

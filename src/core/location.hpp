@@ -87,7 +87,7 @@ class LocationService {
 
   /// Crash-recovery snapshot: every sensor track (observations + hint),
   /// sensors sorted ascending. The receiver layout is deployment
-  /// knowledge the runtime re-announces on restart, so it is excluded.
+  /// configuration, not crash state, so it is excluded.
   [[nodiscard]] util::Bytes capture_state() const;
 
   /// capture_state() plus a rebase of the incremental-capture baseline.
@@ -104,7 +104,8 @@ class LocationService {
   /// committing, current state survives a failed restore.
   [[nodiscard]] util::Status<util::DecodeError> restore_state(util::BytesView state);
 
-  /// Crash wipe: forgets every track and the receiver layout.
+  /// Crash wipe: forgets every track. The receiver layout survives, so
+  /// observations the recovery door held run against it on recovery.
   void reset_state();
 
   [[nodiscard]] const LocationStats& stats() const noexcept { return stats_; }

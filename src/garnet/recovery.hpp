@@ -36,7 +36,7 @@
 //     checkpoint, replay ops at or past its watermark, bring endpoints
 //     back up, run the held inputs in arrival order, then the service's
 //     on_restart hook (e.g. dispatch drains its quarantined consumers'
-//     backlogs; location re-learns receiver layout).
+//     backlogs).
 //     A scheduled restart does the same immediately (rejoin).
 //
 // Replication rides the same bus as everything else, so checkpoints and
@@ -137,7 +137,7 @@ class RecoveryHarness {
     /// such as location/catalog leave it unset).
     std::function<void(std::uint16_t kind, util::BytesView payload)> apply_op;
     /// Runs after state is restored, endpoints are back up and the held
-    /// inputs have run (optional): re-announce layouts, resume flows.
+    /// inputs have run (optional): dispatch resumes its flows here.
     std::function<void()> on_restart;
   };
 

@@ -221,8 +221,9 @@ void Runtime::wire_recovery() {
   // correctness, and an op log would buy nothing.
   RecoveryHarness::Service location = checkpointed("location", location_);
   location.endpoints = {core::LocationService::kEndpointName};
+  // The wipe keeps the receiver layout, so the observations its door
+  // held run against it at recovery.
   location.wipe = [this] { location_.reset_state(); };
-  location.on_restart = [this] { location_.set_receiver_layout(field_.medium().receivers()); };
   location_door_ = recovery_->manage(std::move(location));
 
   RecoveryHarness::Service catalog = checkpointed("catalog", catalog_);

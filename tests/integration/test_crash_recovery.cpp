@@ -16,6 +16,8 @@
 //     down run at promotion, and late radio copies of frames delivered
 //     before the crash are recognised by the promoted filter instead of
 //     leaking as duplicates.
+//   * A location crash window: the observations held at its door reach
+//     the restored tracks, because the wipe keeps the receiver layout.
 //   * Dispatch crash windows: every frame that arrives while dispatch
 //     is down reaches its subscribers exactly once after promotion,
 //     however long the window, whether or not its stream was known
@@ -330,6 +332,50 @@ TEST(CrashRecovery, FilteringCrashWindowInputsAreAccounted) {
   EXPECT_FALSE(runtime.recovery()->crashed("filtering"));
   EXPECT_EQ(ledger.distinct(), 2u);
   EXPECT_EQ(ledger.max_count(), 1);
+}
+
+TEST(CrashRecovery, LocationCrashWindowObservationsReachTheTracks) {
+  // Reception events arriving while location is dead wait at its door;
+  // the rejoined location observes each against the receiver layout the
+  // crash left in place, so every held observation reaches the tracks.
+  Runtime::Config config;
+  config.field.radio.base_loss = 0.0;  // every uplink frame is heard
+  config.field.radio.edge_loss = 0.0;
+  config.recovery.enabled = true;
+  {
+    net::FaultPlan::CrashSpec crash;
+    crash.service = "location";
+    crash.at = SimTime{} + Duration::millis(100);
+    crash.restart_after = Duration::millis(200);
+    config.bus.faults.crashes.push_back(crash);
+  }
+  Runtime runtime(config);
+  runtime.deploy_receivers(1, 5000);  // one receiver covering the field
+  runtime.run_for(Duration::millis(150));  // inside the crash window
+  ASSERT_TRUE(runtime.recovery()->crashed("location"));
+  const std::uint64_t before = runtime.location().stats().observations;
+
+  constexpr core::SequenceNo kHeard = 3;
+  core::DataMessage msg;
+  msg.stream_id = {1, 0};
+  msg.payload = util::to_bytes("where");
+  for (core::SequenceNo seq = 0; seq < kHeard; ++seq) {
+    msg.sequence = seq;
+    runtime.field().medium().uplink({500, 500}, core::encode(msg), 1);
+  }
+  runtime.run_for(Duration::millis(10));  // heard; still inside the window
+  ASSERT_TRUE(runtime.recovery()->crashed("location"));
+  const obs::Labels location{{"service", "location"}};
+  EXPECT_EQ(runtime.telemetry().registry.snapshot().gauge("garnet.recovery.inputs_held", location),
+            static_cast<double>(kHeard));
+  EXPECT_EQ(runtime.location().stats().observations, before);
+
+  runtime.run_for(Duration::seconds(1));
+  ASSERT_FALSE(runtime.recovery()->crashed("location"));
+  const obs::MetricsSnapshot snap = runtime.telemetry().registry.snapshot();
+  EXPECT_EQ(snap.counter("garnet.recovery.inputs_handed_back", location), kHeard);
+  EXPECT_EQ(snap.gauge("garnet.recovery.inputs_held", location), 0.0);
+  EXPECT_EQ(runtime.location().stats().observations, before + kHeard);
 }
 
 TEST(CrashRecovery, PromotedFilteringRecognisesLateCopiesOfPreCrashFrames) {
