@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate: every field of every configuration struct must be set somewhere.
 
-    scripts/check_config_knobs.py [--list]
+    scripts/check_config_knobs.py [--list] [--test-only]
 
 Lists every field of every struct under src/ whose name ends in
 "Config" (nested `struct Config` included), then searches every .cpp and
@@ -16,7 +16,10 @@ A field nothing writes is an option nobody uses: make it a named
 constant beside the code that reads it, or delete it. The script exits
 non-zero when it finds one that is not on the allowlist below, and
 prints each as `file:line Struct::field`. `--list` also prints every
-field found, written or not.
+field found, written or not. `--test-only` also lists the fields whose
+only writers are under tests/: knobs no binary, bench, example or
+perfbench workload turns. That list is informational; it does not
+change the exit status.
 
 Fields are matched by name, so a write to a same-named field of another
 struct counts for both: the gate can miss an unused field, but it never
@@ -166,8 +169,17 @@ def member_name(stmt):
     return m.group(1) if m else None
 
 
+def is_written(field, corpus):
+    f = re.escape(field)
+    return re.search(
+        rf"(?:\.|->)\s*{f}\b{PATH}\s*(?:{ASSIGN}|{INSERT})"
+        rf"|[{{,]\s*\.{f}\s*\{{",
+        corpus) is not None
+
+
 def main(argv):
     show_all = "--list" in argv
+    show_test_only = "--test-only" in argv
     texts = {}
     for path in source_files():
         with open(path, encoding="utf-8") as fh:
@@ -179,15 +191,16 @@ def main(argv):
             for struct, field, line in config_fields(text):
                 fields.append((os.path.relpath(path, ROOT), line, struct, field))
 
-    corpus = "\n".join(texts.values())
-    unwritten, allowed = [], []
+    tests_dir = os.path.join(ROOT, "tests") + os.sep
+    tests_corpus = "\n".join(t for p, t in texts.items() if p.startswith(tests_dir))
+    other_corpus = "\n".join(t for p, t in texts.items() if not p.startswith(tests_dir))
+    unwritten, allowed, test_only = [], [], []
     for rel, line, struct, field in fields:
-        f = re.escape(field)
-        written = re.search(
-            rf"(?:\.|->)\s*{f}\b{PATH}\s*(?:{ASSIGN}|{INSERT})"
-            rf"|[{{,]\s*\.{f}\s*\{{",
-            corpus)
+        written_outside = is_written(field, other_corpus)
+        written = written_outside or is_written(field, tests_corpus)
         entry = f"{rel}:{line} {struct}::{field}"
+        if written and not written_outside:
+            test_only.append(entry)
         if show_all:
             print(("written   " if written else "UNWRITTEN ") + entry)
         if written:
@@ -203,6 +216,10 @@ def main(argv):
         print("  allowed: " + entry)
     for entry in unwritten:
         print("  NEVER WRITTEN: " + entry)
+    if show_test_only:
+        print(f"{len(test_only)} of {len(fields)} config fields are written only under tests/")
+        for entry in test_only:
+            print("  test-only: " + entry)
     return 1 if unwritten else 0
 
 

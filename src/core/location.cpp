@@ -35,7 +35,10 @@ void LocationService::set_receiver_layout(const std::vector<wireless::Receiver>&
 }
 
 void LocationService::observe(const ReceptionEvent& event) {
-  if (!receivers_.contains(event.receiver)) return;  // unknown antenna
+  if (!receivers_.contains(event.receiver)) {
+    ++stats_.unknown_receiver;
+    return;
+  }
   ++stats_.observations;
 
   SensorTrack& track = tracks_.upsert(SensorKey{event.sensor});

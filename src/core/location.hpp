@@ -42,6 +42,7 @@ struct LocationEstimate {
 
 struct LocationStats {
   std::uint64_t observations = 0;
+  std::uint64_t unknown_receiver = 0;  ///< Observations naming no deployed receiver.
   std::uint64_t hints = 0;
   std::uint64_t hints_rejected = 0;  ///< Unauthenticated hint envelopes.
   std::uint64_t queries = 0;

@@ -32,15 +32,6 @@ inline constexpr net::MessageType kCheckpointReplica = net::app_type(6);
 /// Primary -> recovery replica op-log replication. Payload:
 /// [str service][u64 lsn][u16 op kind][u16 len][op bytes].
 inline constexpr net::MessageType kOpLogRecord = net::app_type(7);
-/// Peer -> admission gate early ticket release (net/admission.hpp).
-/// Payload: [u32 count]. Control-plane class, and fully untrusted: the
-/// gate clamps against outstanding holders, so a forged flood can only
-/// return real tickets early, never underflow the pool.
-inline constexpr net::MessageType kAdmissionRelease = net::app_type(8);
-/// Peer -> admission gate goodput report (downstream deliveries the gate
-/// cannot observe directly). Payload: [u64 delivered][u64 wasted], each
-/// clamped per frame at the gate. Control-plane class.
-inline constexpr net::MessageType kGoodputReport = net::app_type(9);
 
 /// A data message as delivered to a subscribed consumer, carrying the
 /// time the fixed network first heard it (for end-to-end latency). The

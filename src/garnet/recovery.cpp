@@ -249,15 +249,8 @@ void RecoveryHarness::recover(Managed& managed, bool promotion) {
   managed.is_crashed = false;
   managed.misses = 0;
   // The promoted state (base + deltas + op replay) no longer matches
-  // what the replica chain describes; re-anchor with a full frame. A
-  // grouped service (one shard of a plane) re-anchors its whole group:
-  // the plane's slices checkpoint as one logical state.
+  // what the replica chain describes; re-anchor with a full frame.
   managed.force_full = true;
-  if (!managed.spec.group.empty()) {
-    for (auto& [name, other] : services_) {
-      if (other.spec.group == managed.spec.group) other.force_full = true;
-    }
-  }
   stats_.last_recovery_latency = scheduler_.now() - managed.crashed_at;
   if (promotion) {
     ++stats_.promotions;

@@ -109,13 +109,6 @@ class RecoveryHarness {
   /// thread; capture/restore use the service's core/checkpoint framing.
   struct Service {
     std::string name;
-    /// Optional re-anchor group. Services sharing a non-empty group are
-    /// slices of one logical plane (the shard plane registers each shard
-    /// as "dispatch.shard<i>" under one group): when any member is
-    /// recovered, *every* member's next checkpoint is forced full, so
-    /// the replica's delta chains for all slices re-anchor together and
-    /// a cross-shard restore never mixes pre- and post-promotion bases.
-    std::string group;
     /// Bus endpoint names silenced while the service is crashed.
     std::vector<std::string> endpoints;
     /// Serialise current state (deterministic bytes; see checkpoint.hpp).
@@ -256,7 +249,7 @@ inline void RecoveryHarness::Door::hold(sim::EventFn input) const {
 /// A RecoveryHarness::Service named `name` whose checkpoint hooks call
 /// `service`'s capture_full(), restore_state(), capture_delta() and
 /// apply_delta() (the surface every core service shares). The caller
-/// sets endpoints, group, wipe, apply_op and on_restart; `service` must
+/// sets endpoints, wipe, apply_op and on_restart; `service` must
 /// outlive the harness.
 template <typename Checkpointed>
 [[nodiscard]] RecoveryHarness::Service checkpointed(std::string name, Checkpointed& service) {

@@ -22,11 +22,6 @@ net::MessageBus::Config bus_config(const Runtime::Config& config) {
   // that the flood makes more likely to be needed.
   bus.control_types.push_back(core::kCheckpointReplica);
   bus.control_types.push_back(core::kOpLogRecord);
-  // Admission's own wire surface is control plane: ticket releases and
-  // goodput reports are what let the gate relax, so shedding them under
-  // a data flood would lock the pool at its most pessimistic size.
-  bus.control_types.push_back(core::kAdmissionRelease);
-  bus.control_types.push_back(core::kGoodputReport);
   return bus;
 }
 
@@ -108,18 +103,6 @@ void Runtime::wire_services() {
     }
     filter_or_hold(report);
   });
-
-  // Admission's wire surface: peers (remote gateways, external delivery
-  // sinks) release tickets early or report goodput the gate cannot see.
-  if (admission_ != nullptr) {
-    bus_.add_endpoint("admission", [this](net::Envelope envelope) {
-      if (envelope.type == core::kAdmissionRelease) {
-        admission_->on_wire_release(envelope.payload, scheduler_.now());
-      } else if (envelope.type == core::kGoodputReport) {
-        admission_->on_wire_goodput(envelope.payload);
-      }
-    });
-  }
 
   // Filtering feeds Dispatching (unique messages) and Location (copies).
   filtering_.set_message_sink([this](const core::DataMessage& message, util::SimTime heard) {
@@ -292,6 +275,7 @@ void Runtime::collect_service_stats(obs::SnapshotBuilder& out) {
 
   const core::LocationStats& location = location_.stats();
   out.counter("garnet.location.observations", location.observations);
+  out.counter("garnet.location.unknown_receiver", location.unknown_receiver);
   out.counter("garnet.location.hints", location.hints);
   out.counter("garnet.location.hints_rejected", location.hints_rejected);
   out.counter("garnet.location.queries", location.queries);

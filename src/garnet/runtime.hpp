@@ -152,9 +152,7 @@ class Runtime {
   [[nodiscard]] core::CatalogService& catalog_service() noexcept { return catalog_service_; }
   /// Crash-recovery harness; nullptr unless Config::recovery.enabled.
   [[nodiscard]] RecoveryHarness* recovery() noexcept { return recovery_.get(); }
-  /// Admission gate; nullptr unless Config::admission.enabled. Also
-  /// reachable over the wire: the runtime registers an "admission" bus
-  /// endpoint accepting kAdmissionRelease / kGoodputReport frames.
+  /// Admission gate; nullptr unless Config::admission.enabled.
   [[nodiscard]] net::AdmissionGate* admission() noexcept { return admission_.get(); }
   /// Metrics registry + message tracer; every service is wired into it.
   [[nodiscard]] obs::Telemetry& telemetry() noexcept { return telemetry_; }

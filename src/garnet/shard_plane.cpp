@@ -334,7 +334,6 @@ void ShardedDispatchPlane::register_recovery(RecoveryHarness& harness,
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     Shard& s = *shards_[i];
     RecoveryHarness::Service spec = checkpointed(prefix + ".shard" + std::to_string(i), s.dispatch);
-    spec.group = prefix;
     // The shard's endpoints live on its own bus, not the harness's, so
     // there is nothing to silence here; a crash is modelled as the
     // wipe + restore cycle on the shard's dispatcher state. Inputs

@@ -194,12 +194,12 @@ class ShardedDispatchPlane {
   // --- checkpoints / recovery ---------------------------------------------
 
   /// Registers every shard's dispatcher with the harness as
-  /// "<prefix>.shard<i>", all under one re-anchor group: each shard
-  /// checkpoints on the harness cadence (full/delta per its own dirty
-  /// sets), and a promotion of any shard forces the next capture of
-  /// *every* shard full, re-anchoring the plane as one logical state.
-  /// Each shard's frames are its dispatcher's own (dispatch(i)), so at
-  /// N=1 they are byte-identical to an unsharded DispatchingService's.
+  /// "<prefix>.shard<i>": each shard checkpoints on the harness cadence
+  /// and recovers on its own. A dispatcher's delta carries its whole
+  /// subscription table, so a shard restored from any chain equals one
+  /// restored from a full frame. Each shard's frames are its
+  /// dispatcher's own (dispatch(i)), so at N=1 they are byte-identical
+  /// to an unsharded DispatchingService's.
   /// While a shard is down, inject()/ingest() hand its inputs to its
   /// recovery door, the Runtime's crash rule: they run after the
   /// shard's recovery, in arrival order. Crash and restart between

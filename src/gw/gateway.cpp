@@ -348,32 +348,8 @@ void Gateway::enqueue_data(Conn& conn, OutFrame frame) {
     if (conn.dead) return;
   }
   if (conn.data_frames >= bound) {
-    switch (config_.shed_policy) {
-      case net::OverflowPolicy::kDropOldest: {
-        std::size_t idx = conn.head_offset > 0 ? 1 : 0;
-        while (idx < conn.outbox.size() && conn.outbox[idx].cls != net::TrafficClass::kData) {
-          ++idx;
-        }
-        if (idx < conn.outbox.size()) {
-          conn.outbox.erase(conn.outbox.begin() + static_cast<std::ptrdiff_t>(idx));
-          --conn.data_frames;
-          ++stats_.shed.data_drop_oldest;
-          break;
-        }
-        // Every queued data frame is partially on the wire; the arriving
-        // frame is the only one still droppable.
-        ++stats_.shed.data_drop_newest;
-        return;
-      }
-      case net::OverflowPolicy::kRejectNack:
-        // No NACK exists on a TCP stream; the drop is still counted
-        // under the policy that caused it.
-        ++stats_.shed.data_reject_nack;
-        return;
-      case net::OverflowPolicy::kDropNewest:
-        ++stats_.shed.data_drop_newest;
-        return;
-    }
+    ++stats_.shed.data_drop_newest;
+    return;
   }
   conn.outbox.push_back(std::move(frame));
   ++conn.data_frames;
@@ -505,14 +481,10 @@ void Gateway::collect(obs::SnapshotBuilder& out) const {
               {{"class", "data"}, {"policy", "drop_newest"}});
   out.counter("garnet.gw.shed", shed.data_drop_oldest,
               {{"class", "data"}, {"policy", "drop_oldest"}});
-  out.counter("garnet.gw.shed", shed.data_reject_nack,
-              {{"class", "data"}, {"policy", "reject_nack"}});
   out.counter("garnet.gw.shed", shed.control_drop_newest,
               {{"class", "control"}, {"policy", "drop_newest"}});
   out.counter("garnet.gw.shed", shed.control_drop_oldest,
               {{"class", "control"}, {"policy", "drop_oldest"}});
-  out.counter("garnet.gw.shed", shed.control_reject_nack,
-              {{"class", "control"}, {"policy", "reject_nack"}});
 }
 
 }  // namespace garnet::gw

@@ -19,8 +19,9 @@
 //     not want a live stream.
 //
 // Overload behaviour reuses the PR-4 vocabulary (net/overload.hpp):
-// every subscriber carries a bounded outbox of data frames shed by an
-// OverflowPolicy when the peer reads too slowly — one slow consumer
+// every subscriber carries a bounded outbox of data frames; a full
+// outbox sheds the arriving frame when the peer reads too slowly (the
+// drop_newest row of garnet.gw.shed) — one slow consumer
 // never head-of-line-blocks the others — while control frames (protocol
 // replies) are never shed and jump ahead of queued data. A shed
 // subscriber recovers the latest value through the cache.
@@ -80,9 +81,6 @@ struct GatewayConfig {
   /// of buffering deliveries the middleware already regrets admitting.
   /// 0 = ignore admission and keep the static outbox_frames bound.
   std::size_t outbox_frames_per_ticket = 4;
-  /// What to do with the data frame that does not fit. kRejectNack has
-  /// no TCP meaning and degrades to kDropNewest.
-  net::OverflowPolicy shed_policy = net::OverflowPolicy::kDropNewest;
 };
 
 struct GatewayStats {

@@ -7,14 +7,6 @@
 
 namespace garnet::net {
 
-std::string_view to_string(PoolKind kind) {
-  switch (kind) {
-    case PoolKind::kControl: return "control";
-    case PoolKind::kData: return "data";
-  }
-  return "?";
-}
-
 std::string_view to_string(ProbeDecision decision) {
   switch (decision) {
     case ProbeDecision::kHold: return "hold";
@@ -29,14 +21,8 @@ std::string_view to_string(ProbeDecision decision) {
 AdmissionStats& AdmissionStats::operator+=(const AdmissionStats& other) noexcept {
   data_admitted += other.data_admitted;
   data_rejected += other.data_rejected;
-  control_admitted += other.control_admitted;
-  control_overdrafts += other.control_overdrafts;
   probes += other.probes;
   resizes += other.resizes;
-  wire_releases += other.wire_releases;
-  spurious_releases += other.spurious_releases;
-  goodput_reports += other.goodput_reports;
-  wire_malformed += other.wire_malformed;
   return *this;
 }
 
@@ -74,14 +60,6 @@ bool TicketPool::try_acquire(util::SimTime now, util::Duration lease) {
   return true;
 }
 
-bool TicketPool::acquire_overdraft(util::SimTime now, util::Duration lease) {
-  release_expired(now);
-  const bool within = leases_.size() < size_;
-  if (!within) saturated_ = true;
-  push_lease(now + lease);
-  return within;
-}
-
 std::size_t TicketPool::release_expired(util::SimTime now) {
   std::size_t released = 0;
   while (!leases_.empty() && leases_.front() <= now) {
@@ -89,12 +67,6 @@ std::size_t TicketPool::release_expired(util::SimTime now) {
     ++released;
   }
   return released;
-}
-
-bool TicketPool::release_one() {
-  if (leases_.empty()) return false;
-  leases_.pop_front();
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +166,6 @@ ThroughputProbe::Outcome ThroughputProbe::on_interval(std::uint64_t goodput, boo
 AdmissionGate::AdmissionGate(AdmissionConfig config)
     : config_(config),
       data_(clamp_size(config.probe.initial_concurrency, config.probe)),
-      control_(config.control_tickets),
       probe_(config.probe),
       next_deadline_(util::SimTime::zero() + config.probe.interval) {}
 
@@ -202,17 +173,9 @@ AdmissionGate::~AdmissionGate() {
   if (metrics_ != nullptr) metrics_->remove_collector(collector_id_);
 }
 
-bool AdmissionGate::admit(TrafficClass cls, util::SimTime now) {
+bool AdmissionGate::admit_data(util::SimTime now) {
   if (!config_.enabled) return true;
   advance(now);
-  if (cls == TrafficClass::kControl) {
-    // Control never waits behind the data plane: watchdog heartbeats,
-    // breaker half-open probes and credit grants are what un-wedges an
-    // overloaded system, so refusing them would invert the cure.
-    if (!control_.acquire_overdraft(now, config_.probe.lease)) ++stats_.control_overdrafts;
-    ++stats_.control_admitted;
-    return true;
-  }
   if (data_.try_acquire(now, config_.probe.lease)) {
     ++stats_.data_admitted;
     return true;
@@ -224,7 +187,6 @@ bool AdmissionGate::admit(TrafficClass cls, util::SimTime now) {
 void AdmissionGate::advance(util::SimTime now) {
   if (!config_.enabled) return;
   data_.release_expired(now);
-  control_.release_expired(now);
   // Deadlines are fixed multiples of the interval from t=0, independent
   // of when callers happen to advance the gate: a bench that polls every
   // message and a shard plane that polls at merge barriers tick at the
@@ -239,8 +201,6 @@ void AdmissionGate::tick(util::SimTime at) {
   std::uint64_t delivered = 0;
   std::uint64_t wasted = 0;
   if (goodput_source_) goodput_source_(delivered, wasted);
-  delivered += wire_delivered_;
-  wasted += wire_wasted_;
   const std::uint64_t delivered_delta =
       delivered >= last_delivered_ ? delivered - last_delivered_ : 0;
   const std::uint64_t wasted_delta = wasted >= last_wasted_ ? wasted - last_wasted_ : 0;
@@ -276,46 +236,6 @@ void AdmissionGate::tick(util::SimTime at) {
   if (journal_.size() < config_.journal_limit) journal_.push_back(record);
 }
 
-void AdmissionGate::on_wire_release(util::BytesView payload, util::SimTime now) {
-  if (!config_.enabled) return;
-  util::ByteReader reader(payload);
-  std::uint32_t count = reader.u32();
-  if (!reader.ok() || reader.remaining() != 0) {
-    ++stats_.wire_malformed;
-    return;
-  }
-  advance(now);
-  // A forged release can at worst return tickets early (a throughput
-  // *gift*); it can never drive holders negative or below reality
-  // because release_one() refuses when nothing is outstanding.
-  count = std::min(count, data_.holders());
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (data_.release_one()) {
-      ++stats_.wire_releases;
-    } else {
-      ++stats_.spurious_releases;
-      break;
-    }
-  }
-  if (count == 0) ++stats_.spurious_releases;
-}
-
-void AdmissionGate::on_wire_goodput(util::BytesView payload) {
-  if (!config_.enabled) return;
-  util::ByteReader reader(payload);
-  const std::uint64_t delivered = reader.u64();
-  const std::uint64_t wasted = reader.u64();
-  if (!reader.ok() || reader.remaining() != 0) {
-    ++stats_.wire_malformed;
-    return;
-  }
-  // Clamped per frame so a hostile reporter cannot saturate the
-  // accumulators and freeze the EWMA at a forged plateau.
-  wire_delivered_ += std::min(delivered, kWireReportClamp);
-  wire_wasted_ += std::min(wasted, kWireReportClamp);
-  ++stats_.goodput_reports;
-}
-
 void AdmissionGate::set_metrics(obs::MetricsRegistry& registry) {
   if (metrics_ != nullptr) metrics_->remove_collector(collector_id_);
   metrics_ = &registry;
@@ -325,24 +245,13 @@ void AdmissionGate::set_metrics(obs::MetricsRegistry& registry) {
 void AdmissionGate::collect(obs::SnapshotBuilder& out) const {
   out.gauge("garnet.admission.tickets", static_cast<double>(data_.size()),
             {{"pool", "data"}});
-  out.gauge("garnet.admission.tickets", static_cast<double>(control_.size()),
-            {{"pool", "control"}});
   out.gauge("garnet.admission.holders", static_cast<double>(data_.holders()),
             {{"pool", "data"}});
-  out.gauge("garnet.admission.holders", static_cast<double>(control_.holders()),
-            {{"pool", "control"}});
   out.gauge("garnet.admission.goodput", probe_.ewma());
   out.counter("garnet.admission.probes", stats_.probes);
   out.counter("garnet.admission.resizes", stats_.resizes);
   out.counter("garnet.admission.admitted", stats_.data_admitted, {{"pool", "data"}});
-  out.counter("garnet.admission.admitted", stats_.control_admitted, {{"pool", "control"}});
   out.counter("garnet.admission.rejected", stats_.data_rejected, {{"pool", "data"}});
-  out.counter("garnet.admission.overdrafts", stats_.control_overdrafts,
-              {{"pool", "control"}});
-  out.counter("garnet.admission.wire_releases", stats_.wire_releases);
-  out.counter("garnet.admission.spurious_releases", stats_.spurious_releases);
-  out.counter("garnet.admission.goodput_reports", stats_.goodput_reports);
-  out.counter("garnet.admission.wire_malformed", stats_.wire_malformed);
 }
 
 std::string AdmissionGate::journal_text() const {

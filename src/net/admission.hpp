@@ -1,4 +1,4 @@
-// Adaptive admission control: throughput-probing ticket pools in front
+// Adaptive admission control: a throughput-probing ticket pool in front
 // of the filtering→dispatch path.
 //
 // PR 4 made overload *survivable* with hand-tuned constants: fixed inbox
@@ -10,19 +10,13 @@
 // weighted goodput signal — concurrency that raises goodput is kept,
 // concurrency that only raises downstream shedding is given back.
 //
-// Two pools, mirroring the control/data split the overload layer already
-// enforces on the bus:
-//
-//   * data-ingest pool — hard-gates bulk ingress (radio uplinks,
-//     gateway/archive injection). Exhausted means the arriving message
-//     is shed at the door, before it can queue work downstream.
-//   * control/actuation pool — *never* refuses. Control-plane work
-//     (circuit-breaker half-open probes, recovery heartbeats, credit
-//     replenishment, actuation) takes an overdraft ticket past the pool
-//     size; the overdraft is counted so the exposition shows pressure,
-//     but a saturated data plane can never delay watchdog promotion or
-//     breaker recovery. This is the same invariant as "control is never
-//     shed while data queues", lifted to admission.
+// Only data ingress is gated (radio uplinks, gateway/archive
+// injection): an exhausted pool sheds the arriving message at the door,
+// before it can queue work downstream. Control-plane traffic (recovery
+// heartbeats, breaker probes, credits, actuation) never passes the
+// gate, so a saturated data pool cannot delay watchdog promotion or
+// breaker recovery — the bus's "control is never shed while data
+// queues" invariant needs nothing more at admission.
 //
 // Deterministic by construction: tickets are released by virtual-time
 // lease expiry (no completion callbacks, no wall clock), probe ticks
@@ -40,15 +34,10 @@
 #include <string_view>
 #include <vector>
 
-#include "net/overload.hpp"
 #include "obs/metrics.hpp"
-#include "util/bytes.hpp"
 #include "util/time.hpp"
 
 namespace garnet::net {
-
-/// Which ticket pool a record or metric refers to.
-enum class PoolKind : std::uint8_t { kControl, kData };
 
 /// One probe-tick outcome. kProbeUp/kProbeDown start an excursion,
 /// kAccept commits the probed size as the new stable point, kBackoff
@@ -56,7 +45,6 @@ enum class PoolKind : std::uint8_t { kControl, kData };
 /// current size (at a bound, or nothing to learn this interval).
 enum class ProbeDecision : std::uint8_t { kHold, kProbeUp, kProbeDown, kAccept, kBackoff };
 
-[[nodiscard]] std::string_view to_string(PoolKind kind);
 [[nodiscard]] std::string_view to_string(ProbeDecision decision);
 
 /// Throughput-probing controller knobs (MongoDB's server parameters,
@@ -90,27 +78,16 @@ struct AdmissionConfig {
   /// kept reachable so old sweeps stay reproducible: --admission=static).
   bool probing = true;
   ProbeConfig probe;
-  /// Control-pool size. Purely an accounting watermark — control
-  /// admission never refuses — but overdrafts past it are counted.
-  std::uint32_t control_tickets = 64;
   /// Record the first N probe decisions in the byte-comparable journal.
   std::size_t journal_limit = 0;
-
-  [[nodiscard]] bool active() const noexcept { return enabled; }
 };
 
 /// Admission accounting, exposed as garnet.admission.* by the collector.
 struct AdmissionStats {
   std::uint64_t data_admitted = 0;
-  std::uint64_t data_rejected = 0;       ///< Shed at the door (pool exhausted).
-  std::uint64_t control_admitted = 0;
-  std::uint64_t control_overdrafts = 0;  ///< Control grants past the pool size.
-  std::uint64_t probes = 0;              ///< Probe ticks evaluated.
-  std::uint64_t resizes = 0;             ///< Ticks that changed the pool size.
-  std::uint64_t wire_releases = 0;       ///< Tickets released by kAdmissionRelease.
-  std::uint64_t spurious_releases = 0;   ///< Releases with no outstanding ticket.
-  std::uint64_t goodput_reports = 0;     ///< kGoodputReport frames applied.
-  std::uint64_t wire_malformed = 0;      ///< Frames failing decode (ignored).
+  std::uint64_t data_rejected = 0;  ///< Shed at the door (pool exhausted).
+  std::uint64_t probes = 0;         ///< Probe ticks evaluated.
+  std::uint64_t resizes = 0;        ///< Ticks that changed the pool size.
 
   AdmissionStats& operator+=(const AdmissionStats& other) noexcept;
 };
@@ -138,20 +115,12 @@ class TicketPool {
   explicit TicketPool(std::uint32_t size) : size_(size) {}
 
   /// Takes one ticket held until `now + lease`. Fails when every ticket
-  /// is out (data-pool semantics). Expired leases are collected first,
-  /// so callers never need a separate sweep.
+  /// is out. Expired leases are collected first, so callers never need
+  /// a separate sweep.
   [[nodiscard]] bool try_acquire(util::SimTime now, util::Duration lease);
-
-  /// Control-pool semantics: always grants. Returns true when the grant
-  /// fit inside the pool size, false when it was an overdraft.
-  bool acquire_overdraft(util::SimTime now, util::Duration lease);
 
   /// Releases every ticket whose lease expired at or before `now`.
   std::size_t release_expired(util::SimTime now);
-
-  /// Releases the oldest outstanding ticket early (the wire-release
-  /// path). Returns false — and changes nothing — when none is out.
-  bool release_one();
 
   /// Resizing never cancels outstanding leases; a shrink below the
   /// holder count simply refuses new admissions until leases drain.
@@ -214,8 +183,8 @@ class ThroughputProbe {
   double best_goodput_ = 0.0;
 };
 
-/// The assembled gate: two pools, one controller, a probe journal, an
-/// optional wire surface, and a metrics collector. Scheduler-free by
+/// The assembled gate: one data pool, one controller, a probe journal,
+/// and a metrics collector. Scheduler-free by
 /// design — every entry point takes `now` — so one class serves both the
 /// unsharded runtime (a repeating timer calls advance()) and the shard
 /// plane (the merge barrier calls advance() with the merged clock; the
@@ -230,10 +199,8 @@ class AdmissionGate {
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
   /// Data admission: true = a ticket was taken (lease-released later);
-  /// false = shed at the door. Control admission never returns false.
-  bool admit(TrafficClass cls, util::SimTime now);
-  bool admit_data(util::SimTime now) { return admit(TrafficClass::kData, now); }
-  bool admit_control(util::SimTime now) { return admit(TrafficClass::kControl, now); }
+  /// false = shed at the door.
+  bool admit_data(util::SimTime now);
 
   /// Cumulative downstream accounting the controller derives goodput
   /// from: `delivered` = useful deliveries so far, `wasted` = work shed
@@ -254,24 +221,14 @@ class AdmissionGate {
   /// late caller produces the same journal as a punctual one).
   void advance(util::SimTime now);
 
-  /// Wire surface (core::kAdmissionRelease / kGoodputReport payloads).
-  /// Hostile input is survivable by construction: malformed frames are
-  /// counted and ignored, releases never underflow the pool, and report
-  /// values are clamped so a forged flood cannot wedge the EWMA.
-  void on_wire_release(util::BytesView payload, util::SimTime now);
-  void on_wire_goodput(util::BytesView payload);
-  /// Per-frame clamp on reported delivered/wasted deltas.
-  static constexpr std::uint64_t kWireReportClamp = 1u << 20;
-
   /// Registers a pull collector exposing garnet.admission.tickets/
-  /// holders{pool=...}, garnet.admission.probes, garnet.admission.
-  /// goodput and the admitted/rejected/overdraft counters. Deregistered
+  /// holders{pool="data"}, garnet.admission.probes, garnet.admission.
+  /// goodput and the admitted/rejected counters. Deregistered
   /// on destruction (the registry must outlive the gate).
   void set_metrics(obs::MetricsRegistry& registry);
 
   [[nodiscard]] const AdmissionStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TicketPool& data_pool() const noexcept { return data_; }
-  [[nodiscard]] const TicketPool& control_pool() const noexcept { return control_; }
   [[nodiscard]] std::uint32_t data_pool_size() const noexcept { return data_.size(); }
   [[nodiscard]] const AdmissionConfig& config() const noexcept { return config_; }
 
@@ -292,15 +249,12 @@ class AdmissionGate {
 
   AdmissionConfig config_;
   TicketPool data_;
-  TicketPool control_;
   ThroughputProbe probe_;
   util::SimTime next_deadline_;
   GoodputSource goodput_source_;
   ResizeListener resize_listener_;
   std::uint64_t last_delivered_ = 0;
   std::uint64_t last_wasted_ = 0;
-  std::uint64_t wire_delivered_ = 0;  ///< Externally reported, drained per tick.
-  std::uint64_t wire_wasted_ = 0;
   AdmissionStats stats_;
   std::vector<ProbeRecord> journal_;
   obs::MetricsRegistry* metrics_ = nullptr;

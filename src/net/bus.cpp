@@ -124,15 +124,10 @@ void MessageBus::collect(obs::SnapshotBuilder& out) const {
               {{"class", "data"}, {"policy", "drop_newest"}});
   out.counter("garnet.bus.shed", shed_stats_.data_drop_oldest,
               {{"class", "data"}, {"policy", "drop_oldest"}});
-  out.counter("garnet.bus.shed", shed_stats_.data_reject_nack,
-              {{"class", "data"}, {"policy", "reject_nack"}});
   out.counter("garnet.bus.shed", shed_stats_.control_drop_newest,
               {{"class", "control"}, {"policy", "drop_newest"}});
   out.counter("garnet.bus.shed", shed_stats_.control_drop_oldest,
               {{"class", "control"}, {"policy", "drop_oldest"}});
-  out.counter("garnet.bus.shed", shed_stats_.control_reject_nack,
-              {{"class", "control"}, {"policy", "reject_nack"}});
-  out.counter("garnet.bus.nacks", shed_stats_.nacks_sent);
   out.gauge("garnet.bus.inbox_depth", static_cast<double>(total_inbox_depth()));
   for (const auto& entry : endpoints_) {
     if (!entry || !entry->inbox) continue;
@@ -144,7 +139,6 @@ void MessageBus::collect(obs::SnapshotBuilder& out) const {
   out.counter("garnet.rpc.retries", rpc_stats_.retries);
   out.counter("garnet.rpc.exhausted", rpc_stats_.exhausted);
   out.counter("garnet.rpc.deduped", rpc_stats_.deduped);
-  out.counter("garnet.rpc.nacked", rpc_stats_.nacked);
   out.counter("garnet.rpc.breaker_opens", rpc_stats_.breaker_opens);
   out.counter("garnet.rpc.breaker_fast_fails", rpc_stats_.breaker_fast_fails);
   out.gauge("garnet.rpc.breaker_state", static_cast<double>(rpc_stats_.open_breakers));
@@ -200,14 +194,12 @@ void MessageBus::shed(const Envelope& envelope, TrafficClass cls, OverflowPolicy
       switch (policy) {
         case OverflowPolicy::kDropNewest: ++shed_stats_.data_drop_newest; break;
         case OverflowPolicy::kDropOldest: ++shed_stats_.data_drop_oldest; break;
-        case OverflowPolicy::kRejectNack: ++shed_stats_.data_reject_nack; break;
       }
       break;
     case TrafficClass::kControl:
       switch (policy) {
         case OverflowPolicy::kDropNewest: ++shed_stats_.control_drop_newest; break;
         case OverflowPolicy::kDropOldest: ++shed_stats_.control_drop_oldest; break;
-        case OverflowPolicy::kRejectNack: ++shed_stats_.control_reject_nack; break;
       }
       break;
   }
@@ -216,21 +208,6 @@ void MessageBus::shed(const Envelope& envelope, TrafficClass cls, OverflowPolicy
                                        name_of(envelope.to), cls, policy,
                                        static_cast<std::uint16_t>(envelope.type)});
   }
-  if (policy == OverflowPolicy::kRejectNack) nack(envelope);
-}
-
-void MessageBus::nack(const Envelope& envelope) {
-  // Never nack a nack — a full inbox on both sides must not ping-pong.
-  if (envelope.type == MessageType::kNack || !envelope.from.valid()) return;
-  ++shed_stats_.nacks_sent;
-  // [u16 original type][first 8 bytes of the original payload]: the RPC
-  // layer needs the original type to know the echoed u64 is one of *its*
-  // call ids and not a colliding id from an unrelated numbering space.
-  const std::size_t echo = std::min<std::size_t>(envelope.payload.size(), 8);
-  util::ByteWriter w(2 + echo);
-  w.u16(static_cast<std::uint16_t>(envelope.type));
-  w.raw(envelope.payload.span().subspan(0, echo));
-  post(envelope.to, envelope.from, MessageType::kNack, util::take_shared(std::move(w)));
 }
 
 void MessageBus::serve(EndpointEntry& entry, Envelope envelope) {
@@ -274,7 +251,7 @@ void MessageBus::enqueue(EndpointEntry& entry, Envelope envelope) {
     if (cls == TrafficClass::kControl && !inbox.data.empty()) {
       // Control always displaces data: evict the oldest data envelope to
       // admit the control one, whatever the policy. The eviction is a
-      // data-class shed (and under kRejectNack its sender is told).
+      // data-class shed.
       shed(inbox.data.front(), TrafficClass::kData, policy);
       inbox.data.pop_front();
       inbox.control.push_back(std::move(envelope));
@@ -285,7 +262,6 @@ void MessageBus::enqueue(EndpointEntry& entry, Envelope envelope) {
     // control — the inbox is all-control, so the invariant holds.)
     switch (policy) {
       case OverflowPolicy::kDropNewest:
-      case OverflowPolicy::kRejectNack:
         shed(envelope, cls, policy);
         return;
       case OverflowPolicy::kDropOldest: {

@@ -17,9 +17,9 @@
 // a finite two-class queue with a per-envelope service time. Control
 // traffic (RPC framing plus registered control types) is dequeued ahead
 // of data deliveries and is never shed while data remains to shed; data
-// past capacity is shed by the endpoint's OverflowPolicy, optionally
-// echoing a kNack to the sender. Endpoints without an inbox config keep
-// the historical hand-to-handler-on-arrival behaviour exactly.
+// past capacity is shed by the endpoint's OverflowPolicy. Endpoints
+// without an inbox config keep the historical hand-to-handler-on-arrival
+// behaviour exactly.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +51,10 @@ struct Address {
 };
 
 /// Application-level message type tag. Values below 100 are reserved for
-/// the substrate (RPC framing, overload NACKs); services define their own
-/// above that.
+/// the substrate (RPC framing); services define their own above that.
 enum class MessageType : std::uint16_t {
   kRpcRequest = 1,
   kRpcResponse = 2,
-  /// Overload rejection: a kRejectNack inbox shed this sender's envelope.
-  /// Payload: [u16 original type][first 8 bytes of the original payload]
-  /// — enough for the RPC layer to fail the attempt fast (net/rpc.hpp).
-  kNack = 3,
   kAppBase = 100,
 };
 
@@ -95,7 +90,6 @@ struct RpcStats {
   std::uint64_t retries = 0;    ///< Re-sent attempts after a timeout.
   std::uint64_t exhausted = 0;  ///< Calls that failed after the full budget.
   std::uint64_t deduped = 0;    ///< Requests answered from the callee cache.
-  std::uint64_t nacked = 0;     ///< Attempts failed fast by an inbox NACK.
   std::uint64_t breaker_opens = 0;      ///< closed/half-open -> open edges.
   std::uint64_t breaker_fast_fails = 0; ///< Calls rejected while not closed.
   std::uint64_t open_breakers = 0;      ///< Breakers currently not closed.
@@ -186,8 +180,8 @@ class MessageBus {
   /// (garnet.bus.posted/delivered/dropped_no_endpoint/bytes), the
   /// payload-path accounting (garnet.bus.payload_*), the fault counters
   /// (garnet.bus.faults{kind=...}), the overload accounting
-  /// (garnet.bus.shed{class,policy}, garnet.bus.nacks,
-  /// garnet.bus.inbox_depth), and the RPC reliability + breaker counters
+  /// (garnet.bus.shed{class,policy}, garnet.bus.inbox_depth), and the
+  /// RPC reliability + breaker counters
   /// (garnet.rpc.*).
   void set_metrics(obs::MetricsRegistry& registry);
 
@@ -253,7 +247,6 @@ class MessageBus {
   void serve(EndpointEntry& entry, Envelope envelope);
   void service_done(Address address);
   void shed(const Envelope& envelope, TrafficClass cls, OverflowPolicy policy);
-  void nack(const Envelope& envelope);
   [[nodiscard]] EndpointEntry* find(Address address) const noexcept {
     return address.value < endpoints_.size() ? endpoints_[address.value].get() : nullptr;
   }

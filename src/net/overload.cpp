@@ -6,7 +6,6 @@ std::string_view to_string(OverflowPolicy policy) {
   switch (policy) {
     case OverflowPolicy::kDropNewest: return "drop_newest";
     case OverflowPolicy::kDropOldest: return "drop_oldest";
-    case OverflowPolicy::kRejectNack: return "reject_nack";
   }
   return "unknown";
 }

@@ -31,7 +31,6 @@ namespace garnet::net {
 enum class OverflowPolicy : std::uint8_t {
   kDropNewest,  ///< Silently discard the arriving envelope.
   kDropOldest,  ///< Evict the oldest queued envelope to make room.
-  kRejectNack,  ///< Discard like kDropNewest, but echo a kNack to the sender.
 };
 
 /// Scheduling class of one envelope. Control traffic (RPC framing plus
@@ -80,17 +79,14 @@ struct BreakerConfig {
 struct ShedStats {
   std::uint64_t data_drop_newest = 0;
   std::uint64_t data_drop_oldest = 0;
-  std::uint64_t data_reject_nack = 0;
   std::uint64_t control_drop_newest = 0;
   std::uint64_t control_drop_oldest = 0;
-  std::uint64_t control_reject_nack = 0;
-  std::uint64_t nacks_sent = 0;
 
   [[nodiscard]] std::uint64_t data_total() const noexcept {
-    return data_drop_newest + data_drop_oldest + data_reject_nack;
+    return data_drop_newest + data_drop_oldest;
   }
   [[nodiscard]] std::uint64_t control_total() const noexcept {
-    return control_drop_newest + control_drop_oldest + control_reject_nack;
+    return control_drop_newest + control_drop_oldest;
   }
 
   /// Cross-shard aggregation (each shard's bus keeps its own ledger; the
@@ -98,11 +94,8 @@ struct ShedStats {
   ShedStats& operator+=(const ShedStats& other) noexcept {
     data_drop_newest += other.data_drop_newest;
     data_drop_oldest += other.data_drop_oldest;
-    data_reject_nack += other.data_reject_nack;
     control_drop_newest += other.control_drop_newest;
     control_drop_oldest += other.control_drop_oldest;
-    control_reject_nack += other.control_reject_nack;
-    nacks_sent += other.nacks_sent;
     return *this;
   }
 };

@@ -200,9 +200,6 @@ void RpcNode::on_envelope(Envelope envelope) {
     case MessageType::kRpcResponse:
       on_response(envelope);
       return;
-    case MessageType::kNack:
-      on_nack(envelope);
-      return;
     default:
       if (fallback_) fallback_(std::move(envelope));
       return;
@@ -277,25 +274,6 @@ void RpcNode::on_request(const Envelope& envelope) {
 
   const util::BytesView args = envelope.payload;
   it->second(caller, args.subspan(r.consumed()), std::move(respond));
-}
-
-void RpcNode::on_nack(const Envelope& envelope) {
-  // An overloaded inbox rejected one of our envelopes (kRejectNack). The
-  // payload names the original type plus its first 8 bytes; for a shed
-  // RPC request those are the call id, which lets the attempt fail now
-  // instead of burning the rest of its timeout. A shed *response* is not
-  // actionable here — the caller's own timeout covers it.
-  util::ByteReader r(envelope.payload);
-  const auto original = static_cast<MessageType>(r.u16());
-  const std::uint64_t call_id = r.u64();
-  if (!r.ok() || original != MessageType::kRpcRequest) return;
-  const auto it = pending_.find(call_id);
-  // The callee-address check guards against call-id collisions: ids are
-  // per-caller, so a nack echoing someone else's id must not match.
-  if (it == pending_.end() || !(it->second.callee == envelope.from)) return;
-  ++bus_.rpc_stats().nacked;
-  bus_.scheduler().cancel(it->second.timer);
-  on_attempt_timeout(call_id);  // retry (with backoff) or exhaust, as usual
 }
 
 void RpcNode::on_response(const Envelope& envelope) {

@@ -164,7 +164,6 @@ class RpcNode {
   void on_envelope(Envelope envelope);
   void on_request(const Envelope& envelope);
   void on_response(const Envelope& envelope);
-  void on_nack(const Envelope& envelope);
   void send_attempt(std::uint64_t call_id);
   void on_attempt_timeout(std::uint64_t call_id);
   void remember(const DedupKey& key, DedupEntry entry);

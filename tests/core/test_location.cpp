@@ -81,9 +81,13 @@ TEST_F(LocationFixture, ObservationsAgeOut) {
 }
 
 TEST_F(LocationFixture, UnknownReceiverIgnored) {
-  observe(1, 99, -40.0);
-  EXPECT_FALSE(location.estimate(1).has_value());
-  EXPECT_EQ(location.stats().observations, 0u);
+  observe(1, 2, -40.0);
+  const util::Bytes tracks = location.capture_state();
+  observe(7, 99, -40.0);  // receiver 99 was never deployed
+  EXPECT_FALSE(location.estimate(7).has_value());
+  EXPECT_EQ(location.stats().observations, 1u);
+  EXPECT_EQ(location.stats().unknown_receiver, 1u);
+  EXPECT_EQ(location.capture_state(), tracks);
 }
 
 TEST_F(LocationFixture, HintProvidesEstimateWithoutObservations) {

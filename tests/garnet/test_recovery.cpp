@@ -629,11 +629,10 @@ TEST_F(RecoveryFixture, CorruptDeltaFrameIsRejectedAtReceipt) {
 // --- admission control must never gate the watchdog -------------------------
 
 TEST(AdmissionRecovery, SaturatedDataPoolNeverDelaysWatchdogPromotion) {
-  // Regression for the control-class exemption: recovery heartbeats and
-  // the promotion path ride the control plane, which takes overdraft
-  // tickets instead of waiting behind data admission. A data pool wedged
-  // completely shut must therefore leave the crash-detection latency
-  // bit-for-bit unchanged.
+  // Recovery heartbeats and the promotion path ride the control plane,
+  // which never passes the admission gate: only data ingress takes
+  // tickets. A data pool wedged completely shut must therefore leave the
+  // crash-detection latency bit-for-bit unchanged.
   const auto promotion_latency = [](bool saturate_pool) {
     Runtime::Config config;
     config.recovery.enabled = true;
@@ -666,10 +665,9 @@ TEST(AdmissionRecovery, SaturatedDataPoolNeverDelaysWatchdogPromotion) {
     EXPECT_EQ(runtime.telemetry().registry.snapshot().counter("garnet.recovery.promotions"),
               1u);
     if (saturate_pool) {
-      // Still saturated after the promotion — and control still passes.
+      // Still saturated after the promotion: the watchdog never waited
+      // for a ticket.
       EXPECT_FALSE(runtime.admission()->admit_data(
-          util::SimTime::zero() + Duration::seconds(2)));
-      EXPECT_TRUE(runtime.admission()->admit_control(
           util::SimTime::zero() + Duration::seconds(2)));
     }
     return runtime.telemetry().registry.snapshot().gauge("garnet.recovery.latency_ns");

@@ -248,41 +248,45 @@ TEST(ShardPlane, SingleShardCheckpointFramesMatchUnshardedDispatch) {
   EXPECT_EQ(plane.dispatch(0).capture_delta(), reference.capture_delta());
 }
 
-// --- recovery: grouped re-anchoring ----------------------------------------
+// --- recovery: each shard restores on its own ------------------------------
 
-TEST(ShardPlane, PromotionReanchorsEveryShardCheckpoint) {
+TEST(ShardPlane, ShardRestoresItsOwnStateAfterAnotherShardsPromotion) {
+  // A dispatcher's delta carries its whole subscription table, so a
+  // shard whose chain runs across another shard's promotion restores
+  // exactly the state it had when it crashed.
   sim::Scheduler scheduler;
   net::MessageBus bus(scheduler, {});
   RecoveryConfig recovery;
   recovery.enabled = true;
   recovery.checkpoint_interval = Duration::millis(100);
-  recovery.full_checkpoint_interval = 1000;  // deltas, except when forced full
+  recovery.full_checkpoint_interval = 1000;  // deltas after each shard's first frame
   RecoveryHarness harness(scheduler, bus, recovery);
 
   ShardPlaneConfig config;
-  config.shards = 4;
+  config.shards = 2;
   config.use_workers = false;
   ShardedDispatchPlane plane(config);
   plane.register_recovery(harness, "dispatch-plane");
+  scheduler.run_until(SimTime::zero() + Duration::millis(150));  // first frames
 
-  // First cadence: every shard's first frame is full (initial anchor).
-  scheduler.run_until(SimTime::zero() + Duration::millis(150));
-  EXPECT_EQ(harness.stats().checkpoints_taken, 4u);
+  harness.crash("dispatch-plane.shard0");
+  scheduler.run_until(SimTime::zero() + Duration::millis(650));
+  ASSERT_EQ(harness.stats().promotions, 1u);
 
-  // Steady state: deltas only.
-  scheduler.run_until(SimTime::zero() + Duration::millis(350));
-  EXPECT_EQ(harness.stats().checkpoints_taken, 4u);
-  EXPECT_GE(harness.stats().deltas_taken, 8u);
+  StreamId id{1, 0};
+  while (plane.shard_of(id) != 1) ++id.sensor;
+  const PlaneConsumerId consumer = plane.add_consumer("c", [](std::uint32_t, const net::Envelope&) {});
+  plane.subscribe(consumer, StreamPattern::exact(id));
+  const std::uint64_t captures =
+      harness.stats().checkpoints_taken + harness.stats().deltas_taken;
+  scheduler.run_until(SimTime::zero() + Duration::millis(750));  // a checkpoint tick
+  ASSERT_GT(harness.stats().checkpoints_taken + harness.stats().deltas_taken, captures);
 
-  // Crash + rejoin one shard. The group contract: the whole plane
-  // re-anchors, so the next cadence takes 4 full frames, not 1.
-  harness.crash("dispatch-plane.shard2");
-  harness.restart("dispatch-plane.shard2");
-  const std::uint64_t fulls_before = harness.stats().checkpoints_taken;
-  const std::uint64_t deltas_before = harness.stats().deltas_taken;
-  scheduler.run_until(SimTime::zero() + Duration::millis(450));
-  EXPECT_EQ(harness.stats().checkpoints_taken, fulls_before + 4u);
-  EXPECT_EQ(harness.stats().deltas_taken, deltas_before);
+  const util::Bytes before = plane.dispatch(1).capture_state();
+  harness.crash("dispatch-plane.shard1");
+  ASSERT_NE(plane.dispatch(1).capture_state(), before);  // the crash wiped it
+  harness.restart("dispatch-plane.shard1");
+  EXPECT_EQ(plane.dispatch(1).capture_state(), before);
 }
 
 TEST(ShardPlane, InputsReachingACrashedShardRunAfterItsRestart) {

@@ -187,6 +187,9 @@ TEST(Telemetry, RegistryCarriesPushAndPullMetrics) {
   EXPECT_GT(snap.counter("garnet.bus.posted"), 0u);
   EXPECT_GE(snap.counter("garnet.bus.posted"), snap.counter("garnet.bus.delivered"));
   EXPECT_DOUBLE_EQ(snap.gauge("garnet.field.sensors"), 1.0);
+  // Present even when zero: every receiver here is deployed.
+  ASSERT_NE(snap.find("garnet.location.unknown_receiver"), nullptr);
+  EXPECT_EQ(snap.counter("garnet.location.unknown_receiver"), 0u);
 }
 
 // --- byte pin: every series and recorded trace of one seeded run --------

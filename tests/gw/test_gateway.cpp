@@ -266,26 +266,6 @@ TEST(GatewayAdmission, ZeroPerTicketKeepsTheStaticBound) {
   EXPECT_EQ(parse_deliveries(h.transport.peer_take(sub)).size(), 4u);
 }
 
-TEST(Gateway, DropOldestKeepsNewestFrames) {
-  GatewayConfig config;
-  config.outbox_frames = 3;
-  config.shed_policy = net::OverflowPolicy::kDropOldest;
-  Harness h(config);
-  const ConnId producer = h.ingest();
-  const ConnId sub = h.subscriber("*");
-  h.transport.set_write_window(sub, 0);
-
-  for (int i = 0; i < 8; ++i) h.push_message(producer, message({1, 0}, i, i));
-  EXPECT_EQ(h.gateway->stats().shed.data_drop_oldest, 5u);
-
-  h.transport.open_write_window(sub, 1 << 20);
-  h.turn(2);
-  const auto deliveries = parse_deliveries(h.transport.peer_take(sub));
-  ASSERT_EQ(deliveries.size(), 3u);
-  EXPECT_EQ(deliveries[0].message.sequence, 5);  // oldest were evicted
-  EXPECT_EQ(deliveries[2].message.sequence, 7);
-}
-
 TEST(Gateway, DeadSubscriberDoesNotBlockOthers) {
   Harness h;
   const ConnId producer = h.ingest();

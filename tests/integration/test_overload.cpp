@@ -118,8 +118,7 @@ FloodOutcome run_flood(Duration message_interval, bool with_slow_consumer) {
   EXPECT_EQ(snap.counter("garnet.dispatch.quarantines"), outcome.quarantines);
   EXPECT_EQ(snap.counter("garnet.dispatch.credits_exhausted"), outcome.credits_exhausted);
   EXPECT_EQ(snap.counter("garnet.bus.shed", {{"class", "control"}, {"policy", "drop_oldest"}}) +
-                snap.counter("garnet.bus.shed", {{"class", "control"}, {"policy", "drop_newest"}}) +
-                snap.counter("garnet.bus.shed", {{"class", "control"}, {"policy", "reject_nack"}}),
+                snap.counter("garnet.bus.shed", {{"class", "control"}, {"policy", "drop_newest"}}),
             outcome.control_sheds);
   return outcome;
 }

@@ -1,8 +1,7 @@
 // Adaptive admission control (net/admission.hpp): ticket-pool lease
 // semantics, the throughput-probe state machine, probe-journal
-// determinism under arbitrary advance() cadences, the hostile wire
-// surface (forged releases, clamped goodput reports), the control-class
-// exemption, and the garnet.admission.* exposition.
+// determinism under arbitrary advance() cadences, and the
+// garnet.admission.* exposition.
 #include "net/admission.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/bytes.hpp"
 #include "util/time.hpp"
 
 namespace garnet::net {
@@ -47,14 +45,6 @@ TEST(AdmissionTicketPool, LeaseExpiryReturnsTickets) {
   EXPECT_EQ(pool.holders(), 0u);
 }
 
-TEST(AdmissionTicketPool, OverdraftAlwaysGrantsAndReportsWithinSize) {
-  TicketPool pool(1);
-  EXPECT_TRUE(pool.acquire_overdraft(at_us(0), Duration::millis(1)));   // within
-  EXPECT_FALSE(pool.acquire_overdraft(at_us(0), Duration::millis(1)));  // overdraft
-  EXPECT_FALSE(pool.acquire_overdraft(at_us(0), Duration::millis(1)));
-  EXPECT_EQ(pool.holders(), 3u);  // every grant is real, size or not
-}
-
 TEST(AdmissionTicketPool, ShrinkRefusesNewAdmissionsUntilLeasesDrain) {
   TicketPool pool(4);
   for (int i = 0; i < 3; ++i) {
@@ -65,15 +55,6 @@ TEST(AdmissionTicketPool, ShrinkRefusesNewAdmissionsUntilLeasesDrain) {
   EXPECT_EQ(pool.holders(), 3u);  // the shrink cancelled nothing
   EXPECT_TRUE(pool.try_acquire(at_us(1000), Duration::millis(1)));  // leases drained
   EXPECT_EQ(pool.holders(), 1u);
-}
-
-TEST(AdmissionTicketPool, ReleaseOneRefusesOnEmptyPool) {
-  TicketPool pool(2);
-  EXPECT_FALSE(pool.release_one());
-  EXPECT_TRUE(pool.try_acquire(at_us(0), Duration::millis(1)));
-  EXPECT_TRUE(pool.release_one());
-  EXPECT_FALSE(pool.release_one());
-  EXPECT_EQ(pool.holders(), 0u);
 }
 
 // --- ThroughputProbe --------------------------------------------------------
@@ -148,7 +129,7 @@ TEST(AdmissionProbe, HoldsAtTheConcurrencyBounds) {
 
 // --- AdmissionGate ----------------------------------------------------------
 
-AdmissionConfig static_config(std::uint32_t data_tickets, std::uint32_t control_tickets) {
+AdmissionConfig static_config(std::uint32_t data_tickets) {
   AdmissionConfig config;
   config.enabled = true;
   config.probing = false;
@@ -156,7 +137,6 @@ AdmissionConfig static_config(std::uint32_t data_tickets, std::uint32_t control_
   config.probe.min_concurrency = 1;
   config.probe.lease = Duration::seconds(1);      // no expiry inside a test instant
   config.probe.interval = Duration::seconds(100);  // no probe ticks
-  config.control_tickets = control_tickets;
   return config;
 }
 
@@ -166,20 +146,6 @@ TEST(AdmissionGate, DisabledGateIsTransparent) {
   EXPECT_EQ(gate.stats().data_admitted, 0u);  // nothing counted, nothing held
   EXPECT_EQ(gate.data_pool().holders(), 0u);
   EXPECT_TRUE(gate.journal().empty());
-}
-
-TEST(AdmissionGate, ControlIsNeverRefusedWhileDataSaturates) {
-  AdmissionGate gate(static_config(1, 1));
-  EXPECT_TRUE(gate.admit_data(at_us(0)));
-  EXPECT_FALSE(gate.admit_data(at_us(0)));  // data pool exhausted
-  // The control-class exemption: breaker half-open probes and watchdog
-  // heartbeats must get through the saturated front door, always.
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(gate.admit_control(at_us(0)));
-  EXPECT_EQ(gate.stats().data_admitted, 1u);
-  EXPECT_EQ(gate.stats().data_rejected, 1u);
-  EXPECT_EQ(gate.stats().control_admitted, 3u);
-  EXPECT_EQ(gate.stats().control_overdrafts, 2u);  // pool of 1, grants 2..3
-  EXPECT_EQ(gate.control_pool().holders(), 3u);
 }
 
 /// Same admit schedule, different advance() cadence: the punctual caller
@@ -230,59 +196,6 @@ TEST(AdmissionGate, JournalIsByteIdenticalUnderAnyAdvanceCadence) {
   EXPECT_GT(punctual.resizes, 0u);
 }
 
-TEST(AdmissionGate, ForgedReleaseFloodCannotUnderflowThePool) {
-  AdmissionGate gate(static_config(4, 4));
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(gate.admit_data(at_us(0)));
-
-  util::ByteWriter flood(4);
-  flood.u32(1000);  // claims far more tickets than exist
-  gate.on_wire_release(flood.view(), at_us(0));
-  EXPECT_EQ(gate.stats().wire_releases, 3u);  // clamped to real holders
-  EXPECT_EQ(gate.data_pool().holders(), 0u);
-
-  util::ByteWriter empty_pool(4);
-  empty_pool.u32(5);
-  gate.on_wire_release(empty_pool.view(), at_us(0));
-  EXPECT_EQ(gate.stats().wire_releases, 3u);
-  EXPECT_EQ(gate.stats().spurious_releases, 1u);
-
-  util::ByteWriter trailing(5);
-  trailing.u32(1);
-  trailing.u8(0xFF);  // trailing garbage: not a release frame
-  gate.on_wire_release(trailing.view(), at_us(0));
-  gate.on_wire_release({}, at_us(0));  // truncated
-  EXPECT_EQ(gate.stats().wire_malformed, 2u);
-  EXPECT_EQ(gate.stats().wire_releases, 3u);
-
-  // The early releases were a gift, not a leak: tickets are usable again.
-  EXPECT_TRUE(gate.admit_data(at_us(0)));
-}
-
-TEST(AdmissionGate, HostileGoodputReportsAreClampedPerFrame) {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.probing = false;
-  config.journal_limit = 4;
-  config.probe.interval = Duration::millis(1);
-  config.probe.lease = Duration::micros(10);
-  AdmissionGate gate(config);
-
-  util::ByteWriter forged(16);
-  forged.u64(~std::uint64_t{0});  // a goodput plateau no real run produces
-  forged.u64(0);
-  gate.on_wire_goodput(forged.view());
-  EXPECT_EQ(gate.stats().goodput_reports, 1u);
-
-  util::ByteWriter truncated(8);
-  truncated.u64(7);
-  gate.on_wire_goodput(truncated.view());
-  EXPECT_EQ(gate.stats().wire_malformed, 1u);
-
-  gate.advance(at_us(1000));  // first probe deadline
-  ASSERT_EQ(gate.journal().size(), 1u);
-  EXPECT_EQ(gate.journal()[0].goodput, AdmissionGate::kWireReportClamp);
-}
-
 TEST(AdmissionGate, ResizesDriveTheDerivedCreditWindow) {
   AdmissionConfig config;
   config.enabled = true;
@@ -310,19 +223,17 @@ TEST(AdmissionGate, CollectorExposesAdmissionSeriesAndDeregisters) {
   const obs::Labels data{{"pool", "data"}};
   const obs::Labels control{{"pool", "control"}};
   {
-    AdmissionGate gate(static_config(3, 2));
+    AdmissionGate gate(static_config(3));
     gate.set_metrics(registry);
-    for (int i = 0; i < 4; ++i) gate.admit_data(at_us(0));     // 3 in, 1 refused
-    for (int i = 0; i < 3; ++i) gate.admit_control(at_us(0));  // 1 overdraft
+    for (int i = 0; i < 4; ++i) gate.admit_data(at_us(0));  // 3 in, 1 refused
 
     const auto snapshot = registry.snapshot();
     EXPECT_EQ(snapshot.gauge("garnet.admission.tickets", data), 3.0);
     EXPECT_EQ(snapshot.gauge("garnet.admission.holders", data), 3.0);
     EXPECT_EQ(snapshot.counter("garnet.admission.admitted", data), 3u);
     EXPECT_EQ(snapshot.counter("garnet.admission.rejected", data), 1u);
-    EXPECT_EQ(snapshot.gauge("garnet.admission.tickets", control), 2.0);
-    EXPECT_EQ(snapshot.counter("garnet.admission.admitted", control), 3u);
-    EXPECT_EQ(snapshot.counter("garnet.admission.overdrafts", control), 1u);
+    // Control traffic never passes the gate, so no pool is labelled for it.
+    EXPECT_EQ(snapshot.find("garnet.admission.tickets", control), nullptr);
     ASSERT_NE(snapshot.find("garnet.admission.goodput"), nullptr);
     ASSERT_NE(snapshot.find("garnet.admission.probes"), nullptr);
   }

@@ -1,7 +1,7 @@
-// Overload-control unit suite: bounded inboxes (all three overflow
-// policies), the control-over-data priority invariant, NACK fast-fail in
-// the RPC layer, the per-callee circuit breaker lifecycle, and the
-// byte-comparable shed journal.
+// Overload-control unit suite: bounded inboxes (both overflow
+// policies), the control-over-data priority invariant, the per-callee
+// circuit breaker lifecycle in the RPC layer, and the byte-comparable
+// shed journal.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,25 +97,6 @@ TEST_F(OverloadFixture, DropOldestEvictsTheQueueHead) {
 
   EXPECT_EQ(served, (std::vector<std::uint32_t>{0, 2, 3}));
   EXPECT_EQ(bus.shed_stats().data_drop_oldest, 1u);
-}
-
-TEST_F(OverloadFixture, RejectNackEchoesTypeAndPayloadPrefixToSender) {
-  MessageBus bus(scheduler, config_with(small_inbox(OverflowPolicy::kRejectNack)));
-  const Address sink = bus.add_endpoint("sink", [](Envelope) {});
-  std::vector<Envelope> nacks;
-  const Address src = bus.add_endpoint("src", [&](Envelope e) {
-    if (e.type == MessageType::kNack) nacks.push_back(std::move(e));
-  });
-
-  for (std::uint32_t i = 0; i < 4; ++i) bus.post(src, sink, kData, tagged(i));
-  scheduler.run();
-
-  EXPECT_EQ(bus.shed_stats().data_reject_nack, 1u);
-  EXPECT_EQ(bus.shed_stats().nacks_sent, 1u);
-  ASSERT_EQ(nacks.size(), 1u);
-  util::ByteReader r(nacks[0].payload);
-  EXPECT_EQ(static_cast<MessageType>(r.u16()), kData);
-  EXPECT_EQ(r.u32(), 3u);  // the rejected envelope's own payload prefix
 }
 
 TEST_F(OverloadFixture, ControlArrivalDisplacesOldestDataWhenFull) {
@@ -217,43 +198,7 @@ TEST_F(OverloadFixture, ShedJournalIsByteIdenticalAcrossIdenticalRuns) {
   EXPECT_EQ(first, run_once());
 }
 
-// --- RPC-layer integration: NACK fast-fail and the circuit breaker -------
-
-TEST_F(OverloadFixture, NackFailsTheRpcAttemptWithoutWaitingForTimeout) {
-  // The server's inbox holds one queued envelope and rejects with NACK.
-  // A burst of calls therefore gets one served, one queued, and the rest
-  // nacked — each nack cancels its attempt timer immediately.
-  MessageBus::Config config;
-  config.latency = Duration::micros(10);
-  config.max_jitter = Duration{};
-  InboxConfig inbox;
-  inbox.capacity = 1;
-  inbox.policy = OverflowPolicy::kRejectNack;
-  inbox.service_time = Duration::millis(5);
-  config.inboxes["server"] = inbox;
-  MessageBus bus(scheduler, config);
-
-  RpcNode server(bus, "server");
-  RpcNode client(bus, "client");
-  server.expose(1, [](Address, util::BytesView) -> RpcResult { return util::to_bytes("ok"); });
-
-  CallOptions options;
-  options.timeout = Duration::seconds(10);  // a plain timeout would blow the deadline below
-  options.retries = 0;
-
-  int ok = 0, failed = 0;
-  for (int i = 0; i < 4; ++i) {
-    client.call(server.address(), 1, {}, options, [&](RpcResult result) {
-      result.ok() ? ++ok : ++failed;
-    });
-  }
-  scheduler.run_until(util::SimTime{} + Duration::seconds(1));
-
-  EXPECT_EQ(ok, 2);      // in-service + queued both complete
-  EXPECT_EQ(failed, 2);  // the shed pair failed via NACK, not timeout
-  EXPECT_EQ(bus.rpc_stats().nacked, 2u);
-  EXPECT_EQ(bus.shed_stats().nacks_sent, 2u);
-}
+// --- RPC-layer integration: the circuit breaker -----------------------------
 
 struct BreakerFixture : ::testing::Test {
   sim::Scheduler scheduler;
